@@ -1,14 +1,22 @@
 GO ?= go
 
-.PHONY: all build vet tempest-vet test race chaos bench bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
+.PHONY: all build vet vet-cross tempest-vet test race chaos bench bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
 
-all: vet tempest-vet build test
+all: vet vet-cross tempest-vet build test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# instrument finds a goroutine's lane through per-architecture assembly
+# (amd64, arm64) with a portable fallback for everything else. Vet the
+# second assembly file and the no-assembly build, neither of which an
+# amd64 host compiles otherwise.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./instrument/
+	GOARCH=riscv64 $(GO) vet ./instrument/
 
 # Project-specific invariant checks (internal/analysis passes): Enter/Exit
 # pairing, wall-clock bans in virtual-time packages, lock annotations,
@@ -64,10 +72,11 @@ bench-analysis:
 
 # One-iteration pass over the streaming-pipeline benchmarks: compiles and
 # executes every benchmark body (batch vs stream allocation profile,
-# sequential vs parallel ParseAll, critical-path sweep) without waiting
-# for stable timings — the CI guard that the pipeline still runs end to
-# end at 1M events.
+# sequential vs parallel ParseAll, critical-path sweep, the per-mode
+# instrument.Trace hooks) without waiting for stable timings — the CI
+# guard that the pipeline still runs end to end at 1M events.
 bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./instrument/
 	$(GO) test -run '^$$' -bench 'Pipeline|ParseAll' -benchtime=1x -benchmem ./internal/parser/
 	$(GO) test -run '^$$' -bench 'CritPath' -benchtime=1x -benchmem ./internal/critpath/
 

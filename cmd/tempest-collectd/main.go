@@ -182,6 +182,13 @@ func run(args []string, out io.Writer, ready chan<- *collect.Collector) error {
 		ln.Close()
 		return err
 	}
+	// Catch signals before anything tells the outside world we are up: a
+	// supervisor (or test) that reads the address line may SIGTERM us the
+	// next instant, and the default action would skip the store flush.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	var dln net.Listener
 	var debugSrv *http.Server
 	if *debugAddr != "" {
@@ -223,10 +230,6 @@ func run(args []string, out io.Writer, ready chan<- *collect.Collector) error {
 			errc <- nil
 		}()
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case s := <-sig:

@@ -106,6 +106,43 @@ func TestDaemonUploadAndQuery(t *testing.T) {
 // TestDaemonDebugSurface boots with -debug-addr and checks all three
 // debug endpoints answer: pprof's index, expvar's /debug/vars (with the
 // published tempest variable), and /debug/introspect in both renderings.
+// termOnWrite SIGTERMs this process the moment the daemon writes its
+// address line — the earliest an outside supervisor could react to it.
+type termOnWrite struct{}
+
+func (termOnWrite) Write(p []byte) (int, error) {
+	syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+	return len(p), nil
+}
+
+// TestDaemonSIGTERMAtReadiness pins the startup ordering: by the time
+// the daemon announces itself (address line, then the ready hook) its
+// signal handler is installed, so a SIGTERM in that instant is a clean,
+// store-flushing shutdown rather than the default action killing the
+// process.
+func TestDaemonSIGTERMAtReadiness(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		dir := t.TempDir()
+		ready := make(chan *collect.Collector, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-store-dir", dir}, termOnWrite{}, ready)
+		}()
+		<-ready
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("daemon exit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not exit on a SIGTERM sent as it became ready")
+		}
+		if err := run([]string{"-verify-store", "-store-dir", dir}, io.Discard, nil); err != nil {
+			t.Fatalf("store left by the signalled daemon: %v", err)
+		}
+	}
+}
+
 func TestDaemonDebugSurface(t *testing.T) {
 	_, _, debugAddr, done := startDaemon(t, "-debug-addr", "127.0.0.1:0")
 	if debugAddr == "" {

@@ -10,11 +10,13 @@ import (
 )
 
 // resetPolicy restores the package's process-wide policy state between
-// tests: detail default, no overrides, empty buckets.
+// tests: detail default, no overrides, empty buckets, no directive seen
+// (so the package also passes under -count=N).
 func resetPolicy(t *testing.T) {
 	t.Helper()
 	restore := func() {
 		Detach(nil)
+		appliedRev.Store(0)
 		Apply(Directive{Default: ModeDetail})
 		FlushCoarse()
 	}

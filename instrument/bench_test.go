@@ -8,7 +8,7 @@ import (
 )
 
 // The three costs the adaptive control plane trades between, measured
-// per Trace call. scripts/bench/instrument.sh runs these and commits
+// per Trace call. scripts/bench/instrument_bench.sh runs these and commits
 // the result as BENCH_instrument.json; the inert number is the one the
 // refactor must not regress (it is every uninstrumented binary's tax).
 
@@ -47,6 +47,29 @@ func BenchmarkTraceDetail(b *testing.B) {
 			b.StartTimer()
 		}
 	}
+	b.StopTimer()
+	FlushCoarse()
+}
+
+// BenchmarkTraceDetailParallel runs the detail path on every P at once:
+// each goroutine finds its own lane, so the cost should stay near the
+// serial one instead of queueing on a shared lock or counter.
+func BenchmarkTraceDetailParallel(b *testing.B) {
+	tr := benchTracer(b)
+	slots := Register("bench/detail", []string{"bench.Detail"})
+	Apply(Directive{Default: ModeDetail})
+	Attach(tr)
+	defer Detach(tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 1; pb.Next(); i++ {
+			Trace(slots[0])()
+			if i%32768 == 0 {
+				tr.Drain() // timed: any goroutine's drain locks every lane
+			}
+		}
+	})
 	b.StopTimer()
 	FlushCoarse()
 }

@@ -35,13 +35,18 @@
 // path: each slot carries one atomic mode word, so a collector can
 // flip instrumentation density on a live, saturated workload.
 //
-// Lanes are allocated per goroutine (keyed by goroutine id), matching
-// the tracer's one-lane-per-worker model, so instrumented code may be
-// freely concurrent.
+// Lanes are allocated per goroutine, matching the tracer's
+// one-lane-per-worker model, so instrumented code may be freely
+// concurrent. A goroutine is identified by the address of its runtime g
+// (three instructions of assembly on amd64 and arm64). The runtime
+// recycles a finished goroutine's g for a later one, and the lane goes
+// with it, so a binding holds as many lanes as goroutines were ever alive
+// at once, not as many as ever ran. Other architectures fall back to the
+// goroutine id parsed from runtime.Stack: same semantics, microseconds
+// per call, one lane per goroutine for good.
 package instrument
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,12 +122,31 @@ func init() {
 	slots.Store(&empty)
 }
 
+// laneCacheBits sizes the direct-mapped lane cache: 512 entries, one
+// pointer each, so a program with a few hundred tracing goroutines
+// rarely has two of them share an entry.
+const laneCacheBits = 9
+
+// laneEntry is one goroutine's lane under its key. Entries are immutable
+// and shared between the cache and the map behind it.
+type laneEntry struct {
+	key  uintptr
+	lane *trace.Lane
+}
+
 // binding connects the slot table to one tracer.
 type binding struct {
 	tracer *trace.Tracer
-	mu     sync.Mutex
-	fids   []uint32 // guarded by mu; slot → tracer function id
-	lanes  sync.Map // goroutine id (uint64) → *trace.Lane
+	// fids maps slot → tracer function id. Copy-on-write like slots:
+	// extend (always under regMu) swaps in a grown copy, Trace reads it
+	// with one atomic load.
+	fids atomic.Pointer[[]uint32]
+	// laneCache is the hot lookup: the entry last used at hash(key). On a
+	// miss — first call, or two live goroutines sharing an entry — lanes
+	// has the answer.
+	laneCache [1 << laneCacheBits]atomic.Pointer[laneEntry]
+	laneMu    sync.Mutex
+	lanes     map[uintptr]*laneEntry // guarded by laneMu
 }
 
 // Register interns a package's instrumented function names and returns
@@ -164,7 +188,7 @@ func Attach(tr *trace.Tracer) {
 		active.Store(nil)
 		return
 	}
-	b := &binding{tracer: tr}
+	b := &binding{tracer: tr, lanes: map[uintptr]*laneEntry{}}
 	regMu.Lock()
 	b.extend(names)
 	regMu.Unlock()
@@ -187,13 +211,19 @@ func Detach(tr *trace.Tracer) {
 // Attached reports whether any tracer is currently bound.
 func Attached() bool { return active.Load() != nil }
 
-// extend interns every known name, growing the slot→fid table.
+// extend interns every known name and publishes the grown slot→fid
+// table. Callers hold regMu, which serializes writers.
 func (b *binding) extend(all []string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := len(b.fids); i < len(all); i++ {
-		b.fids = append(b.fids, b.tracer.RegisterFunc(all[i]))
+	var old []uint32
+	if p := b.fids.Load(); p != nil {
+		old = *p
 	}
+	grown := make([]uint32, len(old), len(all))
+	copy(grown, old)
+	for _, name := range all[len(old):] {
+		grown = append(grown, b.tracer.RegisterFunc(name))
+	}
+	b.fids.Store(&grown)
 }
 
 // noop is returned when instrumentation is detached.
@@ -203,8 +233,11 @@ var noop = func() {}
 // calling goroutine's lane and returns the matching exit hook for defer.
 // With no tracer attached it costs one atomic load. With a tracer
 // attached, the slot's mode decides the cost: ModeOff is three atomic
-// loads and the shared no-op, ModeCoarse is a clock read plus two
-// atomic adds on exit, ModeDetail is the full lane enter/exit pair.
+// loads and the shared no-op; ModeCoarse is two clock reads and two
+// atomic adds; ModeDetail adds to that a lane lookup (one atomic load
+// and a compare on a cache hit) and the lane's enter/exit pair, each
+// stamped with the clock reading the bucket already took. No mode takes
+// a package-level lock, and the returned closure is the only allocation.
 func Trace(slot int) func() {
 	b := active.Load()
 	if b == nil {
@@ -233,22 +266,21 @@ func Trace(slot int) func() {
 		}
 	}
 	// ModeDetail (and any unknown mode value, defensively).
-	b.mu.Lock()
-	if slot >= len(b.fids) {
-		b.mu.Unlock()
+	fids := *b.fids.Load()
+	if slot >= len(fids) {
 		return noop
 	}
-	fid := b.fids[slot]
-	b.mu.Unlock()
-	lane := b.lane(goroutineID())
+	fid := fids[slot]
+	lane := b.lane(laneKey())
 	start := b.tracer.Now()
 	// Balanced by construction: the returned closure is the Exit and
 	// callers defer it.
-	lane.Enter(fid) //tempest:ignore enterexit
+	lane.EnterAt(fid, start) //tempest:ignore enterexit
 	return func() {
-		_ = lane.Exit(fid)
+		end := b.tracer.Now()
+		_ = lane.ExitAt(fid, end)
 		st.calls.Add(1)
-		st.nanos.Add(int64(b.tracer.Now() - start))
+		st.nanos.Add(int64(end - start))
 	}
 }
 
@@ -403,30 +435,24 @@ func Current() Status {
 	return s
 }
 
-// lane returns (or allocates) the lane for one goroutine.
-func (b *binding) lane(gid uint64) *trace.Lane {
-	if l, ok := b.lanes.Load(gid); ok {
-		return l.(*trace.Lane)
+// lane returns the lane of the goroutine identified by key, allocating
+// one the first time the key is seen. A key seen before may by now belong
+// to a new goroutine running on a recycled g; it inherits the lane, which
+// is sound because the previous owner's deferred exit hooks ran before it
+// ended and left the lane's shadow stack balanced.
+func (b *binding) lane(key uintptr) *trace.Lane {
+	// Fibonacci hashing: g addresses differ mostly in their middle bits.
+	cached := &b.laneCache[(uint64(key)*0x9E3779B97F4A7C15)>>(64-laneCacheBits)]
+	if e := cached.Load(); e != nil && e.key == key {
+		return e.lane
 	}
-	l, _ := b.lanes.LoadOrStore(gid, b.tracer.NewLane())
-	return l.(*trace.Lane)
-}
-
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine 123 [running]: …"). The ~µs cost is the price of
-// transparent per-goroutine lanes without threading context through
-// instrumented signatures; it is far below the per-sample costs the
-// paper budgets for (§3.2), and only paid while a tracer is attached.
-func goroutineID() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine ".
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
+	b.laneMu.Lock()
+	e := b.lanes[key]
+	if e == nil {
+		e = &laneEntry{key: key, lane: b.tracer.NewLane()}
+		b.lanes[key] = e
 	}
-	return id
+	b.laneMu.Unlock()
+	cached.Store(e)
+	return e.lane
 }

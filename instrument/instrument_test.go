@@ -98,28 +98,13 @@ func TestPerGoroutineLanes(t *testing.T) {
 	wg.Wait()
 
 	events, _ := tr.Snapshot()
-	// Every goroutine got its own lane, so each lane's stream must be
-	// internally balanced; the merged stream has 2*50*workers events.
+	// No two goroutines use a lane at the same time, so each lane's
+	// stream must be internally balanced; the merged stream has
+	// 2*50*workers events.
 	if len(events) != 2*50*workers {
 		t.Fatalf("got %d events, want %d", len(events), 2*50*workers)
 	}
-	depth := map[uint32]int{}
-	for _, e := range events {
-		switch e.Kind {
-		case trace.KindEnter:
-			depth[e.Lane]++
-		case trace.KindExit:
-			depth[e.Lane]--
-			if depth[e.Lane] < 0 {
-				t.Fatalf("lane %d: exit before enter", e.Lane)
-			}
-		}
-	}
-	for lane, d := range depth {
-		if d != 0 {
-			t.Fatalf("lane %d finished at depth %d", lane, d)
-		}
-	}
+	checkLanesBalanced(t, events)
 }
 
 func TestDetachOnlyMatchingTracer(t *testing.T) {

@@ -18,7 +18,7 @@ type HookCosts struct {
 
 // DefaultHookCosts mirrors the committed BENCH_instrument.json numbers,
 // used when no benchmark file is supplied.
-var DefaultHookCosts = HookCosts{DetailNS: 6673, CoarseNS: 143.9, SkipNS: 0}
+var DefaultHookCosts = HookCosts{DetailNS: 223.3, CoarseNS: 159.2, SkipNS: 0}
 
 // LoadHookCosts reads hook costs from a BENCH_instrument.json-shaped
 // file ({"modes": {"detail": ns, "coarse": ns, "off": ns, ...}}).

@@ -12,62 +12,52 @@ package trace
 
 import "time"
 
-// lastTSLocked returns the timestamp of the lane's most recent event (0
-// if none). Callers must hold l.mu.
-func (l *Lane) lastTSLocked() time.Duration {
-	if len(l.buf) == 0 {
-		return 0
+// clampLocked enforces per-lane monotonicity against the lane's most
+// recent event. Callers hold l.mu.
+func (l *Lane) clampLocked(ts time.Duration) time.Duration {
+	if n := len(l.buf); n > 0 && ts < l.buf[n-1].TS {
+		return l.buf[n-1].TS
 	}
-	return l.buf[len(l.buf)-1].TS
+	return ts
 }
 
-// clampTS enforces per-lane monotonicity. Callers hold l.mu via record; we
-// clamp before record acquires it, so take the lock briefly here instead.
-func (l *Lane) clampTS(ts time.Duration) time.Duration {
+// recordAt clamps e's timestamp and records it under one lock.
+func (l *Lane) recordAt(e Event) {
 	l.mu.Lock()
-	if last := l.lastTSLocked(); ts < last {
-		ts = last
-	}
+	e.TS = l.clampLocked(e.TS)
+	l.recordLocked(e)
 	l.mu.Unlock()
-	return ts
 }
 
 // EnterAt records a function entry at an explicit timestamp.
 func (l *Lane) EnterAt(fid uint32, ts time.Duration) {
-	l.stack = append(l.stack, fid)
-	l.record(Event{TS: l.clampTS(ts), Lane: l.id, Kind: KindEnter, FuncID: fid})
+	l.mu.Lock()
+	l.enterLocked(fid, l.clampLocked(ts))
+	l.mu.Unlock()
 }
 
 // ExitAt records a function exit at an explicit timestamp; same stack
 // validation as Exit.
 func (l *Lane) ExitAt(fid uint32, ts time.Duration) error {
-	l.record(Event{TS: l.clampTS(ts), Lane: l.id, Kind: KindExit, FuncID: fid})
-	if len(l.stack) == 0 {
-		return ErrStackEmpty
-	}
-	top := l.stack[len(l.stack)-1]
-	l.stack = l.stack[:len(l.stack)-1]
-	if top != fid {
-		return ErrStackMismatch
-	}
-	return nil
+	l.mu.Lock()
+	err := l.exitLocked(fid, l.clampLocked(ts))
+	l.mu.Unlock()
+	return err
 }
 
 // MarkerAt records an annotation at an explicit timestamp.
 func (l *Lane) MarkerAt(name string, ts time.Duration) {
 	fid := l.tracer.RegisterFunc(name)
-	l.record(Event{TS: l.clampTS(ts), Lane: l.id, Kind: KindMarker, FuncID: fid})
+	l.recordAt(Event{TS: ts, Lane: l.id, Kind: KindMarker, FuncID: fid})
 }
 
 // SampleAt records a temperature sample at an explicit timestamp on lane 0.
 func (t *Tracer) SampleAt(sid uint32, tempC float64, ts time.Duration) {
-	l := t.lane0
-	l.record(Event{TS: l.clampTS(ts), Lane: 0, Kind: KindSample, SensorID: sid, ValueC: tempC})
+	t.lane0.recordAt(Event{TS: ts, Lane: 0, Kind: KindSample, SensorID: sid, ValueC: tempC})
 }
 
 // MarkerAt records an annotation at an explicit timestamp on lane 0.
 func (t *Tracer) MarkerAt(name string, ts time.Duration) {
 	fid := t.RegisterFunc(name)
-	l := t.lane0
-	l.record(Event{TS: l.clampTS(ts), Lane: 0, Kind: KindMarker, FuncID: fid})
+	t.lane0.recordAt(Event{TS: ts, Lane: 0, Kind: KindMarker, FuncID: fid})
 }

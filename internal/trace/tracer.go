@@ -36,21 +36,25 @@ type Tracer struct {
 	lanes   []*Lane
 	lane0   *Lane
 	dropped atomic.Uint64
-	events  atomic.Uint64
 }
 
 // Lane is a single execution lane's event stream plus its shadow call
 // stack. Enter/Exit must be called from a single goroutine at a time; the
-// buffer itself is lock-protected so Snapshot can run concurrently.
+// buffer itself is lock-protected so Snapshot can run concurrently. The
+// shadow stack is pushed and popped inside the same critical section as
+// the event it belongs to, so a lane handed from a finished goroutine to
+// its successor (instrument reuses lanes that way) carries a
+// happens-before edge with it.
 type Lane struct {
 	tracer *Tracer
 	id     uint32
 	mu     sync.Mutex
 	buf    []Event // guarded by mu
 	cap    int
-	hw     int // guarded by mu; high-water mark of len(buf)
-	stack  []uint32
-	drops  uint64 // guarded by mu; pending drop count to fold into the next recorded event
+	hw     int      // guarded by mu; high-water mark of len(buf)
+	stack  []uint32 // written under mu; Depth reads it from the owning goroutine
+	drops  uint64   // guarded by mu; pending drop count to fold into the next recorded event
+	events uint64   // guarded by mu; events recorded, summed by Tracer.EventCount
 }
 
 // ErrStackMismatch is returned by Exit when the exiting function does not
@@ -89,14 +93,25 @@ func (t *Tracer) NodeID() uint32 { return t.cfg.NodeID }
 // Rank returns the configured rank.
 func (t *Tracer) Rank() uint32 { return t.cfg.Rank }
 
-// NewLane allocates an execution lane. Lanes are never freed; a profiled
-// program creates one per worker goroutine.
+// NewLane allocates an execution lane. The tracer never frees a lane, so
+// callers keep the count bounded: a hand-instrumented program creates one
+// per worker goroutine, and instrument hands a finished goroutine's lane
+// to the next goroutine the runtime starts on the same g, which bounds
+// its lanes by the peak number of goroutines alive at once.
 func (t *Tracer) NewLane() *Lane {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l := &Lane{tracer: t, id: uint32(len(t.lanes)), cap: t.cfg.LaneBufferCap}
 	t.lanes = append(t.lanes, l)
 	return l
+}
+
+// laneList copies the lane table so callers can lock lanes one at a time
+// without holding t.mu.
+func (t *Tracer) laneList() []*Lane {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]*Lane(nil), t.lanes...)
 }
 
 // now returns the trace-relative timestamp.
@@ -111,7 +126,12 @@ func (t *Tracer) Now() time.Duration { return t.now() }
 // when full.
 func (l *Lane) record(e Event) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.recordLocked(e)
+	l.mu.Unlock()
+}
+
+// recordLocked is record for callers that already hold l.mu.
+func (l *Lane) recordLocked(e Event) {
 	if len(l.buf) >= l.cap {
 		l.drops++
 		l.tracer.dropped.Add(1)
@@ -137,17 +157,14 @@ func (l *Lane) record(e Event) {
 	if len(l.buf) > l.hw {
 		l.hw = len(l.buf)
 	}
-	l.tracer.events.Add(1)
+	l.events++
 }
 
 // LaneHighWater reports the deepest any lane's buffer has ever been —
 // how close the run came to the LaneBufferCap drop threshold.
 func (t *Tracer) LaneHighWater() int {
-	t.mu.Lock()
-	lanes := append([]*Lane(nil), t.lanes...)
-	t.mu.Unlock()
 	hw := 0
-	for _, l := range lanes {
+	for _, l := range t.laneList() {
 		l.mu.Lock()
 		if l.hw > hw {
 			hw = l.hw
@@ -159,15 +176,32 @@ func (t *Tracer) LaneHighWater() int {
 
 // Enter records entry into function fid and pushes the shadow stack.
 func (l *Lane) Enter(fid uint32) {
-	l.stack = append(l.stack, fid)
-	l.record(Event{TS: l.tracer.now(), Lane: l.id, Kind: KindEnter, FuncID: fid})
+	ts := l.tracer.now()
+	l.mu.Lock()
+	l.enterLocked(fid, ts)
+	l.mu.Unlock()
 }
 
 // Exit records exit from function fid, popping the shadow stack. It
 // returns ErrStackEmpty or ErrStackMismatch on unbalanced use; the event
 // is still recorded so the parser can flag the anomaly.
 func (l *Lane) Exit(fid uint32) error {
-	l.record(Event{TS: l.tracer.now(), Lane: l.id, Kind: KindExit, FuncID: fid})
+	ts := l.tracer.now()
+	l.mu.Lock()
+	err := l.exitLocked(fid, ts)
+	l.mu.Unlock()
+	return err
+}
+
+// enterLocked pushes the shadow stack and records the enter event at ts.
+func (l *Lane) enterLocked(fid uint32, ts time.Duration) {
+	l.stack = append(l.stack, fid)
+	l.recordLocked(Event{TS: ts, Lane: l.id, Kind: KindEnter, FuncID: fid})
+}
+
+// exitLocked records the exit event at ts and pops the shadow stack.
+func (l *Lane) exitLocked(fid uint32, ts time.Duration) error {
+	l.recordLocked(Event{TS: ts, Lane: l.id, Kind: KindExit, FuncID: fid})
 	if len(l.stack) == 0 {
 		return ErrStackEmpty
 	}
@@ -217,8 +251,18 @@ func (t *Tracer) Marker(name string) {
 	t.lane0.record(Event{TS: t.now(), Lane: 0, Kind: KindMarker, FuncID: fid})
 }
 
-// EventCount reports successfully recorded events.
-func (t *Tracer) EventCount() uint64 { return t.events.Load() }
+// EventCount reports successfully recorded events. The count lives on
+// each lane, under the lock record already holds, so lanes on different
+// cores share no counter cache line; summing them here is the rare side.
+func (t *Tracer) EventCount() uint64 {
+	var n uint64
+	for _, l := range t.laneList() {
+		l.mu.Lock()
+		n += l.events
+		l.mu.Unlock()
+	}
+	return n
+}
 
 // DroppedCount reports events lost to buffer pressure.
 func (t *Tracer) DroppedCount() uint64 { return t.dropped.Load() }
@@ -228,11 +272,8 @@ func (t *Tracer) DroppedCount() uint64 { return t.dropped.Load() }
 // the snapshot is a stable copy. Events with equal timestamps keep
 // lane-id order, making snapshots deterministic under a virtual clock.
 func (t *Tracer) Snapshot() ([]Event, *SymTab) {
-	t.mu.Lock()
-	lanes := append([]*Lane(nil), t.lanes...)
-	t.mu.Unlock()
 	var all []Event
-	for _, l := range lanes {
+	for _, l := range t.laneList() {
 		l.mu.Lock()
 		all = append(all, l.buf...)
 		l.mu.Unlock()
@@ -245,16 +286,20 @@ func (t *Tracer) Snapshot() ([]Event, *SymTab) {
 // timestamp-ordered like Snapshot, together with a symbol-table copy.
 // Unlike Snapshot it empties the lane buffers, so an incremental Writer
 // can flush the trace in segments while recording continues — buffer
-// pressure (and KindDrop events) resets with every drain.
+// pressure (and KindDrop events) resets with every drain. A lane that
+// recorded since the last drain keeps its buffer's capacity (at most
+// LaneBufferCap events), so a busy lane does not regrow it by doubling
+// every interval; a lane that recorded nothing gives the memory back.
 func (t *Tracer) Drain() ([]Event, *SymTab) {
-	t.mu.Lock()
-	lanes := append([]*Lane(nil), t.lanes...)
-	t.mu.Unlock()
 	var all []Event
-	for _, l := range lanes {
+	for _, l := range t.laneList() {
 		l.mu.Lock()
 		all = append(all, l.buf...)
-		l.buf = nil
+		if len(l.buf) > 0 {
+			l.buf = l.buf[:0]
+		} else {
+			l.buf = nil
+		}
 		l.mu.Unlock()
 	}
 	sortEvents(all)

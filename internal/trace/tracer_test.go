@@ -222,6 +222,91 @@ func TestDropEventEmittedAfterPressureClears(t *testing.T) {
 	}
 }
 
+// A lane that recorded since the last Drain keeps its buffer for the
+// next interval — without disturbing the events Drain handed out — and
+// a lane that sat idle through an interval gives it back.
+func TestDrainKeepsBusyLaneCapacity(t *testing.T) {
+	const bufCap = 64
+	tr, clk := newTestTracer(t, bufCap)
+	lane := tr.NewLane()
+	f, g := tr.RegisterFunc("f"), tr.RegisterFunc("g")
+	record := func(fid uint32) {
+		for i := 0; i < 20; i++ {
+			clk.Advance(time.Microsecond)
+			lane.Enter(fid)
+			_ = lane.Exit(fid)
+		}
+	}
+	record(f)
+	first, _ := tr.Drain()
+	kept := cap(lane.buf)
+	if len(first) != 40 || len(lane.buf) != 0 || kept < 40 || kept > bufCap {
+		t.Fatalf("drained %d events leaving len=%d cap=%d, want 40, 0 and 40..%d", len(first), len(lane.buf), kept, bufCap)
+	}
+	record(g)
+	if cap(lane.buf) != kept {
+		t.Errorf("busy lane regrew its buffer: cap %d then %d", kept, cap(lane.buf))
+	}
+	for _, e := range first {
+		if e.FuncID != f {
+			t.Fatalf("recording after Drain overwrote a drained event: %+v", e)
+		}
+	}
+	if second, _ := tr.Drain(); len(second) != 40 || second[0].FuncID != g {
+		t.Errorf("second drain: %d events starting %+v", len(second), second[0])
+	}
+	if idle, _ := tr.Drain(); len(idle) != 0 || lane.buf != nil {
+		t.Errorf("idle interval: drained %d events, lane still holds cap %d", len(idle), cap(lane.buf))
+	}
+}
+
+func TestEventCountSumsLanes(t *testing.T) {
+	tr, _ := newTestTracer(t, 4)
+	a, b := tr.NewLane(), tr.NewLane()
+	f := tr.RegisterFunc("f")
+	a.Enter(f)
+	_ = a.Exit(f)
+	for i := 0; i < 10; i++ {
+		b.Enter(f) // 4 recorded, 6 dropped
+	}
+	tr.Sample(0, 50) // lane 0
+	if got := tr.EventCount(); got != 2+4+1 {
+		t.Errorf("EventCount = %d, want 7", got)
+	}
+	tr.Drain() // the count is of events ever recorded, not buffered
+	a.Enter(f)
+	if got := tr.EventCount(); got != 8 {
+		t.Errorf("EventCount after a drain and one more event = %d, want 8", got)
+	}
+	if got := tr.DroppedCount(); got != 6 {
+		t.Errorf("DroppedCount = %d, want 6", got)
+	}
+}
+
+func TestExplicitTimestampsClampPerLane(t *testing.T) {
+	tr, _ := newTestTracer(t, 0)
+	lane := tr.NewLane()
+	f := tr.RegisterFunc("f")
+	lane.EnterAt(f, 10*time.Second)
+	lane.MarkerAt("m", 4*time.Second)
+	if err := lane.ExitAt(f, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := lane.ExitAt(f, 20*time.Second); !errors.Is(err, ErrStackEmpty) {
+		t.Errorf("unbalanced ExitAt: %v", err)
+	}
+	tr.SampleAt(0, 50, 3*time.Second) // lane 0 has its own history
+	want := []time.Duration{10 * time.Second, 10 * time.Second, 10 * time.Second, 20 * time.Second}
+	for i, e := range lane.buf {
+		if e.TS != want[i] {
+			t.Errorf("lane event %d at %v, want %v", i, e.TS, want[i])
+		}
+	}
+	if ts := tr.lane0.buf[0].TS; ts != 3*time.Second {
+		t.Errorf("lane 0 sample at %v, want 3s", ts)
+	}
+}
+
 func TestRegisterFuncIdempotent(t *testing.T) {
 	tr, _ := newTestTracer(t, 0)
 	a := tr.RegisterFunc("same")

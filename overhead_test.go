@@ -67,7 +67,9 @@ func runOverheadSession(t *testing.T) (*Profile, *introspect.Registry, string) {
 // the measurement is repeated and the least-disturbed run kept: on a
 // shared 1-vCPU box a single descheduling inside a drain pass books
 // scheduler noise as self-time, which would otherwise dominate a
-// few-percent effect.
+// few-percent effect. Under the race detector only the numeric bound is
+// skipped (see raceEnabled); everything the session reports is still
+// checked.
 func TestLiveOverheadUnderPaperBound(t *testing.T) {
 	const attempts = 5
 	var p *Profile
@@ -75,12 +77,12 @@ func TestLiveOverheadUnderPaperBound(t *testing.T) {
 	var report string
 	for i := 0; i < attempts; i++ {
 		p, ir, report = runOverheadSession(t)
-		if p.OverheadFraction < 0.07 {
+		if raceEnabled || p.OverheadFraction < 0.07 {
 			break
 		}
 		t.Logf("attempt %d: overhead fraction %.4f (noise), retrying", i+1, p.OverheadFraction)
 	}
-	if p.OverheadFraction < 0 || p.OverheadFraction >= 0.07 {
+	if p.OverheadFraction < 0 || (!raceEnabled && p.OverheadFraction >= 0.07) {
 		t.Errorf("Profile.OverheadFraction = %.4f on every attempt, paper bound <0.07", p.OverheadFraction)
 	}
 
