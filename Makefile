@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet vet-cross tempest-vet test race chaos bench bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
+.PHONY: all build vet vet-cross tempest-vet test race chaos bench bench-validate bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
 
-all: vet vet-cross tempest-vet build test
+all: vet vet-cross tempest-vet build test bench-validate
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
+# The pipeline benchmark at 1/50 scale, untraced and traced, with its
+# metric set checked against BENCHMARK.json (~20 s). `./...` skips
+# underscore directories, so this is the only target that compiles
+# _bench/ against the packages it imports.
+bench-validate:
+	$(GO) run ./_bench -validate
+
 # Per-call instrumentation cost in each sampling mode, written to
 # BENCH_instrument.json (the committed baseline). Re-run and commit when
 # touching instrument.Trace's fast paths; the inert cost must not move.
@@ -72,19 +79,23 @@ bench-analysis:
 
 # One-iteration pass over the streaming-pipeline benchmarks: compiles and
 # executes every benchmark body (batch vs stream allocation profile,
-# sequential vs parallel ParseAll, critical-path sweep, the per-mode
-# instrument.Trace hooks) without waiting for stable timings — the CI
-# guard that the pipeline still runs end to end at 1M events.
+# sequential vs parallel ParseAll, the fleet-shaped interleaved fold,
+# critical-path sweep, chunk decode, the per-mode instrument.Trace hooks)
+# without waiting for stable timings — the CI guard that the pipeline
+# still runs end to end at 1M events.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./instrument/
-	$(GO) test -run '^$$' -bench 'Pipeline|ParseAll' -benchtime=1x -benchmem ./internal/parser/
+	$(GO) test -run '^$$' -bench 'Pipeline|ParseAll|BuilderAddInterleaved' -benchtime=1x -benchmem ./internal/parser/
 	$(GO) test -run '^$$' -bench 'CritPath' -benchtime=1x -benchmem ./internal/critpath/
+	$(GO) test -run '^$$' -bench 'DecodeChunk' -benchtime=1x -benchmem ./internal/collect/
 
 # Run every fuzz target once over its checked-in seed corpus (no open-
 # ended fuzzing): codec, streaming scanner, the collector's ship-mode
-# frame decoder, the durable store's crash/tamper recovery, and the
-# critical-path analyzer (never panics; stream==batch; agrees with the
-# Builder's stack discipline on accepted streams).
+# frame decoder, the slice-cursor segment and chunk decoders against the
+# reader-based ones they replaced, the durable store's crash/tamper
+# recovery, and the critical-path analyzer (never panics; stream==batch;
+# agrees with the Builder's stack discipline on accepted streams; one
+# shared core == two standalone folds).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/collect/ ./internal/store/ ./internal/critpath/
 

@@ -49,6 +49,18 @@ type archiveNode struct {
 	syms      []string // cumulative symbol table, dense ids
 }
 
+// symTab rebuilds the cumulative symbol table post-compaction chunks
+// were encoded against (empty for a node the archive never saw).
+func (ent *archiveNode) symTab() *trace.SymTab {
+	sym := trace.NewSymTab()
+	if ent != nil {
+		for _, name := range ent.syms {
+			sym.Register(name)
+		}
+	}
+	return sym
+}
+
 // archiveWindowNode is one node's contribution to one folded window.
 type archiveWindowNode struct {
 	node   uint32
@@ -587,11 +599,7 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 			nf, ok := folds[wb.Node]
 			if !ok {
 				ent := arch.node(wb.Node, wb.Rank)
-				sym := trace.NewSymTab()
-				for _, name := range ent.syms {
-					sym.Register(name)
-				}
-				nf = &nodeFold{ent: ent, sym: sym}
+				nf = &nodeFold{ent: ent, sym: ent.symTab()}
 				folds[wb.Node] = nf
 				order = append(order, wb.Node)
 			}
@@ -621,9 +629,7 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 				continue
 			}
 			if nf.b == nil {
-				nf.b = parser.NewBuilder(wb.Node, nf.sym, parser.Options{
-					Unit: unit, SampleInterval: sampleInterval, MidStream: true,
-				})
+				nf.b = newBuilder(trace.NewFold(nf.sym), wb.Node, unit, sampleInterval, true)
 			}
 			if err := nf.b.Add(ev); err != nil {
 				nf.dead = true

@@ -115,9 +115,13 @@ type NodeStatus struct {
 // nodeState is one node's ingest state, owned by exactly one shard
 // worker.
 type nodeState struct {
-	id       uint32
-	rank     uint32
-	sym      *trace.SymTab
+	id   uint32
+	rank uint32
+	sym  *trace.SymTab
+	// core is the node's one lane table: every accepted event is matched
+	// against its stacks once (fold) and the fact handed to both
+	// consumers below.
+	core     *trace.Fold
 	builder  *parser.Builder
 	nextSeq  uint64
 	segments uint64
@@ -126,10 +130,11 @@ type nodeState struct {
 	err      error         // poisoned: gap in the stream or Builder failure
 
 	// crit is the node's streaming critical-path analyzer: it consumes the
-	// same accepted batches as builder and answers /api/critpath and
-	// /api/timeline. Tolerant by design — it keeps counting through streams
-	// the builder would reject — but it is only fed what the builder took,
-	// so both views describe the same event history.
+	// same facts as builder and answers /api/critpath and /api/timeline.
+	// Tolerant by design — it keeps counting through streams the builder
+	// would reject — but it is only fed what the builder took (on a batch
+	// that poisons the builder, the events before the offending one), so
+	// both views describe the same event history.
 	crit *critpath.Analyzer
 
 	// symsStored is how much of sym the durable chunk stream already
@@ -451,32 +456,17 @@ func (sh *shard) replayArchive(blob []byte) error {
 		return nil // raw segments still replay
 	}
 	for _, ent := range arch.nodes {
-		sym := trace.NewSymTab()
-		for _, name := range ent.syms {
-			sym.Register(name)
-		}
-		ns := &nodeState{
-			id:   ent.node,
-			rank: ent.rank,
-			sym:  sym,
-			builder: parser.NewBuilder(ent.node, sym, parser.Options{
-				Unit:           sh.c.opts.Unit,
-				SampleInterval: sh.c.opts.SampleInterval,
-				MidStream:      true,
-			}),
-			nextSeq:    ent.nextSeq,
-			segments:   ent.segments,
-			lastSeen:   sh.c.opts.Now(),
-			symsStored: sym.Len(),
-			archEvents: ent.events,
-			archHeat:   arch.nodeHeat(ent.node),
-			crit:       critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap}),
-		}
+		sym := ent.symTab()
+		ns := sh.newNode(ent.node, ent.rank, sym, true)
+		ns.nextSeq = ent.nextSeq
+		ns.segments = ent.segments
+		ns.lastSeen = sh.c.opts.Now()
+		ns.symsStored = sym.Len()
+		ns.archEvents = ent.events
+		ns.archHeat = arch.nodeHeat(ent.node)
 		if ent.truncated {
 			ns.builder.SetTruncated(true)
 		}
-		sh.nodes[ent.node] = ns
-		sh.c.metrics.nodes.Add(1)
 	}
 	return nil
 }
@@ -541,11 +531,7 @@ func (sh *shard) replayBatch(b store.Batch) error {
 	}
 	ns.batch = batch[:0]
 	ns.symsStored = ns.sym.Len()
-	if err := ns.builder.Add(batch); err != nil {
-		ns.err = err
-		return nil
-	}
-	_ = ns.crit.Add(ns.id, ns.sym, batch)
+	ns.err = ns.fold(batch)
 	return nil
 }
 
@@ -553,18 +539,51 @@ func (sh *shard) replayBatch(b store.Batch) error {
 func (sh *shard) node(id, rank uint32) *nodeState {
 	ns, ok := sh.nodes[id]
 	if !ok {
-		sym := trace.NewSymTab()
-		ns = &nodeState{
-			id:      id,
-			rank:    rank,
-			sym:     sym,
-			builder: parser.NewBuilder(id, sym, parser.Options{Unit: sh.c.opts.Unit, SampleInterval: sh.c.opts.SampleInterval}),
-			crit:    critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap}),
-		}
-		sh.nodes[id] = ns
-		sh.c.metrics.nodes.Add(1)
+		ns = sh.newNode(id, rank, trace.NewSymTab(), false)
 	}
 	return ns
+}
+
+// newNode registers a fresh node state: one fold core over sym with the
+// profile builder and the critical-path analyzer as its consumers.
+// midStream is for a node whose stream begins in compacted history.
+func (sh *shard) newNode(id, rank uint32, sym *trace.SymTab, midStream bool) *nodeState {
+	core := trace.NewFold(sym)
+	ns := &nodeState{
+		id:      id,
+		rank:    rank,
+		sym:     sym,
+		core:    core,
+		builder: newBuilder(core, id, sh.c.opts.Unit, sh.c.opts.SampleInterval, midStream),
+		crit:    critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap}),
+	}
+	sh.nodes[id] = ns
+	sh.c.metrics.nodes.Add(1)
+	return ns
+}
+
+// newBuilder is the one place the collector builds a profile builder.
+// midStream marks a builder whose stream starts after the node's first
+// event — behind compacted history, or at the edge of a replayed window —
+// so exits of invocations opened earlier are expected, not errors.
+func newBuilder(core *trace.Fold, node uint32, unit parser.Unit, sampleInterval time.Duration, midStream bool) *parser.Builder {
+	return parser.NewBuilderOn(core, node, parser.Options{Unit: unit, SampleInterval: sampleInterval, MidStream: midStream})
+}
+
+// fold runs one accepted batch through the node's single stack-matching
+// pass: the core steps each event once and both consumers take the fact.
+// An error is the builder's and poisons the node; the analyzer has then
+// seen exactly the events the builder consumed.
+func (ns *nodeState) fold(batch []trace.Event) error {
+	for i := range batch {
+		e := &batch[i]
+		m := ns.core.Step(e)
+		if err := ns.builder.Apply(e, m); err != nil {
+			return err
+		}
+		ns.crit.Apply(ns.id, ns.core, e, m)
+	}
+	return nil
 }
 
 // handle executes one request against shard-owned state.
@@ -614,13 +633,12 @@ func (sh *shard) handle(req shardReq) shardResp {
 		// shipper retires the chunk, only the store remembers it.
 		sh.persist(ns, req.seq, 0, req.chunk)
 		foldStart := time.Now()
-		err = ns.builder.Add(batch)
+		err = ns.fold(batch)
 		sh.c.metrics.foldSeconds.ObserveSince(foldStart)
 		if err != nil {
 			ns.err = err
 			return shardResp{resume: ns.nextSeq, err: err}
 		}
-		_ = ns.crit.Add(ns.id, ns.sym, batch)
 		sh.c.metrics.events.Add(uint64(len(batch)))
 		var ctl *ctlFrame
 		if sh.c.opts.Policy.Enabled {
@@ -694,13 +712,12 @@ func (sh *shard) handle(req shardReq) shardResp {
 		}
 		sh.persistBulk(ns, 0, req.batch)
 		foldStart := time.Now()
-		err := ns.builder.Add(req.batch)
+		err := ns.fold(req.batch)
 		sh.c.metrics.foldSeconds.ObserveSince(foldStart)
 		if err != nil {
 			ns.err = err
 			return shardResp{err: err}
 		}
-		_ = ns.crit.Add(ns.id, ns.sym, req.batch)
 		sh.c.metrics.events.Add(uint64(len(req.batch)))
 		return shardResp{}
 

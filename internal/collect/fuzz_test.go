@@ -2,6 +2,10 @@ package collect
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -73,6 +77,141 @@ func FuzzFrame(f *testing.F) {
 			if _, _, _, _, err := readFrame(bytes.NewReader(mut), nil); err == nil {
 				t.Fatal("frame with corrupted payload passed the checksum")
 			}
+		}
+	})
+}
+
+// refDecodeChunk is the chunk decoder as it stood before the slice-cursor
+// one replaced it: every varint through binary.ReadUvarint on an
+// io.ByteReader. Kept as the reference FuzzChunkDecode compares against.
+func refDecodeChunk(payload []byte, sym *trace.SymTab, batch []trace.Event) ([]trace.Event, error) {
+	buf := bytes.NewBuffer(payload)
+	nsyms, err := binary.ReadUvarint(buf)
+	if err != nil || nsyms > 1<<24 {
+		return nil, fmt.Errorf("%w: chunk symbol count", errWire)
+	}
+	base := sym.Len()
+	for i := uint64(0); i < nsyms; i++ {
+		if _, err := binary.ReadUvarint(buf); err != nil { // addr: regenerated on Register
+			return nil, fmt.Errorf("%w: chunk symbol %d addr", errWire, i)
+		}
+		nameLen, err := binary.ReadUvarint(buf)
+		if err != nil || nameLen > maxHelloName {
+			return nil, fmt.Errorf("%w: chunk symbol %d name length", errWire, i)
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(buf, name); err != nil {
+			return nil, fmt.Errorf("%w: chunk symbol %d name", errWire, i)
+		}
+		if got := sym.Register(string(name)); int(got) != base+int(i) {
+			return nil, fmt.Errorf("%w: chunk symbol %q re-registered (lost chunk?)", errWire, name)
+		}
+	}
+
+	n, err := binary.ReadUvarint(buf)
+	if err != nil || n > 1<<32 {
+		return nil, fmt.Errorf("%w: chunk event count", errWire)
+	}
+	nsymsNow := uint64(sym.Len())
+	batch = batch[:0]
+	var ts int64
+	for i := uint64(0); i < n; i++ {
+		kindB, err := buf.ReadByte()
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk event %d kind", errWire, i)
+		}
+		e := trace.Event{Kind: trace.EventKind(kindB)}
+		lane, err := binary.ReadUvarint(buf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk event %d lane", errWire, i)
+		}
+		e.Lane = uint32(lane)
+		dts, err := binary.ReadVarint(buf)
+		if err != nil {
+			return nil, fmt.Errorf("%w: chunk event %d Δts", errWire, i)
+		}
+		ts += dts
+		if ts < 0 {
+			return nil, fmt.Errorf("%w: chunk event %d negative timestamp", errWire, i)
+		}
+		e.TS = time.Duration(ts)
+		switch e.Kind {
+		case trace.KindEnter, trace.KindExit, trace.KindMarker:
+			fid, err := binary.ReadUvarint(buf)
+			if err != nil || fid >= nsymsNow {
+				return nil, fmt.Errorf("%w: chunk event %d func id", errWire, i)
+			}
+			e.FuncID = uint32(fid)
+		case trace.KindSample:
+			sid, err := binary.ReadUvarint(buf)
+			if err != nil {
+				return nil, fmt.Errorf("%w: chunk event %d sensor id", errWire, i)
+			}
+			e.SensorID = uint32(sid)
+			milli, err := binary.ReadVarint(buf)
+			if err != nil {
+				return nil, fmt.Errorf("%w: chunk event %d sample value", errWire, i)
+			}
+			e.ValueC = float64(milli) / 1000
+		case trace.KindDrop:
+			aux, err := binary.ReadUvarint(buf)
+			if err != nil {
+				return nil, fmt.Errorf("%w: chunk event %d drop count", errWire, i)
+			}
+			e.Aux = aux
+		default:
+			return nil, fmt.Errorf("%w: chunk event %d unknown kind %d", errWire, i, kindB)
+		}
+		batch = append(batch, e)
+	}
+	if buf.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing chunk bytes", errWire, buf.Len())
+	}
+	return batch, nil
+}
+
+// FuzzChunkDecode holds the slice-cursor chunk decoder to the reader-based
+// one it replaced: on arbitrary bytes both accept or both reject, accepted
+// chunks decode to the same events, and — accepted or not — the symbol
+// table ends up with the same names in the same order. The symbols-only
+// read of the header must leave the table exactly as a full decode does
+// whenever the full decode gets past the header.
+func FuzzChunkDecode(f *testing.F) {
+	frame := validFrame(f)
+	f.Add(frame[frameHdrLen:])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})                                        // no symbols, no events
+	f.Add([]byte{0, 1, 1, 0, 0, 0})                            // enter of fid 0 in an empty table
+	f.Add([]byte{1, 0, 1, 'a', 1, 2, 5, 1, 0})                 // one symbol, exit with negative Δts
+	f.Add([]byte{0, 1, 3, 0xff, 0xff, 0xff, 0xff, 0x0f})       // sample, wide lane varint, torn
+	f.Add([]byte{0, 2, 5, 0, 2, 0x80})                         // drop with a torn count
+	f.Add([]byte{2, 0, 1, 'a', 0, 1, 'a', 0})                  // symbol registered twice
+	f.Add(append(append([]byte{}, frame[frameHdrLen:]...), 9)) // trailing byte
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		seeded := func() *trace.SymTab {
+			sym := trace.NewSymTab()
+			sym.Register("seeded.one")
+			sym.Register("seeded.two")
+			return sym
+		}
+		refSym, newSym, hdrSym := seeded(), seeded(), seeded()
+		want, refErr := refDecodeChunk(payload, refSym, nil)
+		got, newErr := decodeChunk(payload, newSym, nil)
+		if (refErr == nil) != (newErr == nil) {
+			t.Fatalf("acceptance diverged: reference %v, cursor %v", refErr, newErr)
+		}
+		if !reflect.DeepEqual(refSym.Names(), newSym.Names()) {
+			t.Fatalf("symbol tables diverged: reference %q, cursor %q", refSym.Names(), newSym.Names())
+		}
+		if newErr == nil && !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+			t.Fatalf("events diverged:\n cursor    %+v\n reference %+v", got, want)
+		}
+		if _, err := decodeChunkSymbols(payload, hdrSym); err == nil {
+			if !reflect.DeepEqual(hdrSym.Names(), newSym.Names()) {
+				t.Fatalf("symbols-only read left %q, full decode %q", hdrSym.Names(), newSym.Names())
+			}
+		} else if newErr == nil {
+			t.Fatalf("symbols-only read rejected (%v) a chunk the full decode accepts", err)
 		}
 	})
 }

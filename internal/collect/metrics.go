@@ -15,7 +15,7 @@ import (
 //     Prometheus text output is byte-compatible with earlier releases
 //     (the golden tests pin it); and
 //   - debug holds the finer-grained instrumentation added later —
-//     builder fold latency, response encode failures, series stream
+//     fold latency, response encode failures, series stream
 //     aborts — exposed only on the opt-in debug surfaces
 //     (/debug/introspect, /debug/vars) so the public contract never
 //     grows by accident.
@@ -37,7 +37,7 @@ type Metrics struct {
 	shardSegments []*introspect.Counter // segments processed per shard
 
 	// Debug-surface metrics (not on /metrics).
-	foldSeconds   *introspect.Distribution // builder fold latency per segment
+	foldSeconds   *introspect.Distribution // the single fold pass (builder + critpath) per segment
 	encodeErrors  *introspect.Counter      // JSON response encode/write failures
 	streamErrors  *introspect.Counter      // mid-stream response failures (aborted connections)
 	decodeSeconds *introspect.Distribution // chunk decode latency
@@ -75,7 +75,7 @@ func newMetrics(shards int) *Metrics {
 		m.shardSegments[i] = r.CounterL("tempest_collect_shard_segments_total",
 			fmt.Sprintf("shard=%q", fmt.Sprint(i)), "Segments processed per ingest shard.")
 	}
-	m.foldSeconds = m.debug.Distribution("tempest_collect_fold_seconds", "Builder fold latency per ingested segment.")
+	m.foldSeconds = m.debug.Distribution("tempest_collect_fold_seconds", "Profile + critical-path fold latency per ingested segment.")
 	m.decodeSeconds = m.debug.Distribution("tempest_collect_decode_seconds", "Chunk decode latency per shipped frame.")
 	m.encodeErrors = m.debug.Counter("tempest_collect_response_encode_errors_total", "JSON API responses whose encode or write failed.")
 	m.streamErrors = m.debug.Counter("tempest_collect_stream_abort_total", "Streaming API responses aborted after the first byte.")

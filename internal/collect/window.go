@@ -140,7 +140,6 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 	start := time.Now()
 
 	type winFold struct {
-		ent  *archiveNode // nil when the archive never saw the node
 		sym  *trace.SymTab
 		b    *parser.Builder
 		dead bool
@@ -149,73 +148,58 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 	folds := map[uint32]*winFold{}
 	var order []uint32
 	var scratch []trace.Event
+	// fold returns the state of the node a batch of events belongs to,
+	// nil for a batch that holds none or whose node has dropped out.
 	fold := func(b store.Batch) *winFold {
+		if b.Flags&(store.FlagPolicy|store.FlagCoarse) != 0 {
+			return nil
+		}
 		nf, ok := folds[b.Node]
 		if !ok {
-			sym := trace.NewSymTab()
-			if ent := arch.find(b.Node); ent != nil {
-				// Post-compaction raw chunks were encoded against the
-				// archive's cumulative table; seed it so ids stay dense.
-				for _, name := range ent.syms {
-					sym.Register(name)
-				}
-			}
-			nf = &winFold{sym: sym}
+			// Post-compaction raw chunks were encoded against the
+			// archive's cumulative table; seed it so ids stay dense.
+			nf = &winFold{sym: arch.find(b.Node).symTab()}
 			folds[b.Node] = nf
 			order = append(order, b.Node)
 		}
+		if nf.dead {
+			return nil
+		}
 		return nf
 	}
-	decode := func(b store.Batch, nf *winFold) ([]trace.Event, bool) {
-		ev, err := decodeChunk(b.Payload, nf.sym, scratch)
-		if err != nil {
-			// The node's symbol continuity is broken from here on; its
-			// later batches are unattributable, so the node drops out of
-			// this window rather than mis-attributing heat.
-			nf.dead = true
-			nf.b = nil
-			return nil, false
-		}
-		scratch = ev[:0]
-		return ev, true
-	}
+	// A chunk that will not decode breaks its node's symbol continuity
+	// and a batch that will not fold poisons its builder: either way the
+	// node's later batches are unattributable, so it drops out of this
+	// window rather than mis-attributing heat.
 	err := hs.ReadRange(from, to,
 		func(b store.Batch) error { // prefix: symbols only
-			if b.Flags&(store.FlagPolicy|store.FlagCoarse) != 0 {
-				return nil
-			}
-			nf := fold(b)
-			if !nf.dead {
-				decode(b, nf)
+			// Stored payloads decoded whole at ingest and the store
+			// checksums them, so the events behind the header are not
+			// re-read: a cold range read costs the same wherever the
+			// range sits.
+			if nf := fold(b); nf != nil {
+				_, err := decodeChunkSymbols(b.Payload, nf.sym)
+				nf.dead = err != nil
 			}
 			return nil
 		},
 		func(b store.Batch) error { // in range: symbols + events
-			if b.Flags&(store.FlagPolicy|store.FlagCoarse) != 0 {
-				return nil
-			}
 			nf := fold(b)
-			if nf.dead {
+			if nf == nil {
 				return nil
 			}
-			ev, ok := decode(b, nf)
-			if !ok {
-				return nil
+			ev, err := decodeChunk(b.Payload, nf.sym, scratch)
+			if err == nil {
+				scratch = ev[:0]
+				if nf.b == nil {
+					nf.b = newBuilder(trace.NewFold(nf.sym), b.Node, sh.c.opts.Unit, sh.c.opts.SampleInterval, true)
+				}
+				if b.Flags&store.FlagTruncated != 0 {
+					nf.b.SetTruncated(true)
+				}
+				err = nf.b.Add(ev)
 			}
-			if nf.b == nil {
-				nf.b = parser.NewBuilder(b.Node, nf.sym, parser.Options{
-					Unit:           sh.c.opts.Unit,
-					SampleInterval: sh.c.opts.SampleInterval,
-					MidStream:      true,
-				})
-			}
-			if b.Flags&store.FlagTruncated != 0 {
-				nf.b.SetTruncated(true)
-			}
-			if err := nf.b.Add(ev); err != nil {
-				nf.dead = true
-				nf.b = nil
-			}
+			nf.dead = err != nil
 			return nil
 		})
 	if err != nil {

@@ -64,7 +64,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"time"
 
 	"tempest/instrument"
 	"tempest/internal/trace"
@@ -83,8 +82,8 @@ const (
 	frameCoarse byte = 1 // coarse instrumentation bucket report
 
 	// Downstream frame kinds.
-	downAck    byte = 0 // next-expected-sequence acknowledgement
-	downCtl    byte = 1 // control directive (full instrumentation set)
+	downAck    byte = 0  // next-expected-sequence acknowledgement
+	downCtl    byte = 1  // control directive (full instrumentation set)
 	downHdrLen      = 17 // kind 1 + rev 8 + len 4 + crc 4 (ctl frames)
 	maxCtlLen       = 1 << 20
 )
@@ -437,87 +436,25 @@ func encodeChunk(events []trace.Event, sym *trace.SymTab, fromSym int) (payload 
 // restart mid-stream) and poisons the node rather than mis-attributing
 // samples.
 func decodeChunk(payload []byte, sym *trace.SymTab, batch []trace.Event) ([]trace.Event, error) {
-	buf := bytes.NewBuffer(payload)
-	nsyms, err := binary.ReadUvarint(buf)
-	if err != nil || nsyms > 1<<24 {
-		return nil, fmt.Errorf("%w: chunk symbol count", errWire)
+	rest, err := decodeChunkSymbols(payload, sym)
+	if err != nil {
+		return nil, err
 	}
-	base := sym.Len()
-	for i := uint64(0); i < nsyms; i++ {
-		if _, err := binary.ReadUvarint(buf); err != nil { // addr: regenerated on Register
-			return nil, fmt.Errorf("%w: chunk symbol %d addr", errWire, i)
-		}
-		nameLen, err := binary.ReadUvarint(buf)
-		if err != nil || nameLen > maxHelloName {
-			return nil, fmt.Errorf("%w: chunk symbol %d name length", errWire, i)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(buf, name); err != nil {
-			return nil, fmt.Errorf("%w: chunk symbol %d name", errWire, i)
-		}
-		if got := sym.Register(string(name)); int(got) != base+int(i) {
-			return nil, fmt.Errorf("%w: chunk symbol %q re-registered (lost chunk?)", errWire, name)
-		}
-	}
-
-	n, err := binary.ReadUvarint(buf)
-	if err != nil || n > 1<<32 {
-		return nil, fmt.Errorf("%w: chunk event count", errWire)
-	}
-	nsymsNow := uint64(sym.Len())
-	batch = batch[:0]
-	var ts int64
-	for i := uint64(0); i < n; i++ {
-		kindB, err := buf.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: chunk event %d kind", errWire, i)
-		}
-		e := trace.Event{Kind: trace.EventKind(kindB)}
-		lane, err := binary.ReadUvarint(buf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: chunk event %d lane", errWire, i)
-		}
-		e.Lane = uint32(lane)
-		dts, err := binary.ReadVarint(buf)
-		if err != nil {
-			return nil, fmt.Errorf("%w: chunk event %d Δts", errWire, i)
-		}
-		ts += dts
-		if ts < 0 {
-			return nil, fmt.Errorf("%w: chunk event %d negative timestamp", errWire, i)
-		}
-		e.TS = time.Duration(ts)
-		switch e.Kind {
-		case trace.KindEnter, trace.KindExit, trace.KindMarker:
-			fid, err := binary.ReadUvarint(buf)
-			if err != nil || fid >= nsymsNow {
-				return nil, fmt.Errorf("%w: chunk event %d func id", errWire, i)
-			}
-			e.FuncID = uint32(fid)
-		case trace.KindSample:
-			sid, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("%w: chunk event %d sensor id", errWire, i)
-			}
-			e.SensorID = uint32(sid)
-			milli, err := binary.ReadVarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("%w: chunk event %d sample value", errWire, i)
-			}
-			e.ValueC = float64(milli) / 1000
-		case trace.KindDrop:
-			aux, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("%w: chunk event %d drop count", errWire, i)
-			}
-			e.Aux = aux
-		default:
-			return nil, fmt.Errorf("%w: chunk event %d unknown kind %d", errWire, i, kindB)
-		}
-		batch = append(batch, e)
-	}
-	if buf.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing chunk bytes", errWire, buf.Len())
+	batch, _, err = trace.DecodeEvents(rest, 0, uint64(sym.Len()), batch)
+	if err != nil {
+		return nil, fmt.Errorf("%w: chunk %v", errWire, err)
 	}
 	return batch, nil
+}
+
+// decodeChunkSymbols folds only a chunk's symbol header into sym and
+// returns the event section undecoded — all a reader needs from a chunk
+// that precedes the range it wants, because symbol ids are cumulative
+// and event timestamps are not.
+func decodeChunkSymbols(payload []byte, sym *trace.SymTab) (events []byte, err error) {
+	events, err = trace.DecodeSymbols(payload, sym)
+	if err != nil {
+		return nil, fmt.Errorf("%w: chunk %v", errWire, err)
+	}
+	return events, nil
 }

@@ -8,9 +8,10 @@
 // and, following ThreadScope, keeps a per-lane state timeline so the
 // phase structure (compute vs collective vs idle) stays legible.
 //
-// The analyzer consumes the same event stream as parser.Builder — online,
-// one pass, reusing the per-lane shadow-stack pattern — and maintains
-// only O(lanes + functions + ops) state:
+// The analyzer consumes the same facts as parser.Builder — what a
+// trace.Fold core learned from each event: opened, closed, unmatched —
+// online, in one pass, and maintains only O(lanes + functions + ops)
+// state in tables indexed by the core's lane index and by FuncID:
 //
 //   - per-lane busy/wait/off accounting (a lane is Wait when its
 //     innermost open function is a wait-class function, MPI_* by
@@ -116,7 +117,9 @@ func (o Options) withDefaults() Options {
 // keyed by name, so the same code on different nodes folds together.
 type funcAcc struct {
 	name string
-	wait bool
+	// op is the episode table of a wait-class function, nil for ordinary
+	// code.
+	op *opAcc
 	// serial is time this function held the only busy lane while others
 	// waited; windows/longest describe those spans.
 	serial  time.Duration
@@ -131,40 +134,57 @@ type funcAcc struct {
 // opAcc accumulates one wait-class function's episode costs.
 type opAcc struct {
 	name  string
+	idx   int // dense, indexes every lane's waitByOp
 	calls int64
 }
 
-// lframe is one open invocation on an analyzer shadow stack.
-type lframe struct {
-	fn    *funcAcc
-	enter time.Duration
+// opWait is one lane's closed wait inside one op. seen tells an op the
+// lane has finished a call to from one it never touched.
+type opWait struct {
+	d    time.Duration
+	seen bool
 }
 
-// lane is one execution lane's streaming state.
+// lane is one execution lane's streaming state. Its shadow stack lives
+// in the node's trace.Fold core.
 type lane struct {
 	node uint32
 	id   uint32
 
-	stack      []lframe
 	state      State
 	stateSince time.Duration
 
 	busy, wait time.Duration // closed accruals (current state pending)
-	firstTS    time.Duration
 	seen       bool
 
-	// curFunc is the innermost busy function while state==Busy; waitSnap
-	// is the caused-wait integral at the moment it took the lane.
-	curFunc  *funcAcc
+	// cur is the innermost open function: ordinary code while
+	// state==Busy, wait-class (cur.op set) while state==Wait, nil while
+	// Off. waitSnap is the caused-wait integral when a busy function took
+	// the lane; busySlot is the lane's place in Analyzer.busy meanwhile.
+	cur      *funcAcc
 	waitSnap float64
-	// causedWait mirrors curFunc's charge per lane, for straggler ranking.
+	busySlot int
+	// causedWait mirrors the busy functions' charges per lane, for
+	// straggler ranking.
 	causedWait float64
 
-	// curOp is the wait-class function while state==Wait.
-	curOp    *opAcc
-	waitByOp map[*opAcc]time.Duration
+	waitByOp []opWait // by opAcc.idx, grown on demand
 
 	track []Segment // optional timeline, bounded
+}
+
+// nodeFold is the analyzer's view of one node: the core whose facts it
+// consumes and the flat tables that key its state by what the core hands
+// out — lanes by FoldLane.Index, functions by FuncID.
+type nodeFold struct {
+	node  uint32
+	core  *trace.Fold
+	lanes []*lane    // by FoldLane.Index
+	fns   []*funcAcc // by FuncID; never longer than the symbol table
+	// unknown holds accumulators for function ids outside the symbol
+	// table, so heap grows with how many distinct ones a damaged stream
+	// names, not with the largest.
+	unknown map[uint32]*funcAcc
 }
 
 // laneKey orders lanes across nodes.
@@ -193,12 +213,9 @@ type Analyzer struct {
 	opts Options
 
 	funcs map[string]*funcAcc
-	ops   map[string]*opAcc
-	lanes map[uint64]*lane
-	// names caches fid→funcAcc per node: symbol tables are append-only,
-	// so the binding is stable and the per-event map-by-string lookup is
-	// paid once per (node, fid).
-	names map[uint64]*funcAcc
+	ops   []*opAcc // wait-class functions, by opAcc.idx
+	nodes map[uint32]*nodeFold
+	cur   *nodeFold // the node of the last event: streams arrive in per-node runs
 
 	now     time.Duration // sweep clock: max timestamp observed
 	events  uint64
@@ -207,16 +224,16 @@ type Analyzer struct {
 	stackAnomalies uint64 // orphan or mismatched exits (tolerated)
 	orderAnomalies uint64 // cross-lane timestamp regressions (clamped)
 
-	busyCount, waitCount int
-	// busySet holds the currently-busy lanes so the solo lane of a
-	// serialization window is found in O(1), not O(lanes).
-	busySet map[*lane]struct{}
+	// busy holds the currently-busy lanes (each knows its slot), so the
+	// census and the solo lane of a serialization window are O(1).
+	busy      []*lane
+	waitCount int
 
 	// waitInt is ∫ W(τ)/B(τ) dτ in seconds over B>0 — the caused-wait
 	// integral busy lanes snapshot against.
 	waitInt float64
 
-	// Serialization window state: open while busyCount==1 && waitCount≥1.
+	// Serialization window state: open while len(busy)==1 && waitCount≥1.
 	serOpen  bool
 	serStart time.Duration
 	serFunc  *funcAcc
@@ -227,11 +244,8 @@ type Analyzer struct {
 func New(opts Options) *Analyzer {
 	return &Analyzer{
 		opts:  opts.withDefaults(),
-		funcs:   map[string]*funcAcc{},
-		ops:     map[string]*opAcc{},
-		lanes:   map[uint64]*lane{},
-		names:   map[uint64]*funcAcc{},
-		busySet: map[*lane]struct{}{},
+		funcs: map[string]*funcAcc{},
+		nodes: map[uint32]*nodeFold{},
 	}
 }
 
@@ -253,76 +267,153 @@ func (a *Analyzer) OrderAnomalies() uint64 { return a.orderAnomalies }
 func (a *Analyzer) fn(name string) *funcAcc {
 	f, ok := a.funcs[name]
 	if !ok {
-		f = &funcAcc{name: name, wait: a.opts.IsWait(name)}
+		f = &funcAcc{name: name}
+		if a.opts.IsWait(name) {
+			f.op = &opAcc{name: name, idx: len(a.ops)}
+			a.ops = append(a.ops, f.op)
+		}
 		a.funcs[name] = f
 	}
 	return f
 }
 
-// resolve maps (node, fid) to its function accumulator via sym.
-func (a *Analyzer) resolve(node uint32, sym *trace.SymTab, fid uint32) *funcAcc {
-	key := uint64(node)<<32 | uint64(fid)
-	if f, ok := a.names[key]; ok {
-		return f
+// nodeFor returns (creating if needed) one node's state.
+func (a *Analyzer) nodeFor(node uint32) *nodeFold {
+	if nf := a.cur; nf != nil && nf.node == node {
+		return nf
 	}
-	name, err := sym.Name(fid)
+	nf, ok := a.nodes[node]
+	if !ok {
+		nf = &nodeFold{node: node}
+		a.nodes[node] = nf
+	}
+	a.cur = nf
+	return nf
+}
+
+// fn maps a function id to its accumulator. Symbol tables are
+// append-only, so the binding is stable and the lookup by name is paid
+// once per (node, fid).
+func (nf *nodeFold) fn(a *Analyzer, fid uint32) *funcAcc {
+	if int(fid) < len(nf.fns) {
+		if f := nf.fns[fid]; f != nil {
+			return f
+		}
+	}
+	name, err := nf.core.Sym().Name(fid)
 	if err != nil {
 		// Unknown symbol: a damaged stream. Synthesize a stable name so
 		// accounting stays total; the Builder path reports the real error.
-		name = fmt.Sprintf("?func%d", fid)
+		// Outside the table by definition, so it goes to the spill map.
+		f, ok := nf.unknown[fid]
+		if !ok {
+			if nf.unknown == nil {
+				nf.unknown = map[uint32]*funcAcc{}
+			}
+			f = a.fn(fmt.Sprintf("?func%d", fid))
+			nf.unknown[fid] = f
+		}
+		return f
 	}
-	f := a.fn(name)
-	a.names[key] = f
-	return f
+	if n := nf.core.Sym().Len(); len(nf.fns) < n {
+		nf.fns = append(nf.fns, make([]*funcAcc, n-len(nf.fns))...)
+	}
+	nf.fns[fid] = a.fn(name)
+	return nf.fns[fid]
 }
 
-// laneFor returns (creating if needed) one lane's state.
-func (a *Analyzer) laneFor(node, id uint32) *lane {
-	key := laneKey(node, id)
-	l, ok := a.lanes[key]
-	if !ok {
-		l = &lane{node: node, id: id, waitByOp: map[*opAcc]time.Duration{}}
-		a.lanes[key] = l
+// lane returns (creating if needed) the state kept for one of the core's
+// lanes.
+func (nf *nodeFold) lane(cl *trace.FoldLane) *lane {
+	for len(nf.lanes) <= cl.Index {
+		nf.lanes = append(nf.lanes, nil)
+	}
+	l := nf.lanes[cl.Index]
+	if l == nil {
+		l = &lane{node: nf.node, id: cl.ID}
+		nf.lanes[cl.Index] = l
 	}
 	return l
 }
 
 // Add folds one batch of events recorded by node's tracer into the
-// analysis. The batch may be a reused buffer; nothing is retained. sym
-// resolves the batch's FuncIDs and may be nil only for batches without
-// enter/exit events. Add never fails structurally — odd streams are
-// tolerated and counted — so the return is reserved for misuse.
+// analysis, matching stacks on a core the analyzer keeps for that node.
+// The batch may be a reused buffer; nothing is retained. sym resolves
+// the batch's FuncIDs — the same table on every call for a node, or a
+// later copy of it — and may be nil only for batches without enter/exit
+// events. Add never fails structurally — odd streams are tolerated and
+// counted — so the return is reserved for misuse.
 func (a *Analyzer) Add(node uint32, sym *trace.SymTab, events []trace.Event) error {
+	nf := a.nodeFor(node)
+	if sym == nil {
+		// Nothing to resolve in: enters and exits are anomalies that touch
+		// no stack; the clock, drops and the event count still move.
+		for i := range events {
+			if k := events[i].Kind; k == trace.KindEnter || k == trace.KindExit {
+				a.stackAnomalies++
+			}
+			a.apply(nf, &events[i], trace.Fact{})
+		}
+		return nil
+	}
+	if nf.core == nil {
+		nf.core = trace.NewFold(sym)
+	} else if sym != nf.core.Sym() {
+		nf.core.SetSym(sym)
+	}
 	for i := range events {
 		e := &events[i]
-		ts := e.TS
-		if ts < a.now {
-			// The sweep cannot run backwards: clamp and count. Per-lane
-			// order is still intact (tracers enforce lane monotonicity),
-			// only the cross-lane interleave was imperfect.
-			ts = a.now
-			a.orderAnomalies++
-		}
-		a.advance(ts)
-		switch e.Kind {
-		case trace.KindEnter:
-			if sym == nil {
-				a.stackAnomalies++
-				break
-			}
-			a.enter(a.laneFor(node, e.Lane), a.resolve(node, sym, e.FuncID), ts)
-		case trace.KindExit:
-			if sym == nil {
-				a.stackAnomalies++
-				break
-			}
-			a.exit(a.laneFor(node, e.Lane), a.resolve(node, sym, e.FuncID), ts)
-		case trace.KindDrop:
-			a.dropped += e.Aux
-		}
-		a.events++
+		a.apply(nf, e, nf.core.Step(e))
 	}
 	return nil
+}
+
+// Apply consumes one of node's events and the fact core derived from it —
+// the entry point when the caller owns the core and steps it once for
+// several consumers. core must be the same Fold on every call for a
+// node, and a node fed through Apply is not also fed through Add.
+func (a *Analyzer) Apply(node uint32, core *trace.Fold, e *trace.Event, m trace.Fact) {
+	nf := a.nodeFor(node)
+	nf.core = core
+	a.apply(nf, e, m)
+}
+
+func (a *Analyzer) apply(nf *nodeFold, e *trace.Event, m trace.Fact) {
+	ts := e.TS
+	if ts < a.now {
+		// The sweep cannot run backwards: clamp and count. Per-lane
+		// order is still intact (tracers enforce lane monotonicity),
+		// only the cross-lane interleave was imperfect.
+		ts = a.now
+		a.orderAnomalies++
+	}
+	a.advance(ts)
+	switch m.Kind {
+	case trace.FactOpened:
+		fn := nf.fn(a, e.FuncID)
+		fn.calls++
+		if fn.op != nil {
+			fn.op.calls++
+		}
+		a.setState(nf.lane(m.Lane), fn, ts)
+	case trace.FactClosed:
+		// Reclassify the lane by the frame below the one that closed.
+		var below *funcAcc
+		if st := m.Lane.Stack; len(st) > 0 {
+			below = nf.fn(a, st[len(st)-1].Fid)
+		}
+		a.setState(nf.lane(m.Lane), below, ts)
+	case trace.FactUnmatched:
+		// Orphan and mismatched exits are dropped (the Builder's
+		// MidStream rule), never fatal. The lane still counts as seen.
+		nf.lane(m.Lane)
+		a.stackAnomalies++
+	default:
+		if e.Kind == trace.KindDrop {
+			a.dropped += e.Aux
+		}
+	}
+	a.events++
 }
 
 // advance moves the sweep clock to ts, accruing the global caused-wait
@@ -333,20 +424,21 @@ func (a *Analyzer) advance(ts time.Duration) {
 	if ts <= a.now {
 		return
 	}
-	if a.busyCount > 0 && a.waitCount > 0 {
+	if len(a.busy) > 0 && a.waitCount > 0 {
 		dt := ts - a.now
-		a.waitInt += dt.Seconds() * float64(a.waitCount) / float64(a.busyCount)
+		a.waitInt += dt.Seconds() * float64(a.waitCount) / float64(len(a.busy))
 	}
 	a.now = ts
 }
 
-// setState is the one place a lane's state changes: it closes the old
+// setState is the one place a lane's state changes. fn is the lane's
+// innermost open function after the event — Wait under a wait-class
+// function, Busy under ordinary code, Off under none. It closes the old
 // state's accruals at ts, manages the serialization window, and records
 // the timeline segment.
-func (a *Analyzer) setState(l *lane, s State, fn *funcAcc, op *opAcc, ts time.Duration) {
+func (a *Analyzer) setState(l *lane, fn *funcAcc, ts time.Duration) {
 	if !l.seen {
 		l.seen = true
-		l.firstTS = ts
 		l.stateSince = ts
 	}
 	// Close the outgoing state.
@@ -354,18 +446,20 @@ func (a *Analyzer) setState(l *lane, s State, fn *funcAcc, op *opAcc, ts time.Du
 	switch l.state {
 	case Busy:
 		l.busy += held
-		if l.curFunc != nil {
-			charge := a.waitInt - l.waitSnap
-			l.curFunc.causedWait += charge
-			l.causedWait += charge
-		}
-		a.busyCount--
-		delete(a.busySet, l)
+		charge := a.waitInt - l.waitSnap
+		l.cur.causedWait += charge
+		l.causedWait += charge
+		last := a.busy[len(a.busy)-1]
+		a.busy[l.busySlot], last.busySlot = last, l.busySlot
+		a.busy = a.busy[:len(a.busy)-1]
 	case Wait:
 		l.wait += held
-		if l.curOp != nil {
-			l.waitByOp[l.curOp] += held
+		for len(l.waitByOp) <= l.cur.op.idx {
+			l.waitByOp = append(l.waitByOp, opWait{})
 		}
+		w := &l.waitByOp[l.cur.op.idx]
+		w.d += held
+		w.seen = true
 		a.waitCount--
 	}
 	if a.opts.Timeline && held >= 0 && (l.state != Off || len(l.track) > 0) {
@@ -377,33 +471,27 @@ func (a *Analyzer) setState(l *lane, s State, fn *funcAcc, op *opAcc, ts time.Du
 	a.closeSerial(ts)
 
 	// Open the incoming state.
-	l.state = s
 	l.stateSince = ts
-	l.curFunc, l.curOp = nil, nil
-	switch s {
-	case Busy:
-		l.curFunc = fn
-		l.waitSnap = a.waitInt
-		a.busyCount++
-		a.busySet[l] = struct{}{}
-	case Wait:
-		l.curOp = op
+	l.cur = fn
+	switch {
+	case fn == nil:
+		l.state = Off
+	case fn.op != nil:
+		l.state = Wait
 		a.waitCount++
+	default:
+		l.state = Busy
+		l.waitSnap = a.waitInt
+		l.busySlot = len(a.busy)
+		a.busy = append(a.busy, l)
 	}
 	a.reopenSerial(ts)
 }
 
 // segName names the closing segment for the timeline.
 func (l *lane) segName() string {
-	switch l.state {
-	case Busy:
-		if l.curFunc != nil {
-			return l.curFunc.name
-		}
-	case Wait:
-		if l.curOp != nil {
-			return l.curOp.name
-		}
+	if l.cur != nil {
+		return l.cur.name
 	}
 	return ""
 }
@@ -430,64 +518,17 @@ func (a *Analyzer) closeSerial(ts time.Duration) {
 // reopenSerial opens a serialization window if the census warrants one:
 // exactly one lane busy, at least one other waiting on it.
 func (a *Analyzer) reopenSerial(ts time.Duration) {
-	if a.serOpen || a.busyCount != 1 || a.waitCount < 1 {
+	if a.serOpen || len(a.busy) != 1 || a.waitCount < 1 {
 		return
 	}
-	for l := range a.busySet {
-		if l.curFunc == nil {
-			return
-		}
-		a.serOpen = true
-		a.serStart = ts
-		a.serFunc = l.curFunc
-		return
-	}
+	a.serOpen = true
+	a.serStart = ts
+	a.serFunc = a.busy[0].cur
 }
 
-// enter pushes one invocation and reclassifies the lane.
-func (a *Analyzer) enter(l *lane, fn *funcAcc, ts time.Duration) {
-	l.stack = append(l.stack, lframe{fn: fn, enter: ts})
-	fn.calls++
-	if fn.wait {
-		op, ok := a.ops[fn.name]
-		if !ok {
-			op = &opAcc{name: fn.name}
-			a.ops[fn.name] = op
-		}
-		op.calls++
-		a.setState(l, Wait, nil, op, ts)
-		return
-	}
-	a.setState(l, Busy, fn, nil, ts)
-}
-
-// exit pops one invocation and reclassifies the lane by the frame below.
-// Orphan and mismatched exits are dropped (the Builder's MidStream rule),
-// never fatal.
-func (a *Analyzer) exit(l *lane, fn *funcAcc, ts time.Duration) {
-	if len(l.stack) == 0 || l.stack[len(l.stack)-1].fn != fn {
-		a.stackAnomalies++
-		return
-	}
-	l.stack = l.stack[:len(l.stack)-1]
-	if len(l.stack) == 0 {
-		a.setState(l, Off, nil, nil, ts)
-		return
-	}
-	top := l.stack[len(l.stack)-1].fn
-	if top.wait {
-		// Reclassify under the enclosing wait op (nested enter inside an
-		// MPI frame returned). Its opAcc exists: enter created it.
-		a.setState(l, Wait, nil, a.ops[top.name], ts)
-		return
-	}
-	a.setState(l, Busy, top, nil, ts)
-}
-
-// reopenSerial/closeSerial keep window management in setState; the only
-// other boundary is Summary/Tracks, which close nothing: they read
-// pending state non-destructively, so the analyzer keeps accumulating —
-// the live view's snapshot semantics, like Builder.Snapshot.
+// Summary and Tracks close nothing: they read pending state
+// non-destructively, so the analyzer keeps accumulating — the live
+// view's snapshot semantics, like Builder.Snapshot.
 
 // heapItem merges pre-sorted per-trace event streams for AnalyzeTraces.
 type heapItem struct {
@@ -505,9 +546,9 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].trIdx < h[j].trIdx
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(heapItem)) }
-func (h *mergeHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
+func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // AnalyzeTrace runs one node's whole trace through a fresh analyzer —
 // the batch entry point, byte-identical to any chunking of the same

@@ -69,9 +69,9 @@ func fuzzEvents(data []byte) ([]trace.Event, *trace.SymTab) {
 //     strict Builder accepts has zero StackAnomalies here.
 func FuzzCritPath(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 10, 3, 0, 0, 20})                      // enter/exit pair
-	f.Add([]byte{3, 0, 0, 0})                                    // orphan exit
-	f.Add([]byte{0, 0, 5, 10, 0, 1, 1, 0x85, 3, 1, 1, 2})        // wait + regression
+	f.Add([]byte{0, 0, 0, 10, 3, 0, 0, 20})                       // enter/exit pair
+	f.Add([]byte{3, 0, 0, 0})                                     // orphan exit
+	f.Add([]byte{0, 0, 5, 10, 0, 1, 1, 0x85, 3, 1, 1, 2})         // wait + regression
 	f.Add([]byte{0, 0, 9, 1, 3, 0, 9, 1, 6, 2, 9, 1, 7, 3, 4, 1}) // unknown fid, marker, drop
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, sym := fuzzEvents(data)
@@ -122,11 +122,62 @@ func FuzzCritPath(f *testing.F) {
 
 		// Builder-consistency: the strict Builder poisons on the stack
 		// violations the analyzer merely counts. If it accepted the whole
-		// stream, the analyzer must have counted none.
+		// stream, the analyzer must have counted none — and it accepts no
+		// stream that names a function outside the symbol table, which
+		// the analyzer survives under a made-up name.
+		unknown := false
+		for _, e := range evs {
+			if (e.Kind == trace.KindEnter || e.Kind == trace.KindExit) && int(e.FuncID) >= sym.Len() {
+				unknown = true
+			}
+		}
 		bld := parser.NewBuilder(1, sym, parser.Options{})
-		if bld.Add(evs) == nil && whole.StackAnomalies() != 0 {
+		berr := bld.Add(evs)
+		if berr == nil && whole.StackAnomalies() != 0 {
 			t.Fatalf("Builder accepted stream but analyzer counted %d stack anomalies",
 				whole.StackAnomalies())
+		}
+		if berr == nil && unknown {
+			t.Fatal("Builder accepted a function id outside the symbol table")
+		}
+
+		// One pass: a single core stepped once per event, both consumers
+		// applied, is the two standalone folds — up to the event the
+		// Builder refuses, which the analyzer then never sees.
+		core := trace.NewFold(sym)
+		shared := parser.NewBuilderOn(core, 1, parser.Options{})
+		onePass := New(opts)
+		took := 0
+		for i := range evs {
+			m := core.Step(&evs[i])
+			if shared.Apply(&evs[i], m) != nil {
+				break
+			}
+			onePass.Apply(1, core, &evs[i], m)
+			took++
+		}
+		if uint64(took) != bld.Events() || (shared.Err() == nil) != (berr == nil) {
+			t.Fatalf("one pass took %d events (err %v), standalone Builder %d (err %v)",
+				took, shared.Err(), bld.Events(), berr)
+		}
+		prefix := New(opts)
+		if err := prefix.Add(1, sym, evs[:took]); err != nil {
+			t.Fatalf("prefix Add: %v", err)
+		}
+		wantJSON, _ = json.Marshal(prefix.Summary())
+		gotJSON, _ = json.Marshal(onePass.Summary())
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("one-pass summary != standalone over the same %d events:\n got %s\nwant %s", took, gotJSON, wantJSON)
+		}
+		if !reflect.DeepEqual(onePass.Tracks(), prefix.Tracks()) {
+			t.Fatal("one-pass tracks != standalone tracks")
+		}
+		if berr == nil {
+			wantNP, err1 := bld.Finish()
+			gotNP, err2 := shared.Finish()
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(gotNP, wantNP) {
+				t.Fatalf("one-pass profile != standalone profile (%v, %v)", err1, err2)
+			}
 		}
 	})
 }

@@ -152,24 +152,17 @@ func (a *Analyzer) Summary() *Summary {
 	}
 	pendCaused := map[*funcAcc]float64{}
 
-	keys := make([]uint64, 0, len(a.lanes))
-	for k := range a.lanes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		l := a.lanes[k]
+	lanes := a.sortedLanes()
+	for _, l := range lanes {
 		busy, wait := l.busy, l.wait
 		caused := l.causedWait
 		held := a.now - l.stateSince
 		switch l.state {
 		case Busy:
 			busy += held
-			if l.curFunc != nil {
-				pend := a.waitInt - l.waitSnap
-				caused += pend
-				pendCaused[l.curFunc] += pend
-			}
+			pend := a.waitInt - l.waitSnap
+			caused += pend
+			pendCaused[l.cur] += pend
 		case Wait:
 			wait += held
 		}
@@ -188,7 +181,7 @@ func (a *Analyzer) Summary() *Summary {
 	}
 
 	for _, f := range a.funcs {
-		if f.wait {
+		if f.op != nil {
 			continue
 		}
 		fc := FuncCost{
@@ -218,77 +211,89 @@ func (a *Analyzer) Summary() *Summary {
 		return fi.Name < fj.Name
 	})
 
-	s.Ops = a.opCosts(keys)
+	s.Ops = a.opCosts(lanes)
 	if a.now > 0 {
 		s.SerialFraction = s.SerialS / a.now.Seconds()
 	}
 	return s
 }
 
+// sortedLanes returns every lane of every node, ordered by (node, lane).
+func (a *Analyzer) sortedLanes() []*lane {
+	var lanes []*lane
+	for _, nf := range a.nodes {
+		for _, l := range nf.lanes {
+			if l != nil {
+				lanes = append(lanes, l)
+			}
+		}
+	}
+	sort.Slice(lanes, func(i, j int) bool {
+		return laneKey(lanes[i].node, lanes[i].id) < laneKey(lanes[j].node, lanes[j].id)
+	})
+	return lanes
+}
+
 // opCosts aggregates per-lane wait into per-op rows, folding in the
 // currently-open wait of any lane still inside an op.
-func (a *Analyzer) opCosts(sortedKeys []uint64) []OpCost {
+func (a *Analyzer) opCosts(sortedLanes []*lane) []OpCost {
 	type perOp struct {
+		op       *opAcc
 		total    time.Duration
 		min, max time.Duration
 		lanes    int
-		straggle uint64 // lane key of the minimum
+		straggle *lane // the lane of the minimum
 	}
-	agg := map[*opAcc]*perOp{}
-	for _, k := range sortedKeys {
-		l := a.lanes[k]
-		for op, d := range l.waitByOp {
-			if l.state == Wait && l.curOp == op {
-				d += a.now - l.stateSince
-			}
-			po, ok := agg[op]
-			if !ok {
-				po = &perOp{min: d, max: d, straggle: k}
-				agg[op] = po
-			}
-			po.total += d
-			po.lanes++
-			if d < po.min {
-				po.min, po.straggle = d, k
-			}
-			if d > po.max {
-				po.max = d
+	agg := make([]perOp, len(a.ops))
+	add := func(op *opAcc, l *lane, d time.Duration) {
+		po := &agg[op.idx]
+		if po.op == nil {
+			*po = perOp{op: op, min: d, max: d, straggle: l}
+		}
+		po.total += d
+		po.lanes++
+		if d < po.min {
+			po.min, po.straggle = d, l
+		}
+		if d > po.max {
+			po.max = d
+		}
+	}
+	for _, l := range sortedLanes {
+		// A lane inside an op right now adds the open call's time to that
+		// op's row — which may be the lane's only contact with the op.
+		var open *opAcc
+		if l.state == Wait {
+			open = l.cur.op
+		}
+		for idx, w := range l.waitByOp {
+			switch {
+			case a.ops[idx] == open:
+				add(open, l, w.d+a.now-l.stateSince)
+				open = nil
+			case w.seen:
+				add(a.ops[idx], l, w.d)
 			}
 		}
-		// A lane whose only contact with an op is the currently-open call
-		// has no waitByOp entry yet; fold it in.
-		if l.state == Wait && l.curOp != nil {
-			if _, seen := l.waitByOp[l.curOp]; !seen {
-				d := a.now - l.stateSince
-				po, ok := agg[l.curOp]
-				if !ok {
-					po = &perOp{min: d, max: d, straggle: k}
-					agg[l.curOp] = po
-				}
-				po.total += d
-				po.lanes++
-				if d < po.min {
-					po.min, po.straggle = d, k
-				}
-				if d > po.max {
-					po.max = d
-				}
-			}
+		if open != nil {
+			add(open, l, a.now-l.stateSince)
 		}
 	}
 	out := make([]OpCost, 0, len(agg))
-	for op, po := range agg {
-		oc := OpCost{
-			Name:          op.name,
-			Calls:         op.calls,
+	for _, po := range agg {
+		if po.op == nil {
+			continue
+		}
+		out = append(out, OpCost{
+			Name:          po.op.name,
+			Calls:         po.op.calls,
 			TotalWaitS:    po.total.Seconds(),
 			MaxLaneWaitS:  po.max.Seconds(),
 			MinLaneWaitS:  po.min.Seconds(),
 			ImbalanceS:    (po.total - time.Duration(po.lanes)*po.min).Seconds(),
-			StragglerNode: uint32(po.straggle >> 32),
-			StragglerLane: uint32(po.straggle),
-		}
-		out = append(out, oc)
+			StragglerNode: po.straggle.node,
+			StragglerLane: po.straggle.id,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalWaitS != out[j].TotalWaitS {
@@ -348,14 +353,9 @@ func (a *Analyzer) Tracks() []Track {
 	if !a.opts.Timeline {
 		return nil
 	}
-	keys := make([]uint64, 0, len(a.lanes))
-	for k := range a.lanes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Track, 0, len(keys))
-	for _, k := range keys {
-		l := a.lanes[k]
+	lanes := a.sortedLanes()
+	out := make([]Track, 0, len(lanes))
+	for _, l := range lanes {
 		t := Track{Node: l.node, Lane: l.id, Segments: append([]Segment(nil), l.track...)}
 		if l.seen && a.now > l.stateSince && l.state != Off {
 			open := Segment{Start: l.stateSince, End: a.now, State: l.state, Func: l.segName()}

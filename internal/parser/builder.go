@@ -10,10 +10,11 @@ import (
 	"tempest/internal/trace"
 )
 
-// frame is one open function invocation on a lane's shadow stack.
-type frame struct {
-	fid   uint32
-	enter time.Duration
+// funcState is one function's accumulated profile state, indexed by
+// FuncID.
+type funcState struct {
+	intervals []Interval // merged inclusive spans
+	calls     int64
 }
 
 // Builder is the streaming core of the parser: it consumes event batches
@@ -21,7 +22,9 @@ type frame struct {
 // in-memory trace — and maintains just enough state to produce a
 // NodeProfile at any moment:
 //
-//   - per-lane shadow stacks of open function invocations,
+//   - per-lane shadow stacks of open function invocations, kept by the
+//     trace.Fold core the builder consumes (its own, or one it shares
+//     with other consumers of the same stream),
 //   - per-function interval sets kept merged online (InsertInterval), so
 //     a million back-to-back calls collapse as they close instead of
 //     accumulating a million raw intervals,
@@ -42,7 +45,7 @@ type frame struct {
 type Builder struct {
 	opts      Options
 	nodeID    uint32
-	sym       *trace.SymTab
+	core      *trace.Fold // lane stacks and the symbol table
 	truncated bool
 
 	events   uint64 // events consumed (global index for error messages)
@@ -55,9 +58,7 @@ type Builder struct {
 	samples     [][]Sample           // per sensor id, arrival order
 	sensorAcc   []*stats.Accumulator // per sensor id, O(1) streaming stats
 
-	stacks    map[uint32][]frame    // per lane: open invocations
-	intervals map[uint32][]Interval // per function: merged inclusive spans
-	calls     map[uint32]int64
+	funcs []funcState // by FuncID; never longer than the symbol table
 
 	err error // poisoned after a structural error
 }
@@ -66,18 +67,20 @@ type Builder struct {
 // sym resolves marker and function names; passing nil is allowed only
 // for traces without enter/exit/marker events.
 func NewBuilder(nodeID uint32, sym *trace.SymTab, opts Options) *Builder {
-	if sym == nil {
-		sym = trace.NewSymTab()
-	}
+	return NewBuilderOn(trace.NewFold(sym), nodeID, opts)
+}
+
+// NewBuilderOn returns an empty builder that consumes core's facts. The
+// owner of a shared core steps it once per event and hands each fact to
+// Apply here and to the core's other consumers; Add is for a builder
+// that is its core's only consumer.
+func NewBuilderOn(core *trace.Fold, nodeID uint32, opts Options) *Builder {
 	return &Builder{
 		opts:        opts,
 		nodeID:      nodeID,
-		sym:         sym,
+		core:        core,
 		sensorNames: map[int]string{},
 		maxSensor:   -1,
-		stacks:      map[uint32][]frame{},
-		intervals:   map[uint32][]Interval{},
-		calls:       map[uint32]int64{},
 	}
 }
 
@@ -103,23 +106,46 @@ func (b *Builder) Add(events []trace.Event) error {
 		return b.err
 	}
 	for i := range events {
-		if err := b.add(&events[i]); err != nil {
-			b.err = err
+		e := &events[i]
+		if err := b.Apply(e, b.core.Step(e)); err != nil {
 			return err
 		}
-		b.events++
 	}
 	return nil
 }
 
-// add consumes one event.
-func (b *Builder) add(e *trace.Event) error {
+// Apply consumes one event and the fact the builder's core derived from
+// it. Errors poison the builder exactly as in Add.
+func (b *Builder) Apply(e *trace.Event, m trace.Fact) error {
+	if b.err == nil {
+		if b.err = b.apply(e, m); b.err == nil {
+			b.events++
+		}
+	}
+	return b.err
+}
+
+// fn returns one function's state. The core has checked fid against the
+// symbol table, which bounds how far the table grows.
+func (b *Builder) fn(fid uint32) *funcState {
+	if int(fid) >= len(b.funcs) {
+		b.funcs = append(b.funcs, make([]funcState, b.core.NumSyms()-len(b.funcs))...)
+	}
+	return &b.funcs[fid]
+}
+
+func (b *Builder) apply(e *trace.Event, m trace.Fact) error {
 	if e.TS > b.duration {
 		b.duration = e.TS
 	}
+	if m.Unknown {
+		// Caught here, one batch is rejected; caught at Finish (where the
+		// name is first needed) the node's whole profile would be lost.
+		return fmt.Errorf("parser: event %d: %s of %s, outside the symbol table of %d, on lane %d", b.events, e.Kind, b.funcName(e.FuncID), b.core.NumSyms(), e.Lane)
+	}
 	switch e.Kind {
 	case trace.KindMarker:
-		name, err := b.sym.Name(e.FuncID)
+		name, err := b.core.Sym().Name(e.FuncID)
 		if err != nil {
 			return fmt.Errorf("parser: marker symbol: %w", err)
 		}
@@ -150,25 +176,25 @@ func (b *Builder) add(e *trace.Event) error {
 	case trace.KindDrop:
 		b.dropped += e.Aux
 	case trace.KindEnter:
-		b.stacks[e.Lane] = append(b.stacks[e.Lane], frame{fid: e.FuncID, enter: e.TS})
-		b.calls[e.FuncID]++
+		b.fn(e.FuncID).calls++
 	case trace.KindExit:
-		st := b.stacks[e.Lane]
-		if len(st) == 0 {
-			if b.opts.MidStream {
-				return nil // invocation opened before this stream began
-			}
+		st := m.Lane.Stack
+		switch {
+		case m.Kind == trace.FactClosed && e.TS >= m.Enter:
+			f := b.fn(e.FuncID)
+			f.intervals = InsertInterval(f.intervals, Interval{Start: m.Enter, End: e.TS})
+		case m.Kind == trace.FactClosed:
+			// A lane's clock never runs backwards in a recorded stream: an
+			// inverted span is damage (or a hostile shipper), and
+			// InsertInterval is only defined for Start <= End.
+			return fmt.Errorf("parser: event %d: exit of %s at %v precedes its enter at %v on lane %d", b.events, b.funcName(e.FuncID), e.TS, m.Enter, e.Lane)
+		case b.opts.MidStream:
+			// invocation opened before this stream began
+		case len(st) == 0:
 			return fmt.Errorf("parser: event %d: exit of %s with empty stack on lane %d", b.events, b.funcName(e.FuncID), e.Lane)
+		default:
+			return fmt.Errorf("parser: event %d: exit of %s while %s is open on lane %d", b.events, b.funcName(e.FuncID), b.funcName(st[len(st)-1].Fid), e.Lane)
 		}
-		top := st[len(st)-1]
-		if top.fid != e.FuncID {
-			if b.opts.MidStream {
-				return nil
-			}
-			return fmt.Errorf("parser: event %d: exit of %s while %s is open on lane %d", b.events, b.funcName(e.FuncID), b.funcName(top.fid), e.Lane)
-		}
-		b.stacks[e.Lane] = st[:len(st)-1]
-		b.intervals[top.fid] = InsertInterval(b.intervals[top.fid], Interval{Start: top.enter, End: e.TS})
 	}
 	return nil
 }
@@ -177,7 +203,7 @@ func (b *Builder) add(e *trace.Event) error {
 // is exactly when the stream may be damaged, so an unresolvable id falls
 // back to the raw number instead of compounding the failure.
 func (b *Builder) funcName(fid uint32) string {
-	if name, err := b.sym.Name(fid); err == nil {
+	if name, err := b.core.Sym().Name(fid); err == nil {
 		return fmt.Sprintf("%q", name)
 	}
 	return fmt.Sprintf("func %d", fid)
@@ -189,11 +215,11 @@ func (b *Builder) funcName(fid uint32) string {
 func (b *Builder) OpenFunctions() []string {
 	seen := map[uint32]bool{}
 	var out []string
-	for _, st := range b.stacks {
-		for _, f := range st {
-			if !seen[f.fid] {
-				seen[f.fid] = true
-				if name, err := b.sym.Name(f.fid); err == nil {
+	for _, l := range b.core.Lanes() {
+		for _, f := range l.Stack {
+			if !seen[f.Fid] {
+				seen[f.Fid] = true
+				if name, err := b.core.Sym().Name(f.Fid); err == nil {
 					out = append(out, name)
 				}
 			}
@@ -237,11 +263,12 @@ func (b *Builder) Snapshot() (*NodeProfile, error) {
 }
 
 // clone deep-copies the builder state that finish mutates or retains.
+// The core is shared: finish only reads its stacks.
 func (b *Builder) clone() *Builder {
 	c := &Builder{
 		opts:      b.opts,
 		nodeID:    b.nodeID,
-		sym:       b.sym,
+		core:      b.core,
 		truncated: b.truncated,
 		events:    b.events,
 		duration:  b.duration,
@@ -252,9 +279,7 @@ func (b *Builder) clone() *Builder {
 		sensorNames: make(map[int]string, len(b.sensorNames)),
 		health:      append([]HealthEvent(nil), b.health...),
 		samples:     make([][]Sample, len(b.samples)),
-		stacks:      make(map[uint32][]frame, len(b.stacks)),
-		intervals:   make(map[uint32][]Interval, len(b.intervals)),
-		calls:       make(map[uint32]int64, len(b.calls)),
+		funcs:       make([]funcState, len(b.funcs)),
 	}
 	for k, v := range b.sensorNames {
 		c.sensorNames[k] = v
@@ -262,14 +287,8 @@ func (b *Builder) clone() *Builder {
 	for i, s := range b.samples {
 		c.samples[i] = append([]Sample(nil), s...)
 	}
-	for k, v := range b.stacks {
-		c.stacks[k] = append([]frame(nil), v...)
-	}
-	for k, v := range b.intervals {
-		c.intervals[k] = append([]Interval(nil), v...)
-	}
-	for k, v := range b.calls {
-		c.calls[k] = v
+	for fid, f := range b.funcs {
+		c.funcs[fid] = funcState{intervals: append([]Interval(nil), f.intervals...), calls: f.calls}
 	}
 	// sensorAcc is only read by SensorStats, never by finish; skip it.
 	return c
@@ -313,27 +332,28 @@ func (b *Builder) finish() (*NodeProfile, error) {
 
 	// Close dangling frames at trace end (abnormal termination for a
 	// finished run; still-running functions for a snapshot).
-	intervals := b.intervals
-	for _, st := range b.stacks {
-		if len(st) == 0 {
-			continue
-		}
-		for _, f := range st {
-			intervals[f.fid] = InsertInterval(intervals[f.fid], Interval{Start: f.enter, End: b.duration})
+	for _, l := range b.core.Lanes() {
+		for _, fr := range l.Stack {
+			f := b.fn(fr.Fid)
+			f.intervals = InsertInterval(f.intervals, Interval{Start: fr.Enter, End: b.duration})
 		}
 	}
 
 	// Attribute samples and summarise — identical to batch Parse's final
 	// pass, so streamed and batch profiles are bit-for-bit equal.
-	for fid, merged := range intervals {
-		name, err := b.sym.Name(fid)
+	for fid := range b.funcs {
+		merged := b.funcs[fid].intervals
+		if len(merged) == 0 {
+			continue // never closed, never left open
+		}
+		name, err := b.core.Sym().Name(uint32(fid))
 		if err != nil {
 			return nil, err
 		}
 		fp := FuncProfile{
 			Name:      name,
 			TotalTime: TotalDuration(merged),
-			Calls:     b.calls[fid],
+			Calls:     b.funcs[fid].calls,
 			Intervals: merged,
 			Sensors:   make([]stats.Summary, b.maxSensor+1),
 		}

@@ -129,3 +129,95 @@ func TestBuilderOpenFunctionsTruncatedLanes(t *testing.T) {
 		t.Errorf("outer_loop total %v, want the full 3s span to trace end", outerP.TotalTime)
 	}
 }
+
+// A function id outside the symbol table used to pass Add and fail only
+// at Finish, where the name is first needed — the node lost its whole
+// profile to one bad event. It is a structural error at the event now,
+// attached mid-stream or not, and the function-indexed tables never
+// learn of it.
+func TestBuilderRejectsFuncIDOutsideTable(t *testing.T) {
+	for _, midStream := range []bool{false, true} {
+		for _, kind := range []trace.EventKind{trace.KindEnter, trace.KindExit} {
+			sym := trace.NewSymTab()
+			ok := sym.Register("known")
+			b := parser.NewBuilder(0, sym, parser.Options{MidStream: midStream})
+			good := []trace.Event{
+				{TS: 1, FuncID: ok, Kind: trace.KindEnter},
+				{TS: 2, FuncID: ok, Kind: trace.KindExit},
+			}
+			if err := b.Add(good); err != nil {
+				t.Fatal(err)
+			}
+			err := b.Add([]trace.Event{
+				{TS: 3, FuncID: ok, Kind: trace.KindEnter},
+				{TS: 4, Lane: 7, FuncID: 1 << 30, Kind: kind},
+				{TS: 5, FuncID: ok, Kind: trace.KindExit},
+			})
+			if err == nil {
+				t.Fatalf("midStream=%v: %s of an id outside the table accepted", midStream, kind)
+			}
+			for _, want := range []string{"event 3", kind.String(), "func 1073741824", "symbol table of 1", "lane 7"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q missing %q", err, want)
+				}
+			}
+			if b.Events() != 3 {
+				t.Errorf("consumed %d events, want the 3 before the bad one", b.Events())
+			}
+			if again := b.Add(good); again == nil || again.Error() != err.Error() {
+				t.Errorf("poisoned builder answered %v, want %v", again, err)
+			}
+			if _, ferr := b.Finish(); ferr == nil || ferr.Error() != err.Error() {
+				t.Errorf("Finish after poison = %v, want %v", ferr, err)
+			}
+		}
+	}
+
+	// A table that grew since the last look is not an error: ids are
+	// checked against the table as it is when the event arrives.
+	sym := trace.NewSymTab()
+	b := parser.NewBuilder(0, sym, parser.Options{})
+	first := sym.Register("first")
+	if err := b.Add([]trace.Event{{TS: 1, FuncID: first, Kind: trace.KindEnter}}); err != nil {
+		t.Fatal(err)
+	}
+	late := sym.Register("late")
+	if err := b.Add([]trace.Event{
+		{TS: 2, FuncID: late, Kind: trace.KindEnter},
+		{TS: 3, FuncID: late, Kind: trace.KindExit},
+		{TS: 4, FuncID: first, Kind: trace.KindExit},
+	}); err != nil {
+		t.Fatalf("id registered between batches rejected: %v", err)
+	}
+	np, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, ok := np.Function("late"); !ok || fp.Calls != 1 || fp.TotalTime != 1 {
+		t.Errorf("late = %+v ok=%v, want one 1ns call", fp, ok)
+	}
+}
+
+// An exit stamped before its own enter — a lane whose clock ran
+// backwards, which no tracer records but a damaged or hostile stream can
+// carry — used to reach InsertInterval as an inverted span and index past
+// the interval list. It is a structural error naming both instants.
+func TestBuilderRejectsExitBeforeEnter(t *testing.T) {
+	sym := trace.NewSymTab()
+	fid := sym.Register("warp")
+	b := parser.NewBuilder(0, sym, parser.Options{})
+	err := b.Add([]trace.Event{
+		{TS: 5, FuncID: fid, Kind: trace.KindEnter},
+		{TS: 6, FuncID: fid, Kind: trace.KindExit},
+		{TS: 10, Lane: 1, FuncID: fid, Kind: trace.KindEnter},
+		{TS: 2, Lane: 1, FuncID: fid, Kind: trace.KindExit},
+	})
+	if err == nil {
+		t.Fatal("exit before its enter accepted")
+	}
+	for _, want := range []string{"event 3", `"warp"`, "2ns precedes its enter at 10ns", "lane 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}

@@ -51,18 +51,41 @@ func MergeIntervals(ivs []Interval) []Interval {
 	return out
 }
 
+// tailScan is how far InsertInterval walks back from the tail before it
+// gives the rest to a binary search.
+const tailScan = 8
+
 // InsertInterval folds one interval into an already-merged, sorted set,
 // keeping it merged — the online counterpart of MergeIntervals. Because
 // the merged decomposition of a union of closed intervals is unique,
 // inserting intervals one at a time yields exactly MergeIntervals of the
 // whole batch, in any insertion order. The slice is modified in place
-// (and possibly reallocated); amortised O(log n) when insertions mostly
-// extend existing spans, as back-to-back calls do.
+// (and possibly reallocated).
+//
+// A node's exits arrive in non-decreasing timestamp order in every
+// canonical (TS, lane) stream (Tracer.Drain, Scanner, shipped chunks),
+// so a new interval almost always ends at or after the last one starts:
+// nothing lies beyond it, and the run it touches is found by walking
+// back from the tail — O(1) for an append or a back-to-back call, where
+// two binary searches over 10⁵ spans were most of a fold. Anything else
+// (Finish closing dangling frames, a batch merged out of order) takes
+// the general path; iv against the list's tail decides, nothing else.
 func InsertInterval(ivs []Interval, iv Interval) []Interval {
 	// Candidates to merge with iv: closed intervals touch when
-	// other.End >= iv.Start && other.Start <= iv.End.
-	lo := sort.Search(len(ivs), func(i int) bool { return ivs[i].End >= iv.Start })
-	hi := sort.Search(len(ivs), func(i int) bool { return ivs[i].Start > iv.End })
+	// other.End >= iv.Start && other.Start <= iv.End — the run [lo, hi).
+	n := len(ivs)
+	lo, hi := n, n
+	if n > 0 && ivs[n-1].Start <= iv.End {
+		for lo > 0 && n-lo < tailScan && ivs[lo-1].End >= iv.Start {
+			lo--
+		}
+		if n-lo == tailScan {
+			lo = sort.Search(lo, func(i int) bool { return ivs[i].End >= iv.Start })
+		}
+	} else {
+		lo = sort.Search(n, func(i int) bool { return ivs[i].End >= iv.Start })
+		hi = sort.Search(n, func(i int) bool { return ivs[i].Start > iv.End })
+	}
 	if lo == hi {
 		// Disjoint from everything: insert at lo.
 		ivs = append(ivs, Interval{})

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,5 +115,86 @@ func TestMergeIntervalsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInsertIntervalMatchesMerge pins the online merge against the batch
+// one: whatever order a set is inserted in — sorted (every insert takes
+// the tail path), reversed (every insert takes the general path) or
+// shuffled — the result is MergeIntervals of the whole set. The sets are
+// dense enough to hold zero-length spans, spans that exactly touch a
+// neighbour's end, and spans that swallow more than tailScan earlier
+// ones, so the backward scan both finishes and hands over to the binary
+// search.
+func TestInsertIntervalMatchesMerge(t *testing.T) {
+	insertAll := func(ivs []Interval) []Interval {
+		var out []Interval
+		for _, iv := range ivs {
+			out = InsertInterval(out, iv)
+		}
+		return out
+	}
+	equal := func(a, b []Interval) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(400)
+		span := time.Duration(2 + rng.Intn(6*n)) // small span: crowded and touching; large: sparse
+		ivs := make([]Interval, n)
+		for i := range ivs {
+			a := time.Duration(rng.Int63n(int64(span)))
+			var d time.Duration
+			switch rng.Intn(4) {
+			case 0: // zero length
+			case 1:
+				d = 1 // touches a neighbour that starts one tick later
+			case 2:
+				d = time.Duration(rng.Int63n(int64(span)/4 + 1))
+			default:
+				d = time.Duration(rng.Int63n(int64(span))) // swallows many
+			}
+			ivs[i] = Interval{Start: a, End: a + d}
+		}
+		want := MergeIntervals(ivs)
+
+		byEnd := append([]Interval(nil), ivs...)
+		sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
+		reversed := make([]Interval, n)
+		for i, iv := range byEnd {
+			reversed[n-1-i] = iv
+		}
+		shuffled := append([]Interval(nil), ivs...)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		for name, order := range map[string][]Interval{"by end": byEnd, "reversed": reversed, "shuffled": shuffled} {
+			if got := insertAll(order); !equal(got, want) {
+				t.Fatalf("seed %d, %d intervals inserted %s: got %d merged spans %v, want %d %v",
+					seed, n, name, len(got), got, len(want), want)
+			}
+		}
+	}
+
+	// A long run of disjoint spans, then one that covers them all from
+	// the tail: the scan must cross tailScan and still find the first.
+	var run []Interval
+	for i := 0; i < 10*tailScan; i++ {
+		run = InsertInterval(run, Interval{Start: time.Duration(3 * i), End: time.Duration(3*i + 1)})
+	}
+	if len(run) != 10*tailScan {
+		t.Fatalf("disjoint run merged: %d spans", len(run))
+	}
+	last := run[len(run)-1]
+	if got := InsertInterval(append([]Interval(nil), run...), Interval{Start: 4, End: last.Start}); len(got) != 2 ||
+		got[0] != run[0] || got[1] != (Interval{Start: 3, End: last.End}) {
+		t.Fatalf("covering insert from the tail: %v", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"tempest/internal/parser"
 	"tempest/internal/trace"
+	"tempest/internal/tracegen"
 )
 
 // bigTraceEvents is the large-trace size: ≥1M events, per the streaming
@@ -186,4 +187,27 @@ func BenchmarkParseAllParallel(b *testing.B) {
 		}
 		benchProfileSink = p
 	}
+}
+
+// BenchmarkBuilderAddInterleaved folds the fleet shape — 4 lanes merged by
+// timestamp, Zipf function popularity, a quarter of siblings back to back
+// (tracegen) — in shipped-chunk-sized batches. Unlike the Pipeline
+// benchmarks' single hot loop, whose intervals all merge into one, this
+// grows per-function interval lists to 10⁵ spans, which is where
+// InsertInterval's tail path and the FuncID-indexed tables earn their keep.
+func BenchmarkBuilderAddInterleaved(b *testing.B) {
+	const n, chunk = 2 << 20, 4096
+	g := tracegen.New(tracegen.Config{Seed: 1})
+	evs := g.Fill(make([]trace.Event, 0, n), n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bd := parser.NewBuilder(1, g.Sym(), parser.Options{})
+		for at := 0; at < n; at += chunk {
+			if err := bd.Add(evs[at : at+chunk]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }

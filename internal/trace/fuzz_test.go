@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -142,6 +143,166 @@ func FuzzScanner(f *testing.F) {
 			}
 		} else if readErr == nil {
 			t.Fatalf("scanner errored (%v) where ReadTrace accepted", nextErr)
+		}
+	})
+}
+
+// refParseSymbolSegment and refParseEventSegment are the Scanner's segment
+// parsers as they stood before the slice-cursor decoders replaced them —
+// every varint through binary.ReadUvarint on an io.ByteReader — kept as
+// the reference FuzzSegmentDecode compares against.
+func refParseSymbolSegment(payload []byte, sym *SymTab) bool {
+	buf := bytes.NewBuffer(payload)
+	n, err := binary.ReadUvarint(buf)
+	if err != nil || n > 1<<24 {
+		return false
+	}
+	base := sym.Len()
+	for i := uint64(0); i < n; i++ {
+		if _, err := binary.ReadUvarint(buf); err != nil { // addr: regenerated
+			return false
+		}
+		nameLen, err := binary.ReadUvarint(buf)
+		if err != nil || nameLen > 1<<16 {
+			return false
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(buf, name); err != nil {
+			return false
+		}
+		if got := sym.Register(string(name)); int(got) != base+int(i) {
+			return false // duplicate across segments
+		}
+	}
+	return buf.Len() == 0
+}
+
+func refParseEventSegment(payload []byte, prevTS int64, nsyms uint64) ([]Event, int64, bool) {
+	buf := bytes.NewBuffer(payload)
+	n, err := binary.ReadUvarint(buf)
+	if err != nil || n > 1<<32 {
+		return nil, 0, false
+	}
+	batch := make([]Event, 0, eventCap(n))
+	ts := prevTS
+	for i := uint64(0); i < n; i++ {
+		kindB, err := buf.ReadByte()
+		if err != nil {
+			return nil, 0, false
+		}
+		e := Event{Kind: EventKind(kindB)}
+		lane, err := binary.ReadUvarint(buf)
+		if err != nil {
+			return nil, 0, false
+		}
+		e.Lane = uint32(lane)
+		dts, err := binary.ReadVarint(buf)
+		if err != nil {
+			return nil, 0, false
+		}
+		ts += dts
+		if ts < 0 {
+			return nil, 0, false
+		}
+		e.TS = time.Duration(ts)
+		switch e.Kind {
+		case KindEnter, KindExit, KindMarker:
+			fid, err := binary.ReadUvarint(buf)
+			if err != nil || fid >= nsyms {
+				return nil, 0, false
+			}
+			e.FuncID = uint32(fid)
+		case KindSample:
+			sid, err := binary.ReadUvarint(buf)
+			if err != nil {
+				return nil, 0, false
+			}
+			e.SensorID = uint32(sid)
+			milli, err := binary.ReadVarint(buf)
+			if err != nil {
+				return nil, 0, false
+			}
+			e.ValueC = float64(milli) / 1000
+		case KindDrop:
+			aux, err := binary.ReadUvarint(buf)
+			if err != nil {
+				return nil, 0, false
+			}
+			e.Aux = aux
+		default:
+			return nil, 0, false
+		}
+		batch = append(batch, e)
+	}
+	if buf.Len() != 0 {
+		return nil, 0, false
+	}
+	return batch, ts, true
+}
+
+// FuzzSegmentDecode holds DecodeSymbols and DecodeEvents to the
+// reader-based segment parsers they replaced: on arbitrary payload bytes,
+// read as either segment kind, both accept or both reject; accepted event
+// segments yield the same events and the same carried timestamp, and
+// symbol segments leave the same table behind, accepted or not.
+func FuzzSegmentDecode(f *testing.F) {
+	var sample bytes.Buffer
+	if err := fuzzSeedTrace(f).WriteSegmented(&sample, 0); err != nil {
+		f.Fatal(err)
+	}
+	// Seed with the real thing: each segment payload of a written trace.
+	sc, err := NewScanner(bytes.NewReader(sample.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for {
+		_, payload, _, err := ReadSegmentFrame(sc.br, nil, maxSegmentLen, segSymbols, segEvents)
+		if err != nil {
+			break
+		}
+		f.Add(payload, int64(0))
+	}
+	f.Add([]byte{}, int64(0))
+	f.Add([]byte{0}, int64(7))
+	f.Add([]byte{1, 1, 0, 9, 0}, int64(5))                                                          // enter, Δts −5: back to zero
+	f.Add([]byte{1, 2, 0, 11, 1}, int64(5))                                                         // exit, Δts −6: negative
+	f.Add([]byte{2, 3, 0, 2, 0, 0x95, 0x9a, 0xef, 0x3a, 5, 1, 2, 9}, int64(1))                      // sample then drop
+	f.Add([]byte{1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0, 0}, int64(0)) // varint overflow
+	f.Add([]byte{2, 0, 3, 'a', 'b', 'c', 0, 0}, int64(0))                                           // symbols: "abc", ""
+	f.Add([]byte{1, 0, 0xff, 0xff, 0x07}, int64(0))                                                 // symbol name longer than the payload
+	f.Fuzz(func(t *testing.T, payload []byte, prevTS int64) {
+		if prevTS < 0 {
+			prevTS = -(prevTS + 1)
+		}
+		seeded := func() *SymTab {
+			sym := NewSymTab()
+			sym.Register("seeded.one")
+			sym.Register("seeded.two")
+			return sym
+		}
+		refSym, newSym := seeded(), seeded()
+		wantOK := refParseSymbolSegment(payload, refSym)
+		if gotOK := parseSymbolSegment(payload, newSym); gotOK != wantOK {
+			t.Fatalf("symbol segment acceptance diverged: reference %v, cursor %v", wantOK, gotOK)
+		}
+		if !reflect.DeepEqual(refSym.Names(), newSym.Names()) {
+			t.Fatalf("symbol tables diverged: reference %q, cursor %q", refSym.Names(), newSym.Names())
+		}
+
+		const nsyms = 2
+		want, wantTS, wantOK := refParseEventSegment(payload, prevTS, nsyms)
+		got, gotTS, err := DecodeEvents(payload, prevTS, nsyms, nil)
+		if wantOK != (err == nil) {
+			t.Fatalf("event segment acceptance diverged: reference %v, cursor %v", wantOK, err)
+		}
+		if !wantOK {
+			return
+		}
+		if gotTS != wantTS {
+			t.Fatalf("carried timestamp: cursor %d, reference %d", gotTS, wantTS)
+		}
+		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("events diverged:\n cursor    %+v\n reference %+v", got, want)
 		}
 	})
 }

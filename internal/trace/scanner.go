@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -352,29 +351,8 @@ func (s *Scanner) nextV2() ([]Event, error) {
 // parseSymbolSegment folds one symbol batch into sym; reports structural
 // validity.
 func parseSymbolSegment(payload []byte, sym *SymTab) bool {
-	buf := bytes.NewBuffer(payload)
-	n, err := binary.ReadUvarint(buf)
-	if err != nil || n > 1<<24 {
-		return false
-	}
-	base := sym.Len()
-	for i := uint64(0); i < n; i++ {
-		if _, err := binary.ReadUvarint(buf); err != nil { // addr: regenerated
-			return false
-		}
-		nameLen, err := binary.ReadUvarint(buf)
-		if err != nil || nameLen > 1<<16 {
-			return false
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(buf, name); err != nil {
-			return false
-		}
-		if got := sym.Register(string(name)); int(got) != base+int(i) {
-			return false // duplicate across segments
-		}
-	}
-	return buf.Len() == 0
+	rest, err := DecodeSymbols(payload, sym)
+	return err == nil && len(rest) == 0
 }
 
 // parseEventSegment decodes one event segment into the reused batch
@@ -382,67 +360,8 @@ func parseSymbolSegment(payload []byte, sym *SymTab) bool {
 // state only advances when the whole segment decodes cleanly, so a
 // corrupt segment is dropped atomically.
 func (s *Scanner) parseEventSegment(payload []byte) ([]Event, bool) {
-	buf := bytes.NewBuffer(payload)
-	n, err := binary.ReadUvarint(buf)
-	if err != nil || n > 1<<32 {
-		return nil, false
-	}
-	nsyms := uint64(s.sym.Len())
-	batch := s.batch[:0]
-	if cap(batch) == 0 {
-		batch = make([]Event, 0, eventCap(n))
-	}
-	ts := s.prevTS
-	for i := uint64(0); i < n; i++ {
-		kindB, err := buf.ReadByte()
-		if err != nil {
-			return nil, false
-		}
-		e := Event{Kind: EventKind(kindB)}
-		lane, err := binary.ReadUvarint(buf)
-		if err != nil {
-			return nil, false
-		}
-		e.Lane = uint32(lane)
-		dts, err := binary.ReadVarint(buf)
-		if err != nil {
-			return nil, false
-		}
-		ts += dts
-		if ts < 0 {
-			return nil, false
-		}
-		e.TS = time.Duration(ts)
-		switch e.Kind {
-		case KindEnter, KindExit, KindMarker:
-			fid, err := binary.ReadUvarint(buf)
-			if err != nil || fid >= nsyms {
-				return nil, false
-			}
-			e.FuncID = uint32(fid)
-		case KindSample:
-			sid, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, false
-			}
-			e.SensorID = uint32(sid)
-			milli, err := binary.ReadVarint(buf)
-			if err != nil {
-				return nil, false
-			}
-			e.ValueC = float64(milli) / 1000
-		case KindDrop:
-			aux, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, false
-			}
-			e.Aux = aux
-		default:
-			return nil, false
-		}
-		batch = append(batch, e)
-	}
-	if buf.Len() != 0 {
+	batch, ts, err := DecodeEvents(payload, s.prevTS, uint64(s.sym.Len()), s.batch)
+	if err != nil {
 		return nil, false
 	}
 	s.batch = batch
