@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all build vet vet-cross tempest-vet test race chaos bench bench-validate bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
+.PHONY: all build fmt vet vet-cross tempest-vet test race chaos bench bench-validate bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke loc clean
 
-all: vet vet-cross tempest-vet build test bench-validate
+all: fmt vet vet-cross tempest-vet build test bench-validate
+
+# Nothing else checks formatting; any file gofmt would rewrite fails.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -104,6 +108,10 @@ fuzz-smoke:
 # golden (pass UPDATE_GOLDEN=1 to regenerate after intentional changes).
 collectd-smoke:
 	UPDATE_GOLDEN=$(UPDATE_GOLDEN) ./scripts/collectd_smoke.sh
+
+# Non-test .go lines per package (ROADMAP: every PR quotes this number).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './_bench/*' ! -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d }' | sort -k2
 
 clean:
 	$(GO) clean ./...

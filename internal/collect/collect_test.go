@@ -179,7 +179,7 @@ func TestShipperFlushDeadlineReportsDrops(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				var resume [9]byte // downAck kind + next = 0
+				var resume [9]byte                 // downAck kind + next = 0
 				io.ReadFull(conn, make([]byte, 8)) // swallow the 8-byte hello
 				conn.Write(resume[:])              // resume = 0
 				io.Copy(io.Discard, conn)          // read frames, never ack

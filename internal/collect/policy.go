@@ -107,8 +107,8 @@ type nodePolicy struct {
 	// rev is the last issued directive revision; payload its encoding.
 	// Replayed from the durable store on restart so a reborn collector
 	// re-issues the exact policy its predecessor acked.
-	rev     uint64
-	payload []byte
+	rev      uint64
+	payload  []byte
 	lastEval time.Time
 }
 

@@ -157,8 +157,8 @@ func NewTCPNodeOpts(rank int, addrs []string, opts TCPOptions) (*TCPTransport, e
 	}
 	opts = opts.withDefaults(rank)
 	t := &TCPTransport{
-		rank:  rank,
-		opts:  opts,
+		rank:    rank,
+		opts:    opts,
 		addrs:   append([]string(nil), addrs...),
 		ln:      ln,
 		peers:   make(map[int]*tcpPeer),

@@ -16,23 +16,24 @@
 //     no-op. It is also the degraded-mode fallback a shard switches to
 //     when its disk store fails mid-run, so ingest never wedges on a full
 //     or dying disk.
+//
 //   - Disk appends batches to time-windowed segment files framed with the
 //     checksummed self-delimiting trace-v2 segment frame
 //     (trace.WriteSegmentFrame), hash-chained record to record:
 //
 //     segment file  "%09d.seg":
-//       header  magic uint32 'TPSS' LE, version uint16 = 1,
-//               index uvarint, chainStart [32]byte
-//       record  trace segment frame, kind 'B', payload = body ‖ chain
-//       body    node, rank, seq uvarint; flags byte; wallNano uvarint;
-//               payloadLen uvarint; payload (opaque chunk bytes)
-//       chain   SHA-256(prevChain ‖ body) — prevChain is the previous
-//               record's chain, or the header's chainStart for the first
+//     header  magic uint32 'TPSS' LE, version uint16 = 1,
+//     index uvarint, chainStart [32]byte
+//     record  trace segment frame, kind 'B', payload = body ‖ chain
+//     body    node, rank, seq uvarint; flags byte; wallNano uvarint;
+//     payloadLen uvarint; payload (opaque chunk bytes)
+//     chain   SHA-256(prevChain ‖ body) — prevChain is the previous
+//     record's chain, or the header's chainStart for the first
 //
 //     checkpoint file  "%09d.ckpt" (written by retention compaction):
-//       header  as above, chainStart = zero
-//       record  kind 'C', body = coveredIndex uvarint,
-//               prevFinal [32]byte, archiveLen uvarint, archive (opaque)
+//     header  as above, chainStart = zero
+//     record  kind 'C', body = coveredIndex uvarint,
+//     prevFinal [32]byte, archiveLen uvarint, archive (opaque)
 //
 // The chain makes history tamper-evident end to end: flipping any byte of
 // any committed record breaks either its CRC or the chain continuity of

@@ -25,8 +25,8 @@ type fakeClock struct{ t time.Time }
 
 func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func testBatch(node uint32, seq uint64, wall time.Time, payload string) store.Batch {
 	return store.Batch{

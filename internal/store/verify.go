@@ -22,14 +22,14 @@ import (
 
 // ShardReport is one shard directory's verification result.
 type ShardReport struct {
-	Dir         string
-	Segments    int
-	Checkpoints int
-	Batches     int // intact raw batches across surviving segments
-	ArchiveBytes int
+	Dir           string
+	Segments      int
+	Checkpoints   int
+	Batches       int // intact raw batches across surviving segments
+	ArchiveBytes  int
 	TornTailBytes int64 // unrecovered torn tail on the final segment
-	FinalChain  Chain
-	Problems    []string
+	FinalChain    Chain
+	Problems      []string
 }
 
 // Report is a whole store root's verification result.

@@ -43,11 +43,11 @@ func TestSegmentFrameTears(t *testing.T) {
 	whole := frame('B', []byte("payload"))
 
 	cases := map[string][]byte{
-		"torn header":   whole[:4],
-		"torn payload":  whole[:len(whole)-2],
-		"corrupt CRC":   append(append([]byte{}, whole[:len(whole)-1]...), whole[len(whole)-1]^0x40),
-		"unknown kind":  frame('Z', []byte("payload")),
-		"over long":     {'B', 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0},
+		"torn header":  whole[:4],
+		"torn payload": whole[:len(whole)-2],
+		"corrupt CRC":  append(append([]byte{}, whole[:len(whole)-1]...), whole[len(whole)-1]^0x40),
+		"unknown kind": frame('Z', []byte("payload")),
+		"over long":    {'B', 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0},
 	}
 	for name, data := range cases {
 		_, _, _, err := ReadSegmentFrame(bytes.NewReader(data), nil, 1<<20, 'B')

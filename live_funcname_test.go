@@ -13,7 +13,7 @@ import (
 
 type nameProbe struct{ hits int }
 
-func (p *nameProbe) Bump()    { p.hits++ }
+func (p *nameProbe) Bump()   { p.hits++ }
 func (nameProbe) ValueRecv() {}
 
 func genericProbe[T any]() {}
