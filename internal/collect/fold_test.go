@@ -20,10 +20,10 @@ import (
 // chunks of at most chunk events — the frames a Shipper would write,
 // minus the socket. symCursor is how many of sym's names the collector
 // already holds for the node.
-func shipChunks(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, symCursor int, evs []trace.Event, chunk int) shardResp {
+func shipChunks(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, symCursor int, evs []trace.Event, chunk int) ack {
 	t.Helper()
 	sh := c.shardFor(node)
-	resp := sh.call(shardReq{op: opResume, node: node})
+	resp := sh.resume(node, 0)
 	seq := resp.resume
 	for at := 0; at < len(evs); at += chunk {
 		payload, n, err := encodeChunk(evs[at:min(at+chunk, len(evs))], sym, symCursor)
@@ -31,7 +31,7 @@ func shipChunks(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, symC
 			t.Fatal(err)
 		}
 		symCursor = n
-		if resp = sh.call(shardReq{op: opChunk, node: node, seq: seq, chunk: payload}); resp.err != nil {
+		if resp = sh.frame(node, 0, seq, frameData, payload); resp.err != nil {
 			return resp
 		}
 		seq++
@@ -142,7 +142,7 @@ func TestOnePassMatchesStandaloneFolds(t *testing.T) {
 		for at := 0; at < n; at += chunk {
 			// The shard rewrites function ids in the batch it is lent.
 			batch := append([]trace.Event(nil), evs[at:min(at+chunk, n)]...)
-			if resp := sh.call(shardReq{op: opEvents, node: 2, batch: batch, sym: sym}); resp.err != nil {
+			if resp := sh.bulk(2, 0, batch, sym); resp.err != nil {
 				t.Fatal(resp.err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestRangedReadsIndependentOfRangePosition(t *testing.T) {
 		}
 		cursor = n
 		walls = append(walls, clk.now())
-		if resp := sh.call(shardReq{op: opChunk, node: 1, seq: uint64(k), chunk: payload}); resp.err != nil {
+		if resp := sh.frame(1, 0, uint64(k), frameData, payload); resp.err != nil {
 			t.Fatal(resp.err)
 		}
 		clk.advance(time.Minute)

@@ -56,7 +56,7 @@ func (cw *countingResponseWriter) Write(p []byte) (int, error) {
 //	                          (issued revisions, detail sets, budgets)
 //
 // Every response is computed from a live snapshot: queries never block
-// ingest beyond one synchronous pass through each shard's worker.
+// ingest beyond one pass under each shard's lock.
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -398,17 +398,6 @@ func parseTimeParam(s string) (int64, error) {
 // part of the requested history survives only as folded archive heat.
 func archivedMarker(events uint64) string {
 	return fmt.Sprintf("truncated: %d events archived beyond series granularity", events)
-}
-
-// nodeArchivedEvents reports how many of one node's events retention has
-// folded out of raw history (0 for unknown nodes — the caller already
-// resolved existence).
-func (c *Collector) nodeArchivedEvents(id uint32) uint64 {
-	resp := c.shardFor(id).call(shardReq{op: opWindows, node: id})
-	if resp.err != nil {
-		return 0
-	}
-	return resp.archEvents
 }
 
 // streamSeries emits node profiles as the CSV series format, preceded by

@@ -347,34 +347,11 @@ func (sh *shard) issueDirective(ns *nodeState, np *nodePolicy) *ctlFrame {
 	np.rev++
 	np.payload = payload
 	sh.c.metrics.policyDirectives.Add(1)
-	// Persist the directive before any connection can send it: a
-	// directive a shipper acted on must survive a collector restart.
-	sh.persistPolicy(ns, np)
+	// Persist the directive (FlagPolicy, Seq = revision) before any
+	// connection can send it: a directive a shipper acted on must survive
+	// a collector restart.
+	sh.append(ns, np.rev, store.FlagPolicy, payload, "policy append failed")
 	return &ctlFrame{rev: np.rev, payload: payload}
-}
-
-// persistPolicy stores the node's current directive (FlagPolicy, Seq =
-// revision). Failures degrade the shard exactly like batch persistence.
-func (sh *shard) persistPolicy(ns *nodeState, np *nodePolicy) {
-	if !sh.durable {
-		return
-	}
-	err := sh.store.Append(store.Batch{
-		Node:     ns.id,
-		Rank:     ns.rank,
-		Seq:      np.rev,
-		Flags:    store.FlagPolicy,
-		WallNano: sh.c.opts.Now().UnixNano(),
-		Payload:  np.payload,
-	})
-	if err != nil {
-		sh.c.opts.Logger.Error("policy append failed; shard degraded to memory-only ingest",
-			"shard", sh.id, "node", ns.id, "err", err)
-		sh.store.Close()
-		sh.store = store.Memory{}
-		sh.durable = false
-		sh.c.noteDegrade()
-	}
 }
 
 // currentDirective returns the node's cached directive frame for

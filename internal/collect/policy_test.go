@@ -149,7 +149,7 @@ type policyDriver struct {
 
 func (pd *policyDriver) coarse(stats []instrument.CoarseStat) *ctlFrame {
 	pd.t.Helper()
-	resp := pd.sh.call(shardReq{op: opCoarse, node: pd.node, seq: pd.seq, chunk: encodeCoarse(stats)})
+	resp := pd.sh.frame(pd.node, 0, pd.seq, frameCoarse, encodeCoarse(stats))
 	if resp.err != nil {
 		pd.t.Fatalf("opCoarse seq %d: %v", pd.seq, resp.err)
 	}
@@ -165,7 +165,7 @@ func TestPolicyNominatesTopKAndConverges(t *testing.T) {
 	defer c.Close()
 	const node = 7
 	sh := c.shardFor(node)
-	if resp := sh.call(shardReq{op: opResume, node: node}); resp.ctl != nil {
+	if resp := sh.resume(node, 0); resp.ctl != nil {
 		t.Fatal("directive re-issued before any policy exists")
 	}
 	pd := &policyDriver{t: t, sh: sh, node: node}
@@ -240,7 +240,7 @@ func TestPolicyNominatesTopKAndConverges(t *testing.T) {
 		t.Fatalf("status detail = %+v, want [cold]", st.Detail)
 	}
 	// On reconnect the handshake re-issues the latest directive.
-	resp := sh.call(shardReq{op: opResume, node: node})
+	resp := sh.resume(node, 0)
 	if resp.ctl == nil || resp.ctl.rev != 3 {
 		t.Fatalf("resume re-issue = %+v, want rev 3", resp.ctl)
 	}
@@ -262,7 +262,7 @@ func TestPolicyEventBudgetThrottles(t *testing.T) {
 	defer c.Close()
 	const node = 3
 	sh := c.shardFor(node)
-	sh.call(shardReq{op: opResume, node: node})
+	sh.resume(node, 0)
 	pd := &policyDriver{t: t, sh: sh, node: node}
 
 	report := []instrument.CoarseStat{
@@ -279,7 +279,7 @@ func TestPolicyEventBudgetThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := sh.call(shardReq{op: opChunk, node: node, seq: pd.seq, chunk: payload}); resp.err != nil {
+	if resp := sh.frame(node, 0, pd.seq, frameData, payload); resp.err != nil {
 		t.Fatal(resp.err)
 	}
 	pd.seq++
@@ -319,7 +319,7 @@ func TestPolicyDirectivePersistedAcrossRestart(t *testing.T) {
 	c := New(opts)
 	const node = 5
 	sh := c.shardFor(node)
-	sh.call(shardReq{op: opResume, node: node})
+	sh.resume(node, 0)
 	pd := &policyDriver{t: t, sh: sh, node: node}
 	hot := []instrument.CoarseStat{{Name: "hot", Calls: 4, Nanos: int64(time.Second)}}
 	pd.coarse(hot)
@@ -340,7 +340,7 @@ func TestPolicyDirectivePersistedAcrossRestart(t *testing.T) {
 	if n := c2.DegradedStoreShards(); n != 0 {
 		t.Fatalf("%d shards degraded on reopen", n)
 	}
-	resp := c2.shardFor(node).call(shardReq{op: opResume, node: node})
+	resp := c2.shardFor(node).resume(node, 0)
 	if resp.ctl == nil {
 		t.Fatal("no directive re-issued after restart")
 	}

@@ -20,7 +20,7 @@ import (
 // answered from the archive's folded per-granule windows. Each shard
 // keeps a small LRU of decoded windows so a dashboard scrubbing back and
 // forth doesn't re-scan the same segments per request. All of this state
-// is owned by the shard worker goroutine, like every builder.
+// is shard-owned, like every builder: touched only inside do.
 
 // ErrHistoryUnavailable reports a time-ranged query against a collector
 // (or shard) without a durable store: memory-only ingest has no history
@@ -69,7 +69,7 @@ type histCacheEnt struct {
 
 // shardHistory is a shard's historical-query state: the decoded archive
 // (refreshed when the store's compaction generation moves) and the LRU
-// of decoded raw windows. Zero value ready; worker-owned.
+// of decoded raw windows. Zero value ready; shard-owned.
 type shardHistory struct {
 	gen    uint64
 	genSet bool
@@ -234,136 +234,43 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 	return dec, nil
 }
 
-// rangeArchived reports whether [from, to) touches any folded archive
-// window on this shard.
-func rangeArchived(arch *fleetArchive, from, to int64) bool {
-	for _, w := range arch.windows {
-		if w.overlaps(from, to) {
-			return true
-		}
-	}
-	return false
-}
-
-// handleWindowHeat answers opWindowHeat: the shard's contribution to a
-// time-ranged hot-spot ranking — rebuilt profiles over in-range raw
-// batches, plus the archive's folded heat for every window overlapping
-// the range (at the folded granularity).
-func (sh *shard) handleWindowHeat(req shardReq) shardResp {
-	hs, ok := sh.history()
-	if !ok {
-		return shardResp{err: ErrHistoryUnavailable}
-	}
-	arch := sh.histArchive(hs)
-	dec, err := sh.decodeWindow(hs, req.from, req.to)
-	if err != nil {
-		return shardResp{err: err}
-	}
-	return shardResp{
-		durable:  true,
-		profiles: dec.profiles,
-		heat:     arch.rangeHeat(req.from, req.to, req.sensor),
-		archived: rangeArchived(arch, req.from, req.to),
-	}
-}
-
-// handleWindowProfile answers opWindowProfile: one node's profile over
-// the in-range raw batches (profiles empty when the node has none),
-// plus how much of its in-range history lives only in folded archives.
-func (sh *shard) handleWindowProfile(req shardReq) shardResp {
-	hs, ok := sh.history()
-	if !ok {
-		return shardResp{err: ErrHistoryUnavailable}
-	}
-	if _, known := sh.nodes[req.node]; !known {
-		return shardResp{err: fmt.Errorf("collect: unknown node %d", req.node)}
-	}
-	arch := sh.histArchive(hs)
-	dec, err := sh.decodeWindow(hs, req.from, req.to)
-	if err != nil {
-		return shardResp{err: err}
-	}
-	resp := shardResp{durable: true}
-	if np := dec.byNode[req.node]; np != nil {
-		resp.profiles = []*parser.NodeProfile{np}
-	}
-	resp.archEvents, resp.archived = arch.nodeRangeArchived(req.node, req.from, req.to)
-	return resp
-}
-
-// handleWindows answers opWindows: the granularities one node's history
-// can be queried at — folded archive windows (this node's slices) and
-// the shard's raw segment windows (whole-shard granularity; any
-// sub-range of those is decodable on demand).
-func (sh *shard) handleWindows(req shardReq) shardResp {
-	ns, known := sh.nodes[req.node]
-	if !known {
-		return shardResp{err: fmt.Errorf("collect: unknown node %d", req.node)}
-	}
-	resp := shardResp{windows: []WindowEntry{}, archEvents: ns.archEvents}
-	hs, ok := sh.history()
-	if !ok {
-		return resp
-	}
-	resp.durable = true
-	arch := sh.histArchive(hs)
-	for _, w := range arch.windows {
-		for _, wn := range w.nodes {
-			if wn.node != req.node {
-				continue
-			}
-			resp.windows = append(resp.windows, WindowEntry{
-				Kind:   "archived",
-				From:   time.Unix(0, w.fromWall).UTC(),
-				To:     time.Unix(0, w.toWall).UTC(),
-				Events: wn.events,
-			})
-		}
-	}
-	for _, wi := range hs.Windows() {
-		resp.windows = append(resp.windows, WindowEntry{
-			Kind: "raw",
-			From: time.Unix(0, wi.FirstWall).UTC(),
-			// Stored bounds are inclusive observed commits; the API speaks
-			// half-open ranges, so the window covers up to LastWall+1.
-			To:      time.Unix(0, wi.LastWall+1).UTC(),
-			Batches: wi.Batches,
-			Active:  wi.Active,
-		})
-	}
-	return resp
-}
-
 // WindowHotspots computes a time-ranged /api/hotspots answer over
 // [from, to) (wall-clock nanos, half-open): raw-covered history is
 // re-decoded exactly, archived history contributes every folded window
-// overlapping the range. Shards without durable stores are skipped;
-// when no shard has one the error is ErrHistoryUnavailable.
+// overlapping the range (at the folded granularity). Shards without
+// durable stores are skipped; when no shard has one the error is
+// ErrHistoryUnavailable.
 func (c *Collector) WindowHotspots(sensor, k int, from, to int64) (*HotspotsResponse, error) {
 	var nps []*parser.NodeProfile
-	var arch []hotspot.FunctionHeat
+	var heat []hotspot.FunctionHeat
 	durable := 0
 	for _, sh := range c.shards {
-		resp := sh.call(shardReq{op: opWindowHeat, sensor: sensor, from: from, to: to})
-		if resp.err != nil {
-			if errors.Is(resp.err, ErrHistoryUnavailable) {
-				continue
+		var err error
+		closed := sh.do(func() {
+			hs, ok := sh.history()
+			if !ok {
+				return
 			}
-			return nil, resp.err
+			durable++
+			arch := sh.histArchive(hs)
+			var dec *windowDecode
+			if dec, err = sh.decodeWindow(hs, from, to); err != nil {
+				return
+			}
+			nps = append(nps, dec.profiles...)
+			heat = foldFunctionHeat(heat, arch.rangeHeat(from, to, sensor))
+		})
+		if closed != nil {
+			return nil, closed
 		}
-		durable++
-		nps = append(nps, resp.profiles...)
-		arch = foldFunctionHeat(arch, resp.heat)
+		if err != nil {
+			return nil, err
+		}
 	}
 	if durable == 0 {
 		return nil, ErrHistoryUnavailable
 	}
-	sort.Slice(nps, func(i, j int) bool { return nps[i].NodeID < nps[j].NodeID })
-	p := &parser.Profile{Unit: c.opts.Unit}
-	for _, np := range nps {
-		p.Nodes = append(p.Nodes, *np)
-	}
-	return c.assembleHotspots(p, arch, sensor, k)
+	return c.assembleHotspots(profileOf(c.opts.Unit, nps), heat, sensor, k)
 }
 
 // WindowSeries rebuilds one node's profile over the raw batches in
@@ -371,22 +278,71 @@ func (c *Collector) WindowHotspots(sensor, k int, from, to int64) (*HotspotsResp
 // range; archEvents/archived report history the range touches that
 // survives only as folded archive heat (beyond series granularity).
 func (c *Collector) WindowSeries(id uint32, from, to int64) (np *parser.NodeProfile, archEvents uint64, archived bool, err error) {
-	resp := c.shardFor(id).call(shardReq{op: opWindowProfile, node: id, from: from, to: to})
-	if resp.err != nil {
-		return nil, 0, false, resp.err
+	sh := c.shardFor(id)
+	closed := sh.do(func() {
+		hs, ok := sh.history()
+		if !ok {
+			err = ErrHistoryUnavailable
+			return
+		}
+		if _, ok := sh.nodes[id]; !ok {
+			err = errUnknownNode(id)
+			return
+		}
+		arch := sh.histArchive(hs)
+		var dec *windowDecode
+		if dec, err = sh.decodeWindow(hs, from, to); err != nil {
+			return
+		}
+		np = dec.byNode[id]
+		archEvents, archived = arch.nodeRangeArchived(id, from, to)
+	})
+	if closed != nil {
+		err = closed
 	}
-	if len(resp.profiles) > 0 {
-		np = resp.profiles[0]
-	}
-	return np, resp.archEvents, resp.archived, nil
+	return np, archEvents, archived, err
 }
 
 // NodeWindows lists the stored windows one node's history can be
-// queried at — the /api/windows/{node} answer.
+// queried at — the /api/windows/{node} answer: folded archive windows
+// (this node's slices) and the shard's raw segment windows (whole-shard
+// granularity; any sub-range of those is decodable on demand).
 func (c *Collector) NodeWindows(id uint32) (*WindowsResponse, error) {
-	resp := c.shardFor(id).call(shardReq{op: opWindows, node: id})
-	if resp.err != nil {
-		return nil, resp.err
+	resp := &WindowsResponse{Node: id, Windows: []WindowEntry{}}
+	sh := c.shardFor(id)
+	err := c.known(id, func(*nodeState) {
+		hs, ok := sh.history()
+		if !ok {
+			return
+		}
+		resp.Durable = true
+		for _, w := range sh.histArchive(hs).windows {
+			for _, wn := range w.nodes {
+				if wn.node != id {
+					continue
+				}
+				resp.Windows = append(resp.Windows, WindowEntry{
+					Kind:   "archived",
+					From:   time.Unix(0, w.fromWall).UTC(),
+					To:     time.Unix(0, w.toWall).UTC(),
+					Events: wn.events,
+				})
+			}
+		}
+		for _, wi := range hs.Windows() {
+			resp.Windows = append(resp.Windows, WindowEntry{
+				Kind: "raw",
+				From: time.Unix(0, wi.FirstWall).UTC(),
+				// Stored bounds are inclusive observed commits; the API speaks
+				// half-open ranges, so the window covers up to LastWall+1.
+				To:      time.Unix(0, wi.LastWall+1).UTC(),
+				Batches: wi.Batches,
+				Active:  wi.Active,
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &WindowsResponse{Node: id, Durable: resp.durable, Windows: resp.windows}, nil
+	return resp, nil
 }
