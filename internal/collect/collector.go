@@ -10,6 +10,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tempest/internal/critpath"
@@ -35,13 +36,10 @@ type Options struct {
 	// profiles (0 = auto-detect, the offline parser's behaviour).
 	SampleInterval time.Duration
 	// Shards is the number of ingest shards (default 4). Nodes are
-	// hashed across shards by node ID; each shard's worker goroutine
-	// exclusively owns its nodes' Builders, so ingest and query
-	// serialise per shard and never lock across shards.
+	// hashed across shards by node ID; each shard's lock guards its
+	// nodes' Builders, so ingest and query serialise per shard and never
+	// lock across shards.
 	Shards int
-	// QueueLen bounds each shard's ingest queue (default 128); its
-	// instantaneous depth is the shard's lag, exported on /metrics.
-	QueueLen int
 	// Now overrides the clock used for per-node last-seen tracking
 	// (default time.Now) — injectable for deterministic tests.
 	Now func() time.Time
@@ -78,9 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 128
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -110,8 +105,7 @@ type NodeStatus struct {
 	ArchivedEvents uint64 `json:"archived_events,omitempty"`
 }
 
-// nodeState is one node's ingest state, owned by exactly one shard
-// worker.
+// nodeState is one node's ingest state, owned by exactly one shard.
 type nodeState struct {
 	id   uint32
 	rank uint32
@@ -149,24 +143,32 @@ type nodeState struct {
 	policy *nodePolicy
 }
 
-// shard owns a disjoint subset of the fleet's nodes. Its worker
-// goroutine is the only code that touches the nodes map, Builders and
-// the shard's durable store: callers hand it closures through do.
+// shard owns a disjoint subset of the fleet's nodes. It is a lock, not an
+// actor: every ingest and query call is synchronous, so callers run their
+// own code on their own goroutine, under mu, through do. Everything below
+// waiting is shard-owned state, touched only inside do — or during New's
+// single-threaded open/replay phase, before anything else can reach it.
 type shard struct {
-	id    int
-	work  chan func()
-	nodes map[uint32]*nodeState
-	c     *Collector
+	id int
+	c  *Collector
+
+	mu sync.Mutex
+	// waiting counts callers blocked on mu — the shard's lag, read by the
+	// /metrics gauge. It is an atomic so rendering, which holds the
+	// registry's lock, never takes mu.
+	waiting atomic.Int64
+
+	closed bool // set by Close; do runs nothing afterwards
+	nodes  map[uint32]*nodeState
 
 	// store is never nil: Memory when durability is off or after the
-	// shard degraded. Owned by the worker goroutine (like nodes), except
-	// during New's single-threaded open/replay phase.
+	// shard degraded.
 	store   store.Store
 	durable bool // disk-backed and not degraded
 
 	// hist is the shard's historical-query state: the decoded checkpoint
-	// archive plus an LRU of decoded raw windows. Worker-owned, lazily
-	// built on the first time-ranged query (see window.go).
+	// archive plus an LRU of decoded raw windows, lazily built on the
+	// first time-ranged query (see window.go).
 	hist shardHistory
 }
 
@@ -184,14 +186,7 @@ type Collector struct {
 	ln     net.Listener          // guarded by mu
 	conns  map[net.Conn]struct{} // guarded by mu
 	closed bool                  // guarded by mu
-	wg     sync.WaitGroup
-
-	// callMu fences shard calls against shutdown: callers hold the read
-	// side for the duration of one worker round-trip; Close takes the
-	// write side before closing the work channels, so no request is
-	// ever sent to a dead worker.
-	callMu sync.RWMutex
-	down   bool // guarded by callMu
+	wg     sync.WaitGroup        // connection handlers
 
 	scanners sync.Pool // *trace.Scanner, Reset per bulk connection
 }
@@ -199,11 +194,11 @@ type Collector struct {
 // errCollectorClosed reports a query or ingest call after Close.
 var errCollectorClosed = errors.New("collect: collector closed")
 
-// New returns a running collector (its shard workers are live); attach
-// ingest listeners with Serve and the HTTP API with Handler. With
-// Options.StoreDir set, New first recovers the durable store — salvaging
-// any crash-torn tail — and replays acked history into warm builders, so
-// the collector resumes where the last process died.
+// New returns a running collector; attach ingest listeners with Serve and
+// the HTTP API with Handler. With Options.StoreDir set, New first recovers
+// the durable store — salvaging any crash-torn tail — and replays acked
+// history into warm builders, so the collector resumes where the last
+// process died.
 func New(opts Options) *Collector {
 	opts = opts.withDefaults()
 	c := &Collector{
@@ -215,7 +210,6 @@ func New(opts Options) *Collector {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			id:    i,
-			work:  make(chan func(), opts.QueueLen),
 			nodes: make(map[uint32]*nodeState),
 			c:     c,
 			store: store.Memory{},
@@ -224,19 +218,12 @@ func New(opts Options) *Collector {
 	if opts.StoreDir != "" {
 		c.openStores()
 	}
-	// Workers start only after replay: recovery owns the node maps
-	// single-threaded, exactly like the workers will.
-	for _, sh := range c.shards {
-		c.wg.Add(1)
-		go sh.run(&c.wg)
-	}
 	// Registered after the shard segment counters so the /metrics family
 	// order matches the original hand-rolled exposition byte for byte.
 	for i, sh := range c.shards {
-		sh := sh
 		c.metrics.reg.FuncL("tempest_collect_shard_queue_depth", fmt.Sprintf("shard=%q", fmt.Sprint(i)),
 			"Requests waiting in each shard's ingest queue (lag).",
-			func() float64 { return float64(len(sh.work)) })
+			func() float64 { return float64(sh.waiting.Load()) })
 	}
 	return c
 }
@@ -303,35 +290,21 @@ func (c *Collector) shardFor(node uint32) *shard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// do runs fn on the shard worker and waits for it to finish; results
-// travel in the variables fn captures. After Close it reports
-// errCollectorClosed without running fn.
+// do runs fn on the caller's goroutine with the shard to itself; results
+// travel in the variables fn captures. Once the shard is closed it
+// reports errCollectorClosed without running fn. The lock is released by
+// defer, so a query body that panics in an HTTP handler cannot wedge the
+// shard. fn must not call do: nothing runs with two shard locks held.
 func (sh *shard) do(fn func()) error {
-	sh.c.callMu.RLock()
-	defer sh.c.callMu.RUnlock()
-	if sh.c.down {
+	sh.waiting.Add(1)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.waiting.Add(-1)
+	if sh.closed {
 		return errCollectorClosed
 	}
-	done := make(chan struct{})
-	sh.work <- func() {
-		defer close(done)
-		fn()
-	}
-	<-done
+	fn()
 	return nil
-}
-
-// run is the shard worker loop: the single goroutine that owns this
-// shard's builders. On exit it closes the shard's store, which flushes —
-// so by the time Close returns, everything acked is on disk.
-func (sh *shard) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for fn := range sh.work {
-		fn()
-	}
-	if err := sh.store.Close(); err != nil {
-		sh.c.opts.Logger.Error("store close failed", "shard", sh.id, "err", err)
-	}
 }
 
 // Serve accepts ingest connections on ln until the collector is closed
@@ -399,8 +372,9 @@ func (c *Collector) serveConn(conn net.Conn) {
 func (c *Collector) Metrics() *Metrics { return c.metrics }
 
 // Close shuts the collector down: the ingest listener stops, open
-// connections are torn down, and shard workers exit after draining
-// in-flight requests. Close is idempotent.
+// connections are torn down and, once their handlers have returned, each
+// shard is closed and its store flushed — when Close returns, everything
+// acked is on disk. Close is idempotent.
 func (c *Collector) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -420,31 +394,19 @@ func (c *Collector) Close() error {
 	for _, conn := range conns {
 		conn.Close()
 	}
-	// Connection handlers exit once their conns die; only then is it
-	// safe to close the shard queues they feed.
-	c.connWait()
-	c.callMu.Lock()
-	c.down = true
-	for _, sh := range c.shards {
-		close(sh.work)
-	}
-	c.callMu.Unlock()
+	// Connection handlers exit once their conns die; closing the shards
+	// only then means a handler never finds its shard gone mid-stream.
 	c.wg.Wait()
-	return nil
-}
-
-// connWait blocks until all connection handlers have returned. Shard
-// workers are still live here, so handlers never block on a dead queue.
-func (c *Collector) connWait() {
-	for {
-		c.mu.Lock()
-		n := len(c.conns)
-		c.mu.Unlock()
-		if n == 0 {
-			return
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		sh.closed = true
+		err := sh.store.Close()
+		sh.mu.Unlock()
+		if err != nil {
+			c.opts.Logger.Error("store close failed", "shard", sh.id, "err", err)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	return nil
 }
 
 // countingReader tallies bytes read into an ingest byte counter.
