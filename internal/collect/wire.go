@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"tempest/instrument"
 	"tempest/internal/trace"
@@ -383,51 +382,12 @@ func decodeCoarse(payload []byte) ([]instrument.CoarseStat, error) {
 // restart at zero, so the chunk decodes with no cross-chunk state beyond
 // the cumulative symbol table.
 func encodeChunk(events []trace.Event, sym *trace.SymTab, fromSym int) (payload []byte, symCount int, err error) {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	uv := func(v uint64) { buf.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
-	sv := func(v int64) { buf.Write(scratch[:binary.PutVarint(scratch[:], v)]) }
-
-	names := sym.Names()
-	if fromSym > len(names) {
-		return nil, 0, fmt.Errorf("collect: symbol cursor %d beyond table of %d", fromSym, len(names))
+	payload, symCount, err = trace.AppendSymbols(nil, sym, fromSym)
+	if err != nil {
+		return nil, 0, err
 	}
-	fresh := names[fromSym:]
-	uv(uint64(len(fresh)))
-	for i, name := range fresh {
-		addr, err := sym.Addr(uint32(fromSym + i))
-		if err != nil {
-			return nil, 0, err
-		}
-		uv(addr)
-		uv(uint64(len(name)))
-		buf.WriteString(name)
-	}
-
-	uv(uint64(len(events)))
-	var prevTS int64
-	for i, e := range events {
-		if err := e.Valid(); err != nil {
-			return nil, 0, fmt.Errorf("collect: event %d: %w", i, err)
-		}
-		buf.WriteByte(byte(e.Kind))
-		uv(uint64(e.Lane))
-		ts := int64(e.TS)
-		sv(ts - prevTS)
-		prevTS = ts
-		switch e.Kind {
-		case trace.KindEnter, trace.KindExit, trace.KindMarker:
-			uv(uint64(e.FuncID))
-		case trace.KindSample:
-			uv(uint64(e.SensorID))
-			// Quantised exactly like the trace codec, so a shipped sample
-			// decodes to the value a trace file round-trips to.
-			sv(int64(math.Round(e.ValueC * 1000)))
-		case trace.KindDrop:
-			uv(e.Aux)
-		}
-	}
-	return buf.Bytes(), len(names), nil
+	payload, _, err = trace.AppendEvents(payload, events, 0)
+	return payload, symCount, err
 }
 
 // decodeChunk folds one chunk into the node's cumulative symbol table and

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Segmented trace format ("TPST" version 2) — the crash-safe variant.
@@ -74,61 +73,37 @@ func NewWriter(w io.Writer, nodeID, rank uint32) (*Writer, error) {
 
 // Flush appends the new tail of the trace: any symbols registered since
 // the last flush (taken from sym), then the given events as one segment.
-// Events must be valid; empty flushes are no-ops. After a write error the
-// writer is poisoned and every call returns that error — the caller's
-// trace file has a torn tail exactly where the fault hit.
+// Events must be valid — a batch with one that is not is rejected whole
+// and leaves the writer as it was; empty flushes are no-ops. After a
+// write error the writer is poisoned and every call returns that error —
+// the caller's trace file has a torn tail exactly where the fault hit.
 func (sw *Writer) Flush(events []Event, sym *SymTab) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	if sym != nil {
-		names := sym.Names()
-		if len(names) > sw.symsWritten {
-			var payload bytes.Buffer
-			fresh := names[sw.symsWritten:]
-			writeUvarint(&payload, uint64(len(fresh)))
-			for i, name := range fresh {
-				addr, err := sym.Addr(uint32(sw.symsWritten + i))
-				if err != nil {
-					return err
-				}
-				writeUvarint(&payload, addr)
-				writeUvarint(&payload, uint64(len(name)))
-				payload.WriteString(name)
-			}
-			if err := sw.segment(segSymbols, payload.Bytes()); err != nil {
-				return err
-			}
-			sw.symsWritten = len(names)
+	if sym != nil && sym.Len() > sw.symsWritten {
+		payload, n, err := AppendSymbols(nil, sym, sw.symsWritten)
+		if err != nil {
+			return err
 		}
+		if err := sw.segment(segSymbols, payload); err != nil {
+			return err
+		}
+		sw.symsWritten = n
 	}
 	if len(events) == 0 {
 		return nil
 	}
-	var payload bytes.Buffer
-	writeUvarint(&payload, uint64(len(events)))
-	for i, e := range events {
-		if err := e.Valid(); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		payload.WriteByte(byte(e.Kind))
-		writeUvarint(&payload, uint64(e.Lane))
-		ts := int64(e.TS)
-		writeVarint(&payload, ts-sw.prevTS)
-		sw.prevTS = ts
-		switch e.Kind {
-		case KindEnter, KindExit, KindMarker:
-			writeUvarint(&payload, uint64(e.FuncID))
-		case KindSample:
-			writeUvarint(&payload, uint64(e.SensorID))
-			writeVarint(&payload, int64(math.Round(e.ValueC*1000)))
-		case KindDrop:
-			writeUvarint(&payload, e.Aux)
-		}
-	}
-	if err := sw.segment(segEvents, payload.Bytes()); err != nil {
+	payload, ts, err := AppendEvents(nil, events, sw.prevTS)
+	if err != nil {
 		return err
 	}
+	if err := sw.segment(segEvents, payload); err != nil {
+		return err
+	}
+	// Only a segment that was written moves the base the next one's
+	// deltas run from.
+	sw.prevTS = ts
 	sw.events += uint64(len(events))
 	return nil
 }
