@@ -96,7 +96,8 @@ bench-smoke:
 # Run every fuzz target once over its checked-in seed corpus (no open-
 # ended fuzzing): codec, streaming scanner, the collector's ship-mode
 # frame decoder, the slice-cursor segment and chunk decoders against the
-# reader-based ones they replaced, the durable store's crash/tamper
+# reader-based ones they replaced, the checkpoint-archive decoder (never
+# panics; re-encoding is a fixed point), the durable store's crash/tamper
 # recovery, and the critical-path analyzer (never panics; stream==batch;
 # agrees with the Builder's stack discipline on accepted streams; one
 # shared core == two standalone folds).

@@ -31,8 +31,7 @@ import (
 // segments.
 
 const (
-	archiveVersion   = 2
-	archiveVersionV1 = 1
+	archiveVersion = 2
 	// archiveMaxCount bounds every decoded collection so a corrupt blob
 	// cannot demand absurd allocations.
 	archiveMaxCount = 1 << 24
@@ -69,24 +68,16 @@ type archiveWindowNode struct {
 }
 
 // archiveWindow is the folded heat of one wall-clock granule
-// [fromWall, toWall). A window with both bounds zero is legacy v1 heat
-// whose bounds were never recorded: it overlaps every query range.
+// [fromWall, toWall).
 type archiveWindow struct {
 	fromWall int64
 	toWall   int64
 	nodes    []archiveWindowNode
 }
 
-// legacy reports whether the window predates recorded bounds.
-func (w *archiveWindow) legacy() bool { return w.fromWall == 0 && w.toWall == 0 }
-
 // overlaps reports whether the window intersects the half-open query
-// range [from, to). Legacy windows overlap everything — claiming too
-// much history beats silently dropping it.
+// range [from, to).
 func (w *archiveWindow) overlaps(from, to int64) bool {
-	if w.legacy() {
-		return true
-	}
 	return w.fromWall < to && w.toWall > from
 }
 
@@ -278,11 +269,9 @@ func encodeArchive(a *fleetArchive) []byte {
 	return buf.Bytes()
 }
 
-// decodeArchive parses an archive blob, v2 or the pre-window v1 layout
-// (whose per-node all-time heat becomes one legacy window with unknown
-// bounds). A nil or empty blob is an empty archive. The store's hash
-// chain already vouches for integrity, but a dropped-then-rebuilt
-// archive path exists, so every count is bounded.
+// decodeArchive parses an archive blob. A nil or empty blob is an empty
+// archive. The store's hash chain already vouches for integrity, but a
+// dropped-then-rebuilt archive path exists, so every count is bounded.
 func decodeArchive(blob []byte) (*fleetArchive, error) {
 	a := &fleetArchive{}
 	if len(blob) == 0 {
@@ -291,8 +280,11 @@ func decodeArchive(blob []byte) (*fleetArchive, error) {
 	buf := bytes.NewBuffer(blob)
 	uv := func(what string) (uint64, error) {
 		v, err := binary.ReadUvarint(buf)
-		if err != nil || v > archiveMaxCount<<8 {
-			return 0, fmt.Errorf("collect: archive %s: %v", what, err)
+		if err != nil {
+			return 0, fmt.Errorf("collect: archive %s: %w", what, err)
+		}
+		if v > archiveMaxCount<<8 {
+			return 0, fmt.Errorf("collect: archive %s %d out of range", what, v)
 		}
 		return v, nil
 	}
@@ -316,7 +308,9 @@ func decodeArchive(blob []byte) (*fleetArchive, error) {
 	}
 	readHeat := func(node uint32) ([][]hotspot.FunctionHeat, error) {
 		nsensors, err := uv("sensor count")
-		if err != nil || nsensors > archiveMaxCount {
+		// Allocated up front, so bounded by what the blob could hold: a
+		// sensor takes at least its heat count's byte.
+		if err != nil || nsensors > uint64(buf.Len()) {
 			return nil, fmt.Errorf("collect: archive sensor count")
 		}
 		heat := make([][]hotspot.FunctionHeat, nsensors)
@@ -342,14 +336,13 @@ func decodeArchive(blob []byte) (*fleetArchive, error) {
 	}
 
 	ver, err := binary.ReadUvarint(buf)
-	if err != nil || (ver != archiveVersion && ver != archiveVersionV1) {
+	if err != nil || ver != archiveVersion {
 		return nil, fmt.Errorf("collect: archive version %d", ver)
 	}
 	nNodes, err := uv("node count")
 	if err != nil || nNodes > archiveMaxCount {
 		return nil, fmt.Errorf("collect: archive node count")
 	}
-	var legacy archiveWindow
 	for i := uint64(0); i < nNodes; i++ {
 		ent := &archiveNode{}
 		node, err := uv("node")
@@ -384,64 +377,45 @@ func decodeArchive(blob []byte) (*fleetArchive, error) {
 			}
 			ent.syms = append(ent.syms, name)
 		}
-		if ver == archiveVersionV1 {
-			// v1 carried each node's all-time heat inline; it survives as
-			// one shared window whose bounds were never recorded.
-			heat, err := readHeat(ent.node)
+		a.nodes = append(a.nodes, ent)
+	}
+	nWindows, err := uv("window count")
+	if err != nil || nWindows > archiveMaxCount {
+		return nil, fmt.Errorf("collect: archive window count")
+	}
+	for i := uint64(0); i < nWindows; i++ {
+		var w archiveWindow
+		// Bounds are wall-clock nanoseconds — far past uv's allocation
+		// bound — so read them raw like the cursor counters.
+		from, err := binary.ReadUvarint(buf)
+		if err != nil {
+			return nil, fmt.Errorf("collect: archive window from: %w", err)
+		}
+		to, err := binary.ReadUvarint(buf)
+		if err != nil {
+			return nil, fmt.Errorf("collect: archive window to: %w", err)
+		}
+		w.fromWall, w.toWall = int64(from), int64(to)
+		nwn, err := uv("window node count")
+		if err != nil || nwn > archiveMaxCount {
+			return nil, fmt.Errorf("collect: archive window node count")
+		}
+		for j := uint64(0); j < nwn; j++ {
+			var wn archiveWindowNode
+			node, err := uv("window node")
 			if err != nil {
 				return nil, err
 			}
-			if len(heat) > 0 {
-				legacy.nodes = append(legacy.nodes, archiveWindowNode{
-					node: ent.node, events: ent.events, heat: heat,
-				})
+			wn.node = uint32(node)
+			if wn.events, err = binary.ReadUvarint(buf); err != nil {
+				return nil, fmt.Errorf("collect: archive window events: %w", err)
 			}
+			if wn.heat, err = readHeat(wn.node); err != nil {
+				return nil, err
+			}
+			w.nodes = append(w.nodes, wn)
 		}
-		a.nodes = append(a.nodes, ent)
-	}
-	if ver == archiveVersionV1 {
-		if len(legacy.nodes) > 0 {
-			a.windows = append(a.windows, legacy)
-		}
-	} else {
-		nWindows, err := uv("window count")
-		if err != nil || nWindows > archiveMaxCount {
-			return nil, fmt.Errorf("collect: archive window count")
-		}
-		for i := uint64(0); i < nWindows; i++ {
-			var w archiveWindow
-			// Bounds are wall-clock nanoseconds — far past uv's allocation
-			// bound — so read them raw like the cursor counters.
-			from, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("collect: archive window from: %w", err)
-			}
-			to, err := binary.ReadUvarint(buf)
-			if err != nil {
-				return nil, fmt.Errorf("collect: archive window to: %w", err)
-			}
-			w.fromWall, w.toWall = int64(from), int64(to)
-			nwn, err := uv("window node count")
-			if err != nil || nwn > archiveMaxCount {
-				return nil, fmt.Errorf("collect: archive window node count")
-			}
-			for j := uint64(0); j < nwn; j++ {
-				var wn archiveWindowNode
-				node, err := uv("window node")
-				if err != nil {
-					return nil, err
-				}
-				wn.node = uint32(node)
-				if wn.events, err = binary.ReadUvarint(buf); err != nil {
-					return nil, fmt.Errorf("collect: archive window events: %w", err)
-				}
-				if wn.heat, err = readHeat(wn.node); err != nil {
-					return nil, err
-				}
-				w.nodes = append(w.nodes, wn)
-			}
-			a.windows = append(a.windows, w)
-		}
+		a.windows = append(a.windows, w)
 	}
 	if buf.Len() != 0 {
 		return nil, fmt.Errorf("collect: %d trailing archive bytes", buf.Len())

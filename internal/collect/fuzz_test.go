@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/internal/hotspot"
 	"tempest/internal/trace"
 )
 
@@ -212,6 +213,62 @@ func FuzzChunkDecode(f *testing.F) {
 			}
 		} else if newErr == nil {
 			t.Fatalf("symbols-only read rejected (%v) a chunk the full decode accepts", err)
+		}
+	})
+}
+
+// sampleArchive is a two-node, two-window archive with every field set.
+func sampleArchive() *fleetArchive {
+	heat := func(node uint32, name string, score float64) []hotspot.FunctionHeat {
+		return []hotspot.FunctionHeat{{Node: node, Name: name, AvgTemp: 51.5, MaxTemp: 60.25, TotalTimeS: 1.5, Score: score}}
+	}
+	return &fleetArchive{
+		nodes: []*archiveNode{
+			{node: 1, rank: 1, nextSeq: 9, segments: 12, events: 40_000, syms: []string{"main", "solve"}},
+			{node: 7, rank: 3, nextSeq: 1 << 40, segments: 2, events: 17, truncated: true, syms: []string{"io"}},
+		},
+		windows: []archiveWindow{
+			{fromWall: 1_700_000_000_000_000_000, toWall: 1_700_000_060_000_000_000, nodes: []archiveWindowNode{
+				{node: 1, events: 39_000, heat: [][]hotspot.FunctionHeat{heat(1, "solve", 12.5), nil, heat(1, "main", 0.25)}},
+				{node: 7, events: 17, heat: [][]hotspot.FunctionHeat{heat(7, "io", 3)}},
+			}},
+			{fromWall: 1_700_000_060_000_000_000, toWall: 1_700_000_120_000_000_000, nodes: []archiveWindowNode{
+				{node: 1, events: 1_000},
+			}},
+		},
+	}
+}
+
+// FuzzArchiveDecode drives the checkpoint-archive decoder with arbitrary
+// bytes: it must never panic, a blob the encoder wrote re-encodes to
+// itself, and any other blob it accepts re-encodes to one that does
+// (accepted input may spell a varint long-hand or set flag bits the
+// decoder drops, so its own bytes need not come back).
+func FuzzArchiveDecode(f *testing.F) {
+	canonical := encodeArchive(sampleArchive())
+	f.Add(canonical)
+	f.Add([]byte{})
+	f.Add(encodeArchive(&fleetArchive{}))
+	f.Add(canonical[:len(canonical)/2])
+	f.Add(append(bytes.Clone(canonical), 0))
+	f.Add([]byte{1, 0}) // version 1: no longer decodes
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		a, err := decodeArchive(blob)
+		if err != nil {
+			return
+		}
+		again := encodeArchive(a)
+		if bytes.Equal(blob, canonical) && !bytes.Equal(again, blob) {
+			t.Fatal("the encoder's own blob does not re-encode to itself")
+		}
+		b, err := decodeArchive(again)
+		if err != nil {
+			t.Fatalf("re-encoded archive does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeArchive(b), again) {
+			t.Fatal("re-encoding an accepted archive is not a fixed point")
 		}
 	})
 }
