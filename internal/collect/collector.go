@@ -52,19 +52,15 @@ type Options struct {
 	// acking it, and New replays the store into warm builders so acked
 	// data survives a crash. Empty = memory-only (the pre-store behavior).
 	StoreDir string
-	// StoreOptions tunes the durable store (Window, MaxSegmentBytes,
-	// Retention, SyncEvery). Metrics, Logger, Now and — unless overridden —
-	// Compact are wired by the collector itself.
+	// StoreOptions tunes the durable store (Window, Retention, SyncEvery).
+	// Metrics, Logger, Now and — unless overridden — Compact are wired by
+	// the collector itself.
 	StoreOptions store.Options
 	// ArchiveGranule is the wall-clock bucket width retention compaction
 	// folds aged-out batches into (default: the store's segment Window).
 	// Finer granules keep compacted history answerable for narrower
 	// /api/hotspots?window= queries at the cost of a larger archive.
 	ArchiveGranule time.Duration
-	// WindowCache bounds the per-shard LRU of decoded historical windows
-	// (default 16 entries) so dashboard scrubbing doesn't re-decode the
-	// same raw segments per request.
-	WindowCache int
 	// Policy configures the adaptive-sampling policy engine: when enabled,
 	// the collector ranks each node's coarse instrumentation buckets and
 	// piggybacks per-function enable/disable directives on ship-stream
@@ -81,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
-	}
-	if o.WindowCache <= 0 {
-		o.WindowCache = 16
 	}
 	o.Policy = o.Policy.withDefaults()
 	return o
@@ -314,7 +307,7 @@ func (c *Collector) Serve(ln net.Listener) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return errors.New("collect: collector closed")
+		return errCollectorClosed
 	}
 	c.ln = ln
 	c.mu.Unlock()
@@ -352,7 +345,7 @@ func (c *Collector) Serve(ln net.Listener) error {
 func (c *Collector) serveConn(conn net.Conn) {
 	defer conn.Close()
 	c.metrics.connections.Add(1)
-	br := bufio.NewReader(newCountingReader(conn, c.metrics.bytes))
+	br := bufio.NewReader(&countingReader{r: conn, n: c.metrics.bytes})
 	magic, err := br.Peek(4)
 	if err != nil {
 		return
@@ -413,10 +406,6 @@ func (c *Collector) Close() error {
 type countingReader struct {
 	r io.Reader
 	n *introspect.Counter
-}
-
-func newCountingReader(r io.Reader, n *introspect.Counter) *countingReader {
-	return &countingReader{r: r, n: n}
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {

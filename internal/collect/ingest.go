@@ -140,7 +140,7 @@ func (sh *shard) replayBatch(b store.Batch) error {
 	}
 	if b.Flags&store.FlagBulk != 0 {
 		ns.segments++ // bulk batches live outside the ship sequence space
-	} else if fresh, _ := ns.admit(b.Seq, gapReplay); !fresh {
+	} else if fresh, _ := ns.admit(b.Seq, "durable history gap (%d..%d lost)"); !fresh {
 		return nil // a duplicate that survived a historic race, or a gap
 	}
 	if b.Flags&store.FlagTruncated != 0 {
@@ -233,22 +233,15 @@ func (sh *shard) take(ns *nodeState, batch []trace.Event) error {
 	return ns.err
 }
 
-// How a hole in a node's ship sequence reads in its poisoning error:
-// found live it can only mean this collector lost state the shipper had
-// already had acknowledged; found on replay, that the store lost batches.
-const (
-	gapLive   = "sequence gap (%d..%d lost to a collector restart?)"
-	gapReplay = "durable history gap (%d..%d lost)"
-)
-
 // admit steps the node's ship sequence cursor over seq, the one place it
 // advances — shipped chunks, coarse reports and replayed batches share
 // the sequence space. A seq below the cursor is a duplicate (a resend of
 // a frame that arrived before the link died). A seq beyond it is a gap:
 // the symbols in the hole are unrecoverable, so the node is poisoned
-// rather than mis-attributed, and the cursor steps past the hole so the
-// shipper is acked instead of resending forever. Only a fresh seq counts
-// as a segment.
+// rather than mis-attributed — gap is the caller's account of how the
+// range was lost — and the cursor steps past the hole so the shipper is
+// acked instead of resending forever. Only a fresh seq counts as a
+// segment.
 func (ns *nodeState) admit(seq uint64, gap string) (fresh, dup bool) {
 	switch {
 	case seq < ns.nextSeq:
@@ -303,7 +296,9 @@ func (sh *shard) resume(node, rank uint32) ack {
 // feeds: the profile or the policy engine.
 func (sh *shard) frame(node, rank uint32, seq uint64, kind byte, payload []byte) ack {
 	return sh.ingest(node, rank, func(ns *nodeState, a *ack) {
-		switch fresh, dup := ns.admit(seq, gapLive); {
+		// Live, a gap can only mean this collector lost state the shipper
+		// already had acknowledged.
+		switch fresh, dup := ns.admit(seq, "sequence gap (%d..%d lost to a collector restart?)"); {
 		case dup:
 			a.dup = true // ack it again so the shipper retires it
 			return

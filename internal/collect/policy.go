@@ -31,10 +31,6 @@ type PolicyOptions struct {
 	// back to coarse (default 2) — the anti-flapping guard for
 	// functions hovering around the cut line.
 	HysteresisRounds int
-	// MaxDetail caps the detail set per node even while hysteresis holds
-	// demotions back (default 2*TopK). Beyond the cap, lowest-scored
-	// members are demoted immediately.
-	MaxDetail int
 	// EventBudget is the per-round overhead budget, expressed as the
 	// detail event volume (enter/exit pairs are the dominant
 	// instrumentation cost) one node may ship per evaluation round
@@ -43,10 +39,6 @@ type PolicyOptions struct {
 	// round under half budget. This is the backpressure that keeps the
 	// fleet under the paper's <7 % overhead bound at any workload rate.
 	EventBudget uint64
-	// Decay is the per-round multiplicative score decay (default 0.5):
-	// old heat fades so the ranking tracks the workload's present, and
-	// a function must sustain heat to hold a detail slot.
-	Decay float64
 	// StaticPriors seeds every new node's score table with the static
 	// cost model's predictions (function name → static score, any
 	// positive scale) so predicted-hot functions start in detail mode
@@ -67,14 +59,8 @@ func (p PolicyOptions) withDefaults() PolicyOptions {
 	if p.HysteresisRounds <= 0 {
 		p.HysteresisRounds = 2
 	}
-	if p.MaxDetail <= 0 {
-		p.MaxDetail = 2 * p.TopK
-	}
 	if p.EventBudget == 0 {
 		p.EventBudget = 100000
-	}
-	if p.Decay <= 0 || p.Decay >= 1 {
-		p.Decay = 0.5
 	}
 	return p
 }
@@ -165,6 +151,33 @@ func (sh *shard) tempFactor(ns *nodeState) float64 {
 	return factor
 }
 
+// policyDecay is the per-round multiplicative score decay: old heat fades
+// so the ranking tracks the workload's present, and a function must
+// sustain heat to hold a detail slot.
+const policyDecay = 0.5
+
+// ranked lists the members of set — nil: every scored function — by score,
+// descending; names tie-break for determinism. A member with no score
+// entry (a detail set restored after a restart) ranks with score 0.
+func (np *nodePolicy) ranked(set map[string]bool) []PolicyFunc {
+	out := []PolicyFunc{}
+	if set == nil {
+		for name, sc := range np.scores {
+			out = append(out, PolicyFunc{Name: name, Score: sc})
+		}
+	}
+	for name := range set {
+		out = append(out, PolicyFunc{Name: name, Score: np.scores[name]})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
+}
+
 // evalPolicy runs one policy round for a node if the engine is enabled
 // and the round interval has elapsed. It returns a control frame when
 // the round produced a new directive (which the caller's connection
@@ -193,7 +206,7 @@ func (sh *shard) evalPolicy(ns *nodeState) *ctlFrame {
 	// Fold the round's accumulation into decayed scores.
 	factor := sh.tempFactor(ns)
 	for name, sc := range np.scores {
-		np.scores[name] = sc * po.Decay
+		np.scores[name] = sc * policyDecay
 	}
 	for name, nanos := range np.acc {
 		np.scores[name] += (float64(nanos) / 1e9) * factor
@@ -216,25 +229,11 @@ func (sh *shard) evalPolicy(ns *nodeState) *ctlFrame {
 	}
 	np.roundEvents = 0
 
-	// Rank by score, descending; names tie-break for determinism.
-	type cand struct {
-		name  string
-		score float64
-	}
-	ranked := make([]cand, 0, len(np.scores))
-	for name, sc := range np.scores {
-		ranked = append(ranked, cand{name, sc})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
-		}
-		return ranked[i].name < ranked[j].name
-	})
+	ranked := np.ranked(nil)
 	topK := map[string]bool{}
-	for i := 0; i < len(ranked) && i < np.allowed; i++ {
-		if ranked[i].score > 0 {
-			topK[ranked[i].name] = true
+	for _, f := range ranked[:min(len(ranked), np.allowed)] {
+		if f.Score > 0 {
+			topK[f.Name] = true
 		}
 	}
 
@@ -255,21 +254,12 @@ func (sh *shard) evalPolicy(ns *nodeState) *ctlFrame {
 			delete(np.outRounds, name)
 		}
 	}
-	// Hard cap: evict lowest-scored members beyond MaxDetail at once.
-	if len(np.detail) > po.MaxDetail {
-		members := make([]cand, 0, len(np.detail))
-		for name := range np.detail {
-			members = append(members, cand{name, np.scores[name]})
-		}
-		sort.Slice(members, func(i, j int) bool {
-			if members[i].score != members[j].score {
-				return members[i].score > members[j].score
-			}
-			return members[i].name < members[j].name
-		})
-		for _, m := range members[po.MaxDetail:] {
-			delete(np.detail, m.name)
-			delete(np.outRounds, m.name)
+	// Hard cap on the detail set even while hysteresis holds demotions
+	// back: the lowest-scored members beyond it are demoted at once.
+	if maxDetail := 2 * po.TopK; len(np.detail) > maxDetail {
+		for _, f := range np.ranked(np.detail)[maxDetail:] {
+			delete(np.detail, f.Name)
+			delete(np.outRounds, f.Name)
 		}
 	}
 
@@ -305,22 +295,9 @@ func (sh *shard) seedPriors(ns *nodeState, np *nodePolicy, po PolicyOptions) *ct
 	if np.allowed == 0 {
 		np.allowed = po.TopK
 	}
-	type cand struct {
-		name  string
-		score float64
-	}
-	ranked := make([]cand, 0, len(np.scores))
-	for name, sc := range np.scores {
-		ranked = append(ranked, cand{name, sc})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
-		}
-		return ranked[i].name < ranked[j].name
-	})
-	for i := 0; i < len(ranked) && i < np.allowed; i++ {
-		np.detail[ranked[i].name] = true
+	ranked := np.ranked(nil)
+	for _, f := range ranked[:min(len(ranked), np.allowed)] {
+		np.detail[f.Name] = true
 	}
 	sh.c.metrics.policySeeds.Add(1)
 	return sh.issueDirective(ns, np)
@@ -398,14 +375,6 @@ func (ns *nodeState) policyStatus() PolicyStatus {
 	st.Rounds = np.rounds
 	st.Tracked = len(np.scores)
 	st.Seeded = np.seeded
-	for name := range np.detail {
-		st.Detail = append(st.Detail, PolicyFunc{Name: name, Score: np.scores[name]})
-	}
-	sort.Slice(st.Detail, func(i, j int) bool {
-		if st.Detail[i].Score != st.Detail[j].Score {
-			return st.Detail[i].Score > st.Detail[j].Score
-		}
-		return st.Detail[i].Name < st.Detail[j].Name
-	})
+	st.Detail = np.ranked(np.detail)
 	return st
 }

@@ -36,8 +36,6 @@ type ShipperOptions struct {
 	// 20ms / 1s). The shipper redials forever; only Close stops it.
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
-	// HandshakeTimeout bounds the hello/resume exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// WriteTimeout is the per-frame write deadline (default 10s).
 	WriteTimeout time.Duration
 	// FlushTimeout bounds how long Close waits for the queue to drain
@@ -74,9 +72,6 @@ func (o ShipperOptions) withDefaults() ShipperOptions {
 	}
 	if o.DialBackoffMax == 0 {
 		o.DialBackoffMax = time.Second
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 5 * time.Second
 	}
 	if o.WriteTimeout == 0 {
 		o.WriteTimeout = 10 * time.Second
@@ -463,15 +458,16 @@ func (s *Shipper) connect() net.Conn {
 	}
 }
 
+// handshakeTimeout bounds the hello/resume exchange.
+const handshakeTimeout = 5 * time.Second
+
 // handshake sends the hello and reads the collector's resume cursor —
 // a downstream ack frame. The collector may follow it immediately with
 // its current control directive; that (and everything after) belongs to
 // the downstream reader, which starts once the handshake returns.
 func (s *Shipper) handshake(conn net.Conn) (uint64, error) {
-	if s.opts.HandshakeTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-		defer conn.SetDeadline(time.Time{})
-	}
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	defer conn.SetDeadline(time.Time{})
 	if err := writeHello(conn, hello{NodeID: s.nodeID, Rank: s.rank}); err != nil {
 		return 0, err
 	}

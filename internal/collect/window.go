@@ -123,19 +123,24 @@ func (h *shardHistory) invalidateAppend(wall int64) {
 	}
 }
 
+// windowCache is how many decoded windows each shard's LRU holds.
+const windowCache = 16
+
 // decodeWindow rebuilds every node's profile over the raw batches
 // committed in [from, to), serving from the LRU when the same range was
 // decoded before. The prefix pass replays earlier chunks through each
 // node's symbol table only — chunk symbol ids are dense and cumulative,
 // so in-range payloads decode correctly no matter where the range starts —
 // and the in-range pass folds events into throwaway mid-stream builders.
-func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDecode, error) {
+// The archive the range's folded half is answered from comes back with it.
+func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*fleetArchive, *windowDecode, error) {
 	sh.c.metrics.windowQueries.Add(1)
+	arch := sh.histArchive(hs) // before the lookup: a compaction since empties the cache
 	key := fmt.Sprintf("%d:%d", from, to)
 	if el, ok := sh.hist.idx[key]; ok {
 		sh.c.metrics.windowCacheHits.Add(1)
 		sh.hist.lru.MoveToFront(el)
-		return el.Value.(*histCacheEnt).dec, nil
+		return arch, el.Value.(*histCacheEnt).dec, nil
 	}
 	start := time.Now()
 
@@ -144,7 +149,6 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 		b    *parser.Builder
 		dead bool
 	}
-	arch := sh.histArchive(hs)
 	folds := map[uint32]*winFold{}
 	var order []uint32
 	var scratch []trace.Event
@@ -203,7 +207,7 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dec := &windowDecode{byNode: map[uint32]*parser.NodeProfile{}}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
@@ -226,12 +230,12 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*windowDec
 		sh.hist.idx = map[string]*list.Element{}
 	}
 	sh.hist.idx[key] = sh.hist.lru.PushFront(&histCacheEnt{key: key, to: to, dec: dec})
-	for sh.hist.lru.Len() > sh.c.opts.WindowCache {
+	for sh.hist.lru.Len() > windowCache {
 		el := sh.hist.lru.Back()
 		delete(sh.hist.idx, el.Value.(*histCacheEnt).key)
 		sh.hist.lru.Remove(el)
 	}
-	return dec, nil
+	return arch, dec, nil
 }
 
 // WindowHotspots computes a time-ranged /api/hotspots answer over
@@ -252,9 +256,8 @@ func (c *Collector) WindowHotspots(sensor, k int, from, to int64) (*HotspotsResp
 				return
 			}
 			durable++
-			arch := sh.histArchive(hs)
-			var dec *windowDecode
-			if dec, err = sh.decodeWindow(hs, from, to); err != nil {
+			arch, dec, derr := sh.decodeWindow(hs, from, to)
+			if err = derr; err != nil {
 				return
 			}
 			nps = append(nps, dec.profiles...)
@@ -289,9 +292,8 @@ func (c *Collector) WindowSeries(id uint32, from, to int64) (np *parser.NodeProf
 			err = errUnknownNode(id)
 			return
 		}
-		arch := sh.histArchive(hs)
-		var dec *windowDecode
-		if dec, err = sh.decodeWindow(hs, from, to); err != nil {
+		arch, dec, derr := sh.decodeWindow(hs, from, to)
+		if err = derr; err != nil {
 			return
 		}
 		np = dec.byNode[id]

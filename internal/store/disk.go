@@ -625,10 +625,14 @@ func (d *Disk) Replay(archiveFn func([]byte) error, batchFn func(Batch) error) e
 	return nil
 }
 
+// maxSegmentBytes rolls the active segment early, bounding the worst-case
+// torn tail scan.
+const maxSegmentBytes = 64 << 20
+
 // shouldRoll reports whether the active segment is past its time window
 // or size bound.
 func (d *Disk) shouldRoll(now time.Time) bool {
-	return now.Sub(d.segStart) >= d.opts.Window || d.segBytes >= d.opts.MaxSegmentBytes
+	return now.Sub(d.segStart) >= d.opts.Window || d.segBytes >= maxSegmentBytes
 }
 
 // fail poisons the store with its first I/O error.

@@ -155,9 +155,6 @@ type Options struct {
 	// Window is how long one segment file stays active before rolling
 	// (default 1h). Shorter windows mean finer-grained retention.
 	Window time.Duration
-	// MaxSegmentBytes rolls the active segment early when it grows past
-	// this size (default 64 MiB), bounding the worst-case torn tail scan.
-	MaxSegmentBytes int64
 	// Retention is how long raw batches are kept before compaction folds
 	// them into the checkpoint archive (0 = keep raw forever, never
 	// compact).
@@ -185,9 +182,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = time.Hour
-	}
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = 64 << 20
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 1

@@ -58,24 +58,13 @@ func (tr *Trace) Write(w io.Writer) error {
 	if sym == nil {
 		sym = NewSymTab()
 	}
-	names := sym.Names()
-	if err := putUvarint(uint64(len(names))); err != nil {
+	// The whole table as one symbol section: the layout v2 kept.
+	syms, _, err := AppendSymbols(nil, sym, 0)
+	if err != nil {
 		return err
 	}
-	for id, name := range names {
-		addr, err := sym.Addr(uint32(id))
-		if err != nil {
-			return err
-		}
-		if err := putUvarint(addr); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(len(name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return err
-		}
+	if _, err := bw.Write(syms); err != nil {
+		return err
 	}
 
 	if err := putUvarint(uint64(len(tr.Events))); err != nil {
