@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -378,6 +379,29 @@ func TestCollectorClosedRejectsQueries(t *testing.T) {
 	}
 	if n := c.Nodes(); len(n) != 0 {
 		t.Fatalf("Nodes after Close = %v", n)
+	}
+	// Fleet-wide queries give their empty answer, everything that names a
+	// node or a range says why it cannot.
+	if p := c.Profile(); len(p.Nodes) != 0 {
+		t.Fatalf("Profile after Close = %d nodes", len(p.Nodes))
+	}
+	if ps := c.PolicyStatuses(); len(ps) != 0 {
+		t.Fatalf("PolicyStatuses after Close = %v", ps)
+	}
+	if h, err := c.Hotspots(0, 10); err != nil || len(h.Functions)+len(h.Merged)+len(h.Nodes) != 0 {
+		t.Fatalf("Hotspots after Close = %+v, %v", h, err)
+	}
+	closed := map[string]error{}
+	_, closed["NodeProfile"] = c.NodeProfile(1)
+	_, _, _, closed["CritPath"] = c.CritPath(1)
+	_, closed["WindowHotspots"] = c.WindowHotspots(0, 10, 0, math.MaxInt64)
+	_, _, _, closed["WindowSeries"] = c.WindowSeries(1, 0, math.MaxInt64)
+	_, closed["NodeWindows"] = c.NodeWindows(1)
+	closed["IngestTrace"] = c.IngestTrace(buildTrace(t, 1, []string{"x"}, 2))
+	for method, err := range closed {
+		if !errors.Is(err, errCollectorClosed) {
+			t.Errorf("%s after Close: err = %v, want errCollectorClosed", method, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/instrument"
 	"tempest/internal/store"
 	"tempest/internal/trace"
 	"tempest/internal/tracegen"
@@ -99,5 +100,77 @@ func TestArchiveV1IsUndecodable(t *testing.T) {
 	}
 	if n := c2.DegradedStoreShards(); n != 0 {
 		t.Fatalf("%d shards degraded: an undecodable archive must not cost durability", n)
+	}
+}
+
+// TestAdmitCursorDiscipline pins the one routine that steps a node's
+// ship sequence cursor, through each of its three callers: a shipped
+// chunk, a coarse report and a replayed batch, each arriving below, at
+// and above a cursor of 5. A duplicate re-acks and changes nothing; a
+// fresh frame steps the cursor and counts a segment; a gap poisons the
+// node with the caller's message, steps past the hole and counts nothing.
+func TestAdmitCursorDiscipline(t *testing.T) {
+	chunk, _, err := encodeChunk([]trace.Event{{Kind: trace.KindSample, ValueC: 40, TS: time.Millisecond}}, trace.NewSymTab(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse := encodeCoarse([]instrument.CoarseStat{{Name: "f", Calls: 1, Nanos: 1000}})
+	const liveGap = "collect: node 1: sequence gap (5..7 lost to a collector restart?)"
+	for _, via := range []struct {
+		name    string
+		gapMsg  string
+		deliver func(sh *shard, seq uint64) (a ack, live bool)
+	}{
+		{"chunk", liveGap, func(sh *shard, seq uint64) (ack, bool) {
+			return sh.frame(1, 0, seq, frameData, chunk), true
+		}},
+		{"coarse", liveGap, func(sh *shard, seq uint64) (ack, bool) {
+			return sh.frame(1, 0, seq, frameCoarse, coarse), true
+		}},
+		{"replay", "collect: node 1: durable history gap (5..7 lost)", func(sh *shard, seq uint64) (ack, bool) {
+			if err := sh.replayBatch(store.Batch{Node: 1, Seq: seq, Payload: chunk}); err != nil {
+				t.Fatal(err)
+			}
+			return ack{}, false
+		}},
+	} {
+		for _, tc := range []struct {
+			name     string
+			seq      uint64
+			wantNext uint64
+			wantDup  bool
+			wantSegs uint64
+			wantErr  string
+		}{
+			{"below", 3, 5, true, 0, ""},
+			{"at", 5, 6, false, 1, ""},
+			{"above", 8, 9, false, 0, via.gapMsg},
+		} {
+			t.Run(via.name+"/"+tc.name, func(t *testing.T) {
+				c := New(Options{Shards: 1, Logger: quietLogger()})
+				defer c.Close()
+				sh := c.shards[0]
+				ns := sh.node(1, 0)
+				ns.nextSeq = 5
+				a, live := via.deliver(sh, tc.seq)
+				gotErr := ""
+				if ns.err != nil {
+					gotErr = ns.err.Error()
+				}
+				if ns.nextSeq != tc.wantNext || ns.segments != tc.wantSegs || gotErr != tc.wantErr {
+					t.Errorf("node after seq %d: cursor %d, %d segments, err %q; want cursor %d, %d segments, err %q",
+						tc.seq, ns.nextSeq, ns.segments, gotErr, tc.wantNext, tc.wantSegs, tc.wantErr)
+				}
+				if !live {
+					return
+				}
+				if a.resume != tc.wantNext || a.dup != tc.wantDup || (a.err != nil) != (tc.wantErr != "") {
+					t.Errorf("ack = %+v, want resume %d dup %v err %q", a, tc.wantNext, tc.wantDup, tc.wantErr)
+				}
+				if got := c.metrics.shardSegments[0].Value(); got != tc.wantSegs {
+					t.Errorf("shard segment counter = %d, want %d", got, tc.wantSegs)
+				}
+			})
+		}
 	}
 }
