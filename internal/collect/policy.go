@@ -66,7 +66,7 @@ func (p PolicyOptions) withDefaults() PolicyOptions {
 }
 
 // nodePolicy is one node's policy-engine state, owned (like the rest of
-// nodeState) by exactly one shard worker.
+// nodeState) by exactly one shard.
 type nodePolicy struct {
 	// scores holds the decayed degree-seconds score per function name:
 	// each round adds Δseconds-in-function × max(0, sensorAvg−sensorMin)
@@ -111,8 +111,8 @@ func (ns *nodeState) policyState() *nodePolicy {
 	return ns.policy
 }
 
-// ctlFrame is a directive ready for the wire, handed from a shard
-// worker to the connection handler that writes it.
+// ctlFrame is a directive ready for the wire, handed from a shard call
+// to the connection handler that writes it.
 type ctlFrame struct {
 	rev     uint64
 	payload []byte
