@@ -230,4 +230,11 @@ func TestAdaptiveSamplingClosesTheLoop(t *testing.T) {
 	if len(sts[0].Detail) != 1 || sts[0].Detail[0].Name != "e2e.hotLoop" {
 		t.Fatalf("collector detail set = %+v, want [e2e.hotLoop]", sts[0].Detail)
 	}
+	// A real tracer's drains, shipped as they come: nothing may land
+	// behind the collector-side builder's fold boundary.
+	for _, st := range c.Nodes() {
+		if st.LateEvents != 0 || st.Err != "" {
+			t.Fatalf("collector node status %+v, want no late events and no error", st)
+		}
+	}
 }

@@ -297,6 +297,11 @@ func TestDaemonStoreChaosSIGKILL(t *testing.T) {
 	if gotProf != wantProf {
 		t.Errorf("node profile after SIGKILL recovery diverges:\n--- recovered ---\n%s--- oracle ---\n%s", gotProf, wantProf)
 	}
+	// Resends and replay deliver whole batches in order: nothing may land
+	// behind the builder's fold boundary (the field is omitted at zero).
+	if nodes := getBody(t, httpAddr, "/api/nodes"); strings.Contains(nodes, "late_events") {
+		t.Errorf("/api/nodes reports late events after SIGKILL recovery:\n%s", nodes)
+	}
 
 	// Graceful stop, then the operator-facing verifier over the full
 	// crash-spanning history must pass.

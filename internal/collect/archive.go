@@ -610,6 +610,7 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 			} else {
 				nf.fresh += uint64(len(ev))
 			}
+			nf.b.Fold()
 		}
 		if err := flush(); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"testing"
+	"time"
 
 	"tempest/internal/trace"
 	"tempest/internal/tracegen"
@@ -44,6 +45,50 @@ func BenchmarkDecodeChunk(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(chunks*perChunk), "ns/event")
+		})
+	}
+}
+
+// shipFleet ships chunks fleet-shaped chunks (tracegen: 4096 events or
+// about 5 ms of virtual time each) from each of nodes nodes, numbered
+// from 1.
+func shipFleet(tb testing.TB, c *Collector, nodes, chunks int, sampleEvery time.Duration) {
+	tb.Helper()
+	const perChunk = 4096
+	for node := uint32(1); int(node) <= nodes; node++ {
+		g := tracegen.New(tracegen.Config{Seed: int64(node), SampleEvery: sampleEvery})
+		if a := shipChunks(tb, c, node, g.Sym(), 0, g.Fill(nil, chunks*perChunk), perChunk); a.err != nil {
+			tb.Fatal(a.err)
+		}
+	}
+}
+
+var hotspotsSink *HotspotsResponse
+
+// BenchmarkCollectorHotspots ranks a two-node fleet's live state after 32
+// chunks a node and after eight times the events, sampled an eighth as
+// often so that both histories hold the same eight samples a node: with
+// the builders folded the two cost the same, where copying every span
+// made a ranking cost in proportion to events.
+func BenchmarkCollectorHotspots(b *testing.B) {
+	for _, h := range []struct {
+		name        string
+		chunks      int
+		sampleEvery time.Duration
+	}{{"1x", 32, 20 * time.Millisecond}, {"8x", 256, 160 * time.Millisecond}} {
+		b.Run(h.name, func(b *testing.B) {
+			c := New(Options{Shards: 1, Logger: quietLogger()})
+			defer c.Close()
+			shipFleet(b, c, 2, h.chunks, h.sampleEvery)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := c.Hotspots(0, 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hotspotsSink = resp
+			}
 		})
 	}
 }

@@ -80,6 +80,14 @@ func TestChaosShipByteIdenticalToOfflineParse(t *testing.T) {
 				}
 			}
 
+			// Dead links resend whole chunks in sequence: nothing may land
+			// behind a builder's fold boundary.
+			for _, st := range c.Nodes() {
+				if st.LateEvents != 0 {
+					t.Errorf("node %d: %d late events after chaos", st.NodeID, st.LateEvents)
+				}
+			}
+
 			// The fleet hot-spot ranking must equal internal/hotspot run
 			// over the offline-parsed profiles of the same traces.
 			offline := &parser.Profile{Unit: parser.Fahrenheit}

@@ -96,6 +96,10 @@ type NodeStatus struct {
 	// into folded hot-spot archives — still in Hotspots, gone from
 	// /api/profile.
 	ArchivedEvents uint64 `json:"archived_events,omitempty"`
+	// LateEvents counts enters, exits and samples that arrived stamped
+	// before the profile builder's fold boundary (parser.Builder.Fold):
+	// more than two batches out of order, attributed best effort.
+	LateEvents uint64 `json:"late_events,omitempty"`
 }
 
 // nodeState is one node's ingest state, owned by exactly one shard.
@@ -111,8 +115,7 @@ type nodeState struct {
 	nextSeq  uint64
 	segments uint64
 	lastSeen time.Time
-	batch    []trace.Event // reused chunk decode buffer
-	err      error         // poisoned: gap in the stream or Builder failure
+	err      error // poisoned: gap in the stream or Builder failure
 
 	// crit is the node's streaming critical-path analyzer: it consumes the
 	// same facts as builder and answers /api/critpath and /api/timeline.
@@ -158,6 +161,9 @@ type shard struct {
 	// shard degraded.
 	store   store.Store
 	durable bool // disk-backed and not degraded
+
+	// batch is the one chunk decode buffer (see decode).
+	batch []trace.Event
 
 	// hist is the shard's historical-query state: the decoded checkpoint
 	// archive plus an LRU of decoded raw windows, lazily built on the

@@ -125,6 +125,9 @@ func TestChaosControlLoopConvergesAndSurvivesRestart(t *testing.T) {
 			if got := renderNode(t, np); got != wantRender {
 				t.Fatalf("profile diverged under control chaos:\n got:\n%s\nwant:\n%s", got, wantRender)
 			}
+			if st := c.Nodes(); len(st) != 1 || st[0].LateEvents != 0 {
+				t.Fatalf("node status %+v, want one node without late events", st)
+			}
 
 			sts := c.PolicyStatuses()
 			if len(sts) != 1 {

@@ -20,7 +20,7 @@ import (
 // chunks of at most chunk events — the frames a Shipper would write,
 // minus the socket. symCursor is how many of sym's names the collector
 // already holds for the node.
-func shipChunks(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, symCursor int, evs []trace.Event, chunk int) ack {
+func shipChunks(t testing.TB, c *Collector, node uint32, sym *trace.SymTab, symCursor int, evs []trace.Event, chunk int) ack {
 	t.Helper()
 	sh := c.shardFor(node)
 	resp := sh.resume(node, 0)

@@ -159,14 +159,13 @@ func (sh *shard) replayBatch(b store.Batch) error {
 		}
 		return nil
 	}
-	batch, err := decodeChunk(b.Payload, ns.sym, ns.batch)
+	batch, err := sh.decode(b.Payload, ns.sym)
 	if err != nil {
 		ns.err = err
 		return nil
 	}
-	ns.batch = batch[:0]
 	ns.symsStored = ns.sym.Len()
-	ns.err = ns.fold(batch)
+	ns.err = sh.fold(ns, batch)
 	return nil
 }
 
@@ -205,27 +204,46 @@ func newBuilder(core *trace.Fold, node uint32, unit parser.Unit, sampleInterval 
 	return parser.NewBuilderOn(core, node, parser.Options{Unit: unit, SampleInterval: sampleInterval, MidStream: midStream})
 }
 
+// decode decodes one chunk against a node's symbol table into the shard's
+// one decode buffer: the events are the caller's until its next decode.
+// Decode and fold run under mu and nothing keeps a batch beyond its fold,
+// so live chunks, replay and ranged reads share the buffer.
+func (sh *shard) decode(payload []byte, sym *trace.SymTab) ([]trace.Event, error) {
+	batch, err := decodeChunk(payload, sym, sh.batch)
+	if err == nil {
+		sh.batch = batch[:0]
+	}
+	return batch, err
+}
+
 // fold runs one accepted batch through the node's single stack-matching
 // pass: the core steps each event once and both consumers take the fact.
 // An error is the builder's and poisons the node; the analyzer has then
-// seen exactly the events the builder consumed.
-func (ns *nodeState) fold(batch []trace.Event) error {
+// seen exactly the events the builder consumed. The batch over, the
+// builder folds what lies two batches back — ship, bulk and replay all
+// come through here, so a restart folds where the first run did.
+func (sh *shard) fold(ns *nodeState, batch []trace.Event) error {
+	late, resident := ns.builder.Late(), ns.builder.Resident()
+	var err error
 	for i := range batch {
 		e := &batch[i]
 		m := ns.core.Step(e)
-		if err := ns.builder.Apply(e, m); err != nil {
-			return err
+		if err = ns.builder.Apply(e, m); err != nil {
+			break
 		}
 		ns.crit.Apply(ns.id, ns.core, e, m)
 	}
-	return nil
+	ns.builder.Fold()
+	sh.c.metrics.lateEvents.Add(ns.builder.Late() - late)
+	sh.c.metrics.residentSpans.Add(int64(ns.builder.Resident() - resident))
+	return err
 }
 
 // take folds one accepted batch into a healthy node, timed and counted;
 // a fold failure poisons the node.
 func (sh *shard) take(ns *nodeState, batch []trace.Event) error {
 	start := time.Now()
-	ns.err = ns.fold(batch)
+	ns.err = sh.fold(ns, batch)
 	sh.c.metrics.foldSeconds.ObserveSince(start)
 	if ns.err == nil {
 		sh.c.metrics.events.Add(uint64(len(batch)))
@@ -324,13 +342,12 @@ func (sh *shard) frame(node, rank uint32, seq uint64, kind byte, payload []byte)
 // not decode is not persisted; one that will not fold already is.
 func (sh *shard) chunk(ns *nodeState, seq uint64, payload []byte) (*ctlFrame, error) {
 	start := time.Now()
-	batch, err := decodeChunk(payload, ns.sym, ns.batch)
+	batch, err := sh.decode(payload, ns.sym)
 	sh.c.metrics.decodeSeconds.ObserveSince(start)
 	if err != nil {
 		ns.err = err
 		return nil, err
 	}
-	ns.batch = batch[:0]
 	// Durable commit before the ack this call triggers: once the shipper
 	// retires the chunk, only the store remembers it.
 	sh.persist(ns, seq, 0, payload)

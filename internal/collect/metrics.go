@@ -41,6 +41,8 @@ type Metrics struct {
 	encodeErrors  *introspect.Counter      // JSON response encode/write failures
 	streamErrors  *introspect.Counter      // mid-stream response failures (aborted connections)
 	decodeSeconds *introspect.Distribution // chunk decode latency
+	lateEvents    *introspect.Counter      // events stamped before their builder's fold boundary
+	residentSpans *introspect.Gauge        // spans the live builders hold in memory
 
 	storeDegrades       *introspect.Counter // shard falls to memory-only ingest
 	storeDegradedShards *introspect.Gauge   // shards currently memory-only (also drives /healthz)
@@ -77,6 +79,8 @@ func newMetrics(shards int) *Metrics {
 	}
 	m.foldSeconds = m.debug.Distribution("tempest_collect_fold_seconds", "Profile + critical-path fold latency per ingested segment.")
 	m.decodeSeconds = m.debug.Distribution("tempest_collect_decode_seconds", "Chunk decode latency per shipped frame.")
+	m.lateEvents = m.debug.Counter("tempest_collect_late_events_total", "Enters, exits and samples that arrived more than two batches out of order (attributed best effort).")
+	m.residentSpans = m.debug.Gauge("tempest_collect_resident_spans", "Function spans the live profile builders hold in memory.")
 	m.encodeErrors = m.debug.Counter("tempest_collect_response_encode_errors_total", "JSON API responses whose encode or write failed.")
 	m.streamErrors = m.debug.Counter("tempest_collect_stream_abort_total", "Streaming API responses aborted after the first byte.")
 	m.storeDegrades = m.debug.Counter("tempest_collect_store_degrade_events_total", "Shards that fell from durable to memory-only ingest.")

@@ -58,8 +58,10 @@ func (c *Collector) Nodes() []NodeStatus {
 			Events:         ns.builder.Events(),
 			Segments:       ns.segments,
 			DurationS:      ns.builder.Duration().Seconds(),
+			Truncated:      ns.builder.Truncated(),
 			LastSeen:       ns.lastSeen,
 			ArchivedEvents: ns.archEvents,
+			LateEvents:     ns.builder.Late(),
 		}
 		if ns.err != nil {
 			st.Err = ns.err.Error()

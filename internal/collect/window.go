@@ -151,7 +151,6 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*fleetArch
 	}
 	folds := map[uint32]*winFold{}
 	var order []uint32
-	var scratch []trace.Event
 	// fold returns the state of the node a batch of events belongs to,
 	// nil for a batch that holds none or whose node has dropped out.
 	fold := func(b store.Batch) *winFold {
@@ -192,9 +191,8 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*fleetArch
 			if nf == nil {
 				return nil
 			}
-			ev, err := decodeChunk(b.Payload, nf.sym, scratch)
+			ev, err := sh.decode(b.Payload, nf.sym)
 			if err == nil {
-				scratch = ev[:0]
 				if nf.b == nil {
 					nf.b = newBuilder(trace.NewFold(nf.sym), b.Node, sh.c.opts.Unit, sh.c.opts.SampleInterval, true)
 				}
@@ -202,6 +200,7 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, from, to int64) (*fleetArch
 					nf.b.SetTruncated(true)
 				}
 				err = nf.b.Add(ev)
+				nf.b.Fold()
 			}
 			nf.dead = err != nil
 			return nil

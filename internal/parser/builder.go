@@ -3,6 +3,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -10,11 +11,25 @@ import (
 	"tempest/internal/trace"
 )
 
-// funcState is one function's accumulated profile state, indexed by
-// FuncID.
+// funcState is the part of one function's profile state that every enter
+// and exit touches, indexed by FuncID.
 type funcState struct {
-	intervals []Interval // merged inclusive spans
+	// intervals are the resident spans, merged inclusive: every span on a
+	// builder nobody folds, behind a fold boundary only those a later
+	// event can still touch.
+	intervals []Interval
 	calls     int64
+}
+
+// foldState is the rest of it, which only Fold and finish touch: what is
+// left of the function's history behind the fold boundary.
+type foldState struct {
+	// spilled is the total length of the spans Fold took out of intervals,
+	// spillEnd where the last of them ended.
+	spilled, spillEnd time.Duration
+	// vals holds, per sensor id, the values of the settled samples the
+	// function covered, in sample order.
+	vals [][]float64
 }
 
 // Builder is the streaming core of the parser: it consumes event batches
@@ -35,7 +50,10 @@ type funcState struct {
 //
 // Peak memory is O(profile) — samples, merged intervals, open frames —
 // independent of how many events flowed through, where batch Parse holds
-// the whole event slice plus one raw interval per call.
+// the whole event slice plus one raw interval per call. An owner that
+// calls Fold between batches and does not need FuncProfile.Intervals
+// brings the intervals down to those of its last three batches: what is
+// left grows with samples, not events.
 //
 // Feed order contract: events within a lane must arrive in record order
 // (any Scanner or Tracer drain guarantees this); lanes may interleave
@@ -55,10 +73,22 @@ type Builder struct {
 	sensorNames map[int]string
 	maxSensor   int
 	health      []HealthEvent
-	samples     [][]Sample           // per sensor id, arrival order
+	samples     [][]Sample           // per sensor id: settled ones in sample order, then arrival order
+	settled     []int                // per sensor id: how many of samples, from the front, are settled
 	sensorAcc   []*stats.Accumulator // per sensor id, O(1) streaming stats
 
-	funcs []funcState // by FuncID; never longer than the symbol table
+	funcs  []funcState // by FuncID; never longer than the symbol table
+	folded []foldState // by FuncID, as long as funcs
+	active []uint32    // the functions that hold resident spans
+
+	// The fold boundary (see Fold): samples stamped before it are settled,
+	// spans that ended before it spilled, and any enter, exit or sample
+	// that still arrives from before it is late. It starts at the trace
+	// origin and only Fold moves it.
+	bound    time.Duration
+	marks    [2]time.Duration // duration at the last Fold and at the one before
+	markedAt uint64           // events at the last Fold
+	late     uint64
 
 	err error // poisoned after a structural error
 }
@@ -88,6 +118,9 @@ func NewBuilderOn(core *trace.Fold, nodeID uint32, opts Options) *Builder {
 // trace tail (the Scanner's Truncated verdict).
 func (b *Builder) SetTruncated(t bool) { b.truncated = t }
 
+// Truncated reports what SetTruncated last set.
+func (b *Builder) Truncated() bool { return b.truncated }
+
 // Events reports how many events have been consumed.
 func (b *Builder) Events() uint64 { return b.events }
 
@@ -96,6 +129,20 @@ func (b *Builder) Duration() time.Duration { return b.duration }
 
 // Err returns the structural error that poisoned the builder, if any.
 func (b *Builder) Err() error { return b.err }
+
+// Late counts the enters, exits and samples that arrived stamped before
+// the fold boundary of their moment. Their attribution is best effort;
+// with none, a folded builder's profile equals an unfolded one's.
+func (b *Builder) Late() uint64 { return b.late }
+
+// Resident counts the spans held in memory.
+func (b *Builder) Resident() int {
+	n := 0
+	for _, fid := range b.active {
+		n += len(b.funcs[fid].intervals)
+	}
+	return n
+}
 
 // Add folds one batch of events into the builder. The batch may be a
 // reused buffer (Scanner semantics): nothing is retained beyond the
@@ -129,7 +176,9 @@ func (b *Builder) Apply(e *trace.Event, m trace.Fact) error {
 // symbol table, which bounds how far the table grows.
 func (b *Builder) fn(fid uint32) *funcState {
 	if int(fid) >= len(b.funcs) {
-		b.funcs = append(b.funcs, make([]funcState, b.core.NumSyms()-len(b.funcs))...)
+		n := b.core.NumSyms() - len(b.funcs)
+		b.funcs = append(b.funcs, make([]funcState, n)...)
+		b.folded = append(b.folded, make([]foldState, n)...)
 	}
 	return &b.funcs[fid]
 }
@@ -137,6 +186,11 @@ func (b *Builder) fn(fid uint32) *funcState {
 func (b *Builder) apply(e *trace.Event, m trace.Fact) error {
 	if e.TS > b.duration {
 		b.duration = e.TS
+	} else if e.TS < b.bound {
+		switch e.Kind {
+		case trace.KindEnter, trace.KindExit, trace.KindSample:
+			b.late++
+		}
 	}
 	if m.Unknown {
 		// Caught here, one batch is rejected; caught at Finish (where the
@@ -168,6 +222,7 @@ func (b *Builder) apply(e *trace.Event, m trace.Fact) error {
 		}
 		for len(b.samples) <= sid {
 			b.samples = append(b.samples, nil)
+			b.settled = append(b.settled, 0)
 			b.sensorAcc = append(b.sensorAcc, stats.NewAccumulator(false))
 		}
 		v := b.opts.Unit.convert(e.ValueC)
@@ -181,8 +236,7 @@ func (b *Builder) apply(e *trace.Event, m trace.Fact) error {
 		st := m.Lane.Stack
 		switch {
 		case m.Kind == trace.FactClosed && e.TS >= m.Enter:
-			f := b.fn(e.FuncID)
-			f.intervals = InsertInterval(f.intervals, Interval{Start: m.Enter, End: e.TS})
+			b.insert(e.FuncID, Interval{Start: m.Enter, End: e.TS})
 		case m.Kind == trace.FactClosed:
 			// A lane's clock never runs backwards in a recorded stream: an
 			// inverted span is damage (or a hostile shipper), and
@@ -207,6 +261,139 @@ func (b *Builder) funcName(fid uint32) string {
 		return fmt.Sprintf("%q", name)
 	}
 	return fmt.Sprintf("func %d", fid)
+}
+
+// insert adds one span to a function's resident set.
+func (b *Builder) insert(fid uint32, iv Interval) {
+	f := b.fn(fid)
+	if len(f.intervals) == 0 || iv.Start < b.bound {
+		// Off the per-event path: the function's first resident span, or
+		// one that began behind the boundary.
+		if len(f.intervals) == 0 {
+			b.active = append(b.active, fid)
+		}
+		// A span that starts inside what the function has spilled can
+		// only come from a late event: it keeps the part after the spill,
+		// so spilled and resident time never overlap and TotalTime stays
+		// within the trace's duration.
+		if end := b.folded[fid].spillEnd; iv.Start < end {
+			iv.Start = end
+			if iv.End < end {
+				iv.End = end
+			}
+		}
+	}
+	f.intervals = InsertInterval(f.intervals, iv)
+}
+
+// Fold ends a batch: it moves the fold boundary up to the newest
+// timestamp seen before the previous batch began and folds what lies
+// behind it. Samples stamped before the boundary are settled — their
+// values join the value lists of the functions that cover them — and
+// spans that ended before it are spilled: their length is added to the
+// function's total and they are dropped. A builder whose owner calls Fold
+// after every batch keeps the spans of its last three batches, plus one
+// per function with an open invocation, and FuncProfile.Intervals shows
+// only those; everything else in its profile is what the same events give
+// a builder nobody folds, provided the stream is in order to within two
+// batches. Whatever is not (Late) is counted and attributed best effort.
+//
+// The distance is two batches because that is what a Tracer guarantees:
+// an event of drain k+1 was recorded after drain k emptied its lane, and
+// everything in drain k−1 was stamped before drain k began — but the
+// clock is read before the lane's lock is taken, so one drain cycle of
+// disorder is possible. A batch without events is not a batch.
+func (b *Builder) Fold() {
+	if b.events == b.markedAt || b.err != nil {
+		return
+	}
+	bound := b.marks[1]
+	b.marks = [2]time.Duration{b.duration, b.marks[0]}
+	b.markedAt = b.events
+	if bound == b.bound {
+		return
+	}
+	b.bound = bound
+	// An invocation still open has been running from its enter to the
+	// boundary at least. Holding that as a span is what lets samples
+	// settle against spans alone, and keeps every earlier span of the
+	// function that touches it — recursion, the same function returning
+	// on another lane — resident until the invocation closes over them:
+	// spilling those now would count them twice.
+	for _, l := range b.core.Lanes() {
+		for _, fr := range l.Stack {
+			if fr.Enter < bound {
+				b.insert(fr.Fid, Interval{Start: fr.Enter, End: bound})
+			}
+		}
+	}
+	// Samples first: a span that ends before the boundary may cover one.
+	// Then a span that ended before the boundary is final: every later
+	// span of its function starts at or after the boundary, so nothing can
+	// merge with it any more and the union's length is a plain sum.
+	due := b.due(bound - 1)
+	held := b.active[:0]
+	for _, fid := range b.active {
+		b.settle(fid, due)
+		f := &b.funcs[fid]
+		n := 0
+		for n < len(f.intervals) && f.intervals[n].End < bound {
+			b.folded[fid].spilled += f.intervals[n].Duration()
+			n++
+		}
+		if n > 0 {
+			b.folded[fid].spillEnd = f.intervals[n-1].End
+			f.intervals = f.intervals[:copy(f.intervals, f.intervals[n:])]
+		}
+		if len(f.intervals) > 0 {
+			held = append(held, fid)
+		}
+	}
+	b.active = held
+}
+
+// due takes the samples stamped at or before through that are not settled
+// yet off the pending end of each series — per sensor id, in time order —
+// and marks them settled: the caller owes each function a call of settle
+// with them. Nil when there are none.
+func (b *Builder) due(through time.Duration) [][]Sample {
+	var due [][]Sample
+	for sid, all := range b.samples {
+		pending := all[b.settled[sid]:]
+		if len(pending) == 0 {
+			continue
+		}
+		sort.SliceStable(pending, func(i, j int) bool { return pending[i].TS < pending[j].TS })
+		n := sort.Search(len(pending), func(i int) bool { return pending[i].TS > through })
+		if n == 0 {
+			continue
+		}
+		if due == nil {
+			due = make([][]Sample, len(b.samples))
+		}
+		due[sid] = pending[:n]
+		b.settled[sid] += n
+	}
+	return due
+}
+
+// settle appends the value of each due sample that a resident span of the
+// function covers to the function's list for the sample's sensor. It is
+// the builder's only sample attribution: Fold settles what falls behind
+// the boundary, finish the rest.
+func (b *Builder) settle(fid uint32, due [][]Sample) {
+	ivs, f := b.funcs[fid].intervals, &b.folded[fid]
+	for sid, samples := range due {
+		for _, s := range samples {
+			if !CoversAny(ivs, s.TS) {
+				continue
+			}
+			for len(f.vals) <= sid {
+				f.vals = append(f.vals, nil)
+			}
+			f.vals[sid] = append(f.vals[sid], s.Value)
+		}
+	}
 }
 
 // OpenFunctions returns the distinct functions currently open on any
@@ -262,8 +449,11 @@ func (b *Builder) Snapshot() (*NodeProfile, error) {
 	return b.clone().finish()
 }
 
-// clone deep-copies the builder state that finish mutates or retains.
-// The core is shared: finish only reads its stacks.
+// clone copies the builder state that finish mutates or retains: the
+// samples and the resident spans. The core is shared — finish only reads
+// its stacks — and so are the settled values, through slices clipped to
+// their length: finish only appends, and its first append moves the
+// clone's list to an array of its own.
 func (b *Builder) clone() *Builder {
 	c := &Builder{
 		opts:      b.opts,
@@ -279,7 +469,10 @@ func (b *Builder) clone() *Builder {
 		sensorNames: make(map[int]string, len(b.sensorNames)),
 		health:      append([]HealthEvent(nil), b.health...),
 		samples:     make([][]Sample, len(b.samples)),
-		funcs:       make([]funcState, len(b.funcs)),
+		settled:     append([]int(nil), b.settled...),
+		funcs:       append([]funcState(nil), b.funcs...),
+		folded:      append([]foldState(nil), b.folded...),
+		active:      b.active[:len(b.active):len(b.active)],
 	}
 	for k, v := range b.sensorNames {
 		c.sensorNames[k] = v
@@ -287,8 +480,15 @@ func (b *Builder) clone() *Builder {
 	for i, s := range b.samples {
 		c.samples[i] = append([]Sample(nil), s...)
 	}
-	for fid, f := range b.funcs {
-		c.funcs[fid] = funcState{intervals: append([]Interval(nil), f.intervals...), calls: f.calls}
+	for fid := range c.funcs {
+		c.funcs[fid].intervals = append([]Interval(nil), c.funcs[fid].intervals...)
+		if f := &c.folded[fid]; f.vals != nil {
+			vals := make([][]float64, len(f.vals))
+			for sid, v := range f.vals {
+				vals[sid] = v[:len(v):len(v)]
+			}
+			f.vals = vals
+		}
 	}
 	// sensorAcc is only read by SensorStats, never by finish; skip it.
 	return c
@@ -299,6 +499,17 @@ func (b *Builder) finish() (*NodeProfile, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	// Close dangling frames at trace end (abnormal termination for a
+	// finished run; still-running functions for a snapshot). The samples
+	// no Fold has settled — all of them, on a builder nobody folded — are
+	// due now.
+	for _, l := range b.core.Lanes() {
+		for _, fr := range l.Stack {
+			b.insert(fr.Fid, Interval{Start: fr.Enter, End: b.duration})
+		}
+	}
+	due := b.due(math.MaxInt64)
+
 	np := &NodeProfile{
 		NodeID:        b.nodeID,
 		Unit:          b.opts.Unit,
@@ -319,52 +530,31 @@ func (b *Builder) finish() (*NodeProfile, error) {
 			np.SensorNames[i] = fmt.Sprintf("sensor%d", i+1)
 		}
 	}
-	np.Samples = make([][]Sample, b.maxSensor+1)
-	copy(np.Samples, b.samples)
-	for _, s := range np.Samples {
-		sort.SliceStable(s, func(i, j int) bool { return s[i].TS < s[j].TS })
-	}
-
-	np.SampleInterval = b.opts.SampleInterval
-	if np.SampleInterval == 0 {
-		np.SampleInterval = detectInterval(np.Samples, np.HealthEvents)
-	}
-
-	// Close dangling frames at trace end (abnormal termination for a
-	// finished run; still-running functions for a snapshot).
-	for _, l := range b.core.Lanes() {
-		for _, fr := range l.Stack {
-			f := b.fn(fr.Fid)
-			f.intervals = InsertInterval(f.intervals, Interval{Start: fr.Enter, End: b.duration})
-		}
-	}
-
-	// Attribute samples and summarise — identical to batch Parse's final
-	// pass, so streamed and batch profiles are bit-for-bit equal.
+	// Summarise — batch Parse's final pass, from the same lists whether
+	// Fold or finish filled them, so streamed, folded and batch profiles
+	// are bit-for-bit equal.
 	for fid := range b.funcs {
-		merged := b.funcs[fid].intervals
-		if len(merged) == 0 {
-			continue // never closed, never left open
+		f := &b.funcs[fid]
+		if f.calls == 0 {
+			continue // never entered: no span, closed or left open
 		}
 		name, err := b.core.Sym().Name(uint32(fid))
 		if err != nil {
 			return nil, err
 		}
+		// The walk over the span list comes first: it leaves the list in
+		// cache for the searches that settle the samples.
+		total := b.folded[fid].spilled + TotalDuration(f.intervals)
+		b.settle(uint32(fid), due)
 		fp := FuncProfile{
 			Name:      name,
-			TotalTime: TotalDuration(merged),
-			Calls:     b.funcs[fid].calls,
-			Intervals: merged,
+			TotalTime: total,
+			Calls:     f.calls,
+			Intervals: f.intervals,
 			Sensors:   make([]stats.Summary, b.maxSensor+1),
 		}
 		anySamples := false
-		for sid, samples := range np.Samples {
-			var vals []float64
-			for _, s := range samples {
-				if CoversAny(merged, s.TS) {
-					vals = append(vals, s.Value)
-				}
-			}
+		for sid, vals := range b.folded[fid].vals {
 			if len(vals) == 0 {
 				continue
 			}
@@ -375,8 +565,25 @@ func (b *Builder) finish() (*NodeProfile, error) {
 			fp.Sensors[sid] = sum
 			anySamples = true
 		}
-		fp.Significant = anySamples && fp.TotalTime >= np.SampleInterval
+		fp.Significant = anySamples // and long enough, decided below
 		np.Functions = append(np.Functions, fp)
+	}
+
+	// The series in time order as a whole (they already are, unless a
+	// sample was late) — after the loop above, whose due samples are
+	// slices of them.
+	np.Samples = make([][]Sample, b.maxSensor+1)
+	copy(np.Samples, b.samples)
+	for _, s := range np.Samples {
+		sort.SliceStable(s, func(i, j int) bool { return s[i].TS < s[j].TS })
+	}
+	np.SampleInterval = b.opts.SampleInterval
+	if np.SampleInterval == 0 {
+		np.SampleInterval = detectInterval(np.Samples, np.HealthEvents)
+	}
+	for i := range np.Functions {
+		f := &np.Functions[i]
+		f.Significant = f.Significant && f.TotalTime >= np.SampleInterval
 	}
 	sort.Slice(np.Functions, func(i, j int) bool {
 		if np.Functions[i].TotalTime != np.Functions[j].TotalTime {

@@ -72,7 +72,10 @@ type FuncProfile struct {
 	TotalTime time.Duration
 	// Calls counts entries.
 	Calls int64
-	// Intervals is the merged inclusive on-stack time of the function.
+	// Intervals is the merged inclusive on-stack time of the function —
+	// from a Builder whose owner calls Fold, only the spans still
+	// resident: those of its last three batches and of open invocations.
+	// TotalTime and Sensors cover the whole stream either way.
 	Intervals []Interval
 	// Sensors holds one Summary per sensor over samples falling inside
 	// the function's intervals; entries with N==0 had no samples.

@@ -2,7 +2,9 @@ package parser_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -210,4 +212,72 @@ func BenchmarkBuilderAddInterleaved(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
+}
+
+// BenchmarkBuilderFold feeds the fleet shape to a builder that folds
+// after every batch and to one nobody folds. B/event is what is still
+// allocated when the stream ends — the span lists, for the unfolded one.
+//
+//   - 1M: 1 M events in shipped-chunk-sized batches, what a collector
+//     node sees; folding must cost no more per event than it saves in
+//     span-list growth.
+//   - 10k-syms/16: tiny drains against a 10⁴-entry symbol table, where
+//     the cost of a Fold itself shows; it must follow the functions that
+//     hold spans, not the table.
+func BenchmarkBuilderFold(b *testing.B) {
+	g := tracegen.New(tracegen.Config{Seed: 1})
+	evs := g.Fill(nil, 1<<20)
+	// The same stream with its 128 functions at the end of a 10⁴-entry table.
+	wide := trace.NewSymTab()
+	for i := 0; wide.Len() < 10_000-g.Sym().Len(); i++ {
+		wide.Register(fmt.Sprintf("cold.fn%04d", i))
+	}
+	shift := uint32(wide.Len())
+	for _, name := range g.Sym().Names() {
+		wide.Register(name)
+	}
+	wideEvs := append([]trace.Event(nil), evs[:1<<17]...)
+	for i := range wideEvs {
+		wideEvs[i].FuncID += shift
+	}
+	for _, c := range []struct {
+		name  string
+		sym   *trace.SymTab
+		evs   []trace.Event
+		chunk int
+	}{{"1M", g.Sym(), evs, 4096}, {"10k-syms/16", wide, wideEvs, 16}} {
+		for _, fold := range []bool{false, true} {
+			name := c.name + "/unfolded"
+			if fold {
+				name = c.name + "/folded"
+			}
+			b.Run(name, func(b *testing.B) {
+				var held uint64
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					b.StartTimer()
+					bd := parser.NewBuilder(1, c.sym, parser.Options{})
+					for at := 0; at < len(c.evs); at += c.chunk {
+						if err := bd.Add(c.evs[at:min(at+c.chunk, len(c.evs))]); err != nil {
+							b.Fatal(err)
+						}
+						if fold {
+							bd.Fold()
+						}
+					}
+					b.StopTimer()
+					runtime.GC()
+					runtime.ReadMemStats(&after)
+					held += after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+					runtime.KeepAlive(bd)
+				}
+				n := float64(b.N) * float64(len(c.evs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+				b.ReportMetric(float64(held)/n, "B/event")
+			})
+		}
+	}
 }

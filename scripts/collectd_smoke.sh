@@ -8,6 +8,9 @@
 #     (cmd/tempest-collectd/testdata/hotspots.golden)
 #   * /api/hotspots?k=-5 must be rejected with 400
 #   * /metrics must show non-zero ingest counters
+#   * /api/nodes must list the node with no late_events, live and after
+#     the restart (the field is omitted at zero: nothing arrived behind
+#     the profile builder's fold boundary)
 #   * /healthz must answer ok
 #   * the opt-in debug server (-debug-addr) must answer /debug/vars and
 #     /debug/introspect
@@ -97,6 +100,24 @@ for metric in tempest_collect_segments_total tempest_collect_events_total \
     echo "    $metric=$val"
 done
 
+check_no_late_events() {
+    curl -fsS "http://$HTTP/api/nodes" >"$workdir/nodes.json"
+    grep -q '"node"' "$workdir/nodes.json" || {
+        echo "/api/nodes lists no node:"
+        cat "$workdir/nodes.json"
+        exit 1
+    }
+    if grep -q '"late_events"' "$workdir/nodes.json"; then
+        echo "/api/nodes reports late events for an in-order trace:"
+        cat "$workdir/nodes.json"
+        exit 1
+    fi
+    echo "    /api/nodes reports no late events"
+}
+
+echo "==> checking /api/nodes"
+check_no_late_events
+
 echo "==> checking debug surface"
 curl -fsS "http://$DEBUG/debug/vars" >"$workdir/vars.json"
 grep -q '"tempest"' "$workdir/vars.json" || {
@@ -105,11 +126,14 @@ grep -q '"tempest"' "$workdir/vars.json" || {
     exit 1
 }
 curl -fsS "http://$DEBUG/debug/introspect" >"$workdir/introspect"
-grep -q 'tempest_collect_segments_total' "$workdir/introspect" || {
-    echo "/debug/introspect missing ingest counters:"
-    cat "$workdir/introspect"
-    exit 1
-}
+for metric in tempest_collect_segments_total tempest_collect_late_events_total \
+              tempest_collect_resident_spans; do
+    grep -q "$metric" "$workdir/introspect" || {
+        echo "/debug/introspect missing $metric:"
+        cat "$workdir/introspect"
+        exit 1
+    }
+done
 echo "    /debug/vars and /debug/introspect OK"
 
 echo "==> stopping collector (SIGTERM must flush the store)"
@@ -142,6 +166,7 @@ curl -fsS "http://$HTTP/healthz" | grep -qx ok
 curl -fsS "http://$HTTP/api/hotspots?k=5" >"$workdir/hotspots-replayed.json"
 diff -u "$golden" "$workdir/hotspots-replayed.json"
 echo "    replayed history matches golden"
+check_no_late_events
 
 echo "==> checking time-ranged queries against the replayed store"
 curl -fsS "http://$HTTP/api/windows/1" >"$workdir/windows.json"
