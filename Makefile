@@ -85,19 +85,21 @@ bench-analysis:
 # executes every benchmark body (batch vs stream allocation profile,
 # sequential vs parallel ParseAll, the fleet-shaped interleaved fold,
 # folded vs unfolded builders at 1M events and at 10⁴ symbols with
-# 16-event batches, critical-path sweep, chunk decode, live rankings
-# after 1× and 8× the events, the per-mode instrument.Trace hooks)
+# 16-event batches, critical-path sweep, chunk decode, all-time and
+# windowed rankings after 1× and 8× the events, the per-mode
+# instrument.Trace hooks)
 # without waiting for stable timings — the CI guard that the pipeline
 # still runs end to end at 1M events.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./instrument/
 	$(GO) test -run '^$$' -bench 'Pipeline|ParseAll|BuilderAddInterleaved|BuilderFold' -benchtime=1x -benchmem ./internal/parser/
 	$(GO) test -run '^$$' -bench 'CritPath' -benchtime=1x -benchmem ./internal/critpath/
-	$(GO) test -run '^$$' -bench 'DecodeChunk|CollectorHotspots' -benchtime=1x -benchmem ./internal/collect/
+	$(GO) test -run '^$$' -bench 'DecodeChunk|CollectorHotspots|WindowHotspots' -benchtime=1x -benchmem ./internal/collect/
 
 # Run every fuzz target once over its checked-in seed corpus (no open-
 # ended fuzzing): codec, streaming scanner, the profile builder's fold
-# (never panics; folded == unfolded whenever nothing was late), the
+# (never panics; folded == unfolded whenever nothing was late, on the
+# whole profile and on the two ranges a mark cuts it into), the
 # collector's ship-mode frame decoder, the slice-cursor segment and chunk
 # decoders against the reader-based ones they replaced, the
 # checkpoint-archive decoder (never panics; re-encoding is a fixed

@@ -27,11 +27,12 @@
 // the window into compact hot-spot archives (fleet rankings keep their
 // full history; per-sample profiles cover the retained window), bucketed
 // by -archive-granule so folded history still answers windowed hot-spot
-// queries. The store is also the query substrate for historical reads:
+// queries. The store is also the query substrate for ranged series:
 // /api/series/{node}?from=&to= rebuilds a node's series over any stored
-// range, /api/hotspots?window=30m ranks the trailing window, and
-// /api/windows/{node} lists the granularities a node's history can be
-// queried at (raw segments vs folded archives).
+// range, and /api/windows/{node} lists the granularities a node's history
+// can be queried at (raw segments vs folded archives).
+// /api/hotspots?window=30m ranks the trailing window, in whole
+// -archive-granules, from the live profiles — with or without a store.
 // -verify-store walks the chains offline, prints a per-shard report and
 // exits non-zero if any committed history fails to verify (a torn tail
 // on the final segment is indistinguishable from a crash mid-write, so
@@ -105,7 +106,7 @@ func run(args []string, out io.Writer, ready chan<- *collect.Collector) error {
 	storeDir := fs.String("store-dir", "", "durable store directory: acked ingest survives a crash and is replayed on restart (empty = memory-only)")
 	retention := fs.Duration("retention", 0, "compact raw store history older than this into folded hot-spot archives (0 = keep raw forever)")
 	storeWindow := fs.Duration("store-window", 0, "store segment roll window (0 = default 1h); retention granularity")
-	archiveGranule := fs.Duration("archive-granule", 0, "wall-clock bucket width retention folds archived heat into (0 = store window); finer granules keep compacted history answerable for narrower ?window= queries")
+	archiveGranule := fs.Duration("archive-granule", 0, "wall-clock resolution of ranked history: ?window= answers for whole granules and retention folds archived heat into one window per granule (0 = store window)")
 	verifyStore := fs.Bool("verify-store", false, "verify -store-dir's hash chains end to end, print a report and exit (0 = intact)")
 	debugAddr := fs.String("debug-addr", "", "opt-in debug HTTP address (pprof, /debug/vars, /debug/introspect); keep it loopback")
 	policy := fs.Bool("policy", false, "enable the adaptive-sampling policy engine: rank coarse reports and steer per-function instrumentation on adaptive shippers")

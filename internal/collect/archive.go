@@ -158,44 +158,6 @@ func (a *fleetArchive) addWindow(w archiveWindow) {
 	})
 }
 
-// nodeHeat folds every window's contribution for one node — the all-time
-// archived ranking replayArchive seeds Hotspots with.
-func (a *fleetArchive) nodeHeat(id uint32) [][]hotspot.FunctionHeat {
-	var out [][]hotspot.FunctionHeat
-	for _, w := range a.windows {
-		for _, wn := range w.nodes {
-			if wn.node != id {
-				continue
-			}
-			for len(out) < len(wn.heat) {
-				out = append(out, nil)
-			}
-			for sid := range wn.heat {
-				out[sid] = foldFunctionHeat(out[sid], wn.heat[sid])
-			}
-		}
-	}
-	return out
-}
-
-// rangeHeat folds every window overlapping [from, to) for one sensor —
-// the archived half of a time-ranged hot-spot answer, at the folded
-// granularity.
-func (a *fleetArchive) rangeHeat(from, to int64, sensor int) []hotspot.FunctionHeat {
-	var out []hotspot.FunctionHeat
-	for _, w := range a.windows {
-		if !w.overlaps(from, to) {
-			continue
-		}
-		for _, wn := range w.nodes {
-			if sensor >= 0 && sensor < len(wn.heat) {
-				out = foldFunctionHeat(out, wn.heat[sensor])
-			}
-		}
-	}
-	return out
-}
-
 // nodeRangeArchived reports whether [from, to) touches archived history
 // for one node, and how many archived events that overlap covers.
 func (a *fleetArchive) nodeRangeArchived(id uint32, from, to int64) (events uint64, overlap bool) {
@@ -469,11 +431,14 @@ func foldFunctionHeat(a, b []hotspot.FunctionHeat) []hotspot.FunctionHeat {
 
 // NewCompactor returns the store.Compactor the collector installs:
 // aged-out raw batches are bucketed by commit wall clock into
-// granule-aligned windows, each bucket replayed through a throwaway
-// mid-stream Builder per node and ranked by internal/hotspot per sensor,
-// and the per-window rankings appended to the previous archive. granule
-// <= 0 folds the whole pass into a single window spanning its batches.
-// Deterministic; retains nothing.
+// granule-aligned windows the way the live collector marks its builders —
+// one throwaway mid-stream Builder per node for the whole pass, a mark
+// where the node's batches cross into another bucket, and per bucket the
+// ranged snapshot between two marks, ranked by internal/hotspot per
+// sensor — and the per-window rankings appended to the previous archive.
+// An invocation open across a bucket boundary is charged to each bucket
+// for its clipped length. granule <= 0 folds the whole pass into a single
+// window spanning its batches. Deterministic; retains nothing.
 func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store.Compactor {
 	gran := granule.Nanoseconds()
 	return func(prevArchive []byte, batches []store.Batch) ([]byte, error) {
@@ -481,62 +446,28 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 		if err != nil {
 			return nil, err
 		}
+		// cut is where a node's stream leaves a bucket: the index of the
+		// bucket, the builder's position (nil: the head) and the node's
+		// events in it.
+		type cut struct {
+			bucket int
+			m      *parser.Mark
+			events uint64
+		}
 		type nodeFold struct {
 			ent *archiveNode
 			sym *trace.SymTab
-			// Per-bucket state, reset at each window boundary. dead marks a
-			// poisoned builder; decoding continues for the symbol table.
-			b     *parser.Builder
-			dead  bool
-			fresh uint64
+			// dead marks a poisoned builder; decoding continues for the
+			// symbol table.
+			b    *parser.Builder
+			dead bool
+			cuts []cut
+			open cut // the bucket of the node's newest batch
 		}
 		folds := map[uint32]*nodeFold{}
 		var order []uint32
 		var scratch []trace.Event
-
-		// curStart/curEnd bound the bucket being folded; flush finishes its
-		// builders into one archiveWindow and resets per-bucket state.
-		var curStart, curEnd int64
-		haveBucket := false
-		flush := func() error {
-			if !haveBucket {
-				return nil
-			}
-			w := archiveWindow{fromWall: curStart, toWall: curEnd}
-			sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-			for _, id := range order {
-				nf := folds[id]
-				if nf.b == nil {
-					continue
-				}
-				np, err := nf.b.Finish()
-				nf.b = nil
-				if err != nil || nf.dead {
-					// A bucket whose builder poisoned contributes cursors but
-					// no heat — the same events poisoned the live builder too.
-					nf.dead = false
-					nf.fresh = 0
-					continue
-				}
-				nf.ent.events += nf.fresh
-				wn := archiveWindowNode{node: id, events: nf.fresh}
-				nf.fresh = 0
-				p := &parser.Profile{Unit: unit, Nodes: []parser.NodeProfile{*np}}
-				wn.heat = make([][]hotspot.FunctionHeat, len(np.Samples))
-				for sid := range np.Samples {
-					hf, err := HotFunctions(p, sid, 0)
-					if err != nil || len(hf) == 0 {
-						continue
-					}
-					wn.heat[sid] = hf
-				}
-				if wn.events > 0 || len(wn.heat) > 0 {
-					w.nodes = append(w.nodes, wn)
-				}
-			}
-			arch.addWindow(w)
-			return nil
-		}
+		var buckets []archiveWindow // in commit order
 
 		for _, wb := range batches {
 			if wb.Flags&store.FlagPolicy != 0 {
@@ -552,23 +483,12 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 				bs = wb.WallNano - wb.WallNano%gran
 				be = bs + gran
 			}
-			switch {
-			case !haveBucket:
-				curStart, curEnd = bs, be
-				haveBucket = true
-			case gran > 0 && bs != curStart:
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				curStart, curEnd = bs, be
-			case gran <= 0:
+			if last := len(buckets) - 1; last < 0 || (gran > 0 && bs != buckets[last].fromWall) {
+				buckets = append(buckets, archiveWindow{fromWall: bs, toWall: be})
+			} else if gran <= 0 {
 				// Single-window pass: the bucket grows to cover every batch.
-				if bs < curStart {
-					curStart = bs
-				}
-				if be > curEnd {
-					curEnd = be
-				}
+				buckets[0].fromWall = min(buckets[0].fromWall, bs)
+				buckets[0].toWall = max(buckets[0].toWall, be)
 			}
 			nf, ok := folds[wb.Node]
 			if !ok {
@@ -602,22 +522,57 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 			if nf.dead {
 				continue
 			}
-			if nf.b == nil {
+			switch cur := len(buckets) - 1; {
+			case nf.b == nil:
 				nf.b = newBuilder(trace.NewFold(nf.sym), wb.Node, unit, sampleInterval, true)
+				nf.open.bucket = cur
+			case nf.open.bucket != cur:
+				nf.open.m = nf.b.Mark()
+				nf.cuts = append(nf.cuts, nf.open)
+				nf.open = cut{bucket: cur}
 			}
 			if err := nf.b.Add(ev); err != nil {
+				// A pass whose builder poisoned contributes cursors but no
+				// heat — the same events poisoned the live builder too.
 				nf.dead = true
 			} else {
-				nf.fresh += uint64(len(ev))
+				nf.open.events += uint64(len(ev))
 			}
 			nf.b.Fold()
 		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
+
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		for _, id := range order {
-			folds[id].ent.syms = folds[id].sym.Names()
+			nf := folds[id]
+			nf.ent.syms = nf.sym.Names()
+			if nf.b == nil || nf.dead {
+				continue
+			}
+			var prev *parser.Mark
+			for _, c := range append(nf.cuts, nf.open) {
+				np, err := nf.b.SnapshotRange(prev, c.m)
+				if err != nil {
+					break
+				}
+				prev = c.m
+				nf.ent.events += c.events
+				wn := archiveWindowNode{node: id, events: c.events}
+				p := &parser.Profile{Unit: unit, Nodes: []parser.NodeProfile{*np}}
+				wn.heat = make([][]hotspot.FunctionHeat, len(np.Samples))
+				for sid := range np.Samples {
+					hf, err := HotFunctions(p, sid, 0)
+					if err != nil || len(hf) == 0 {
+						continue
+					}
+					wn.heat[sid] = hf
+				}
+				if wn.events > 0 || len(wn.heat) > 0 {
+					buckets[c.bucket].nodes = append(buckets[c.bucket].nodes, wn)
+				}
+			}
+		}
+		for _, w := range buckets {
+			arch.addWindow(w)
 		}
 		return encodeArchive(arch), nil
 	}

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -65,12 +66,10 @@ func shipFleet(tb testing.TB, c *Collector, nodes, chunks int, sampleEvery time.
 
 var hotspotsSink *HotspotsResponse
 
-// BenchmarkCollectorHotspots ranks a two-node fleet's live state after 32
-// chunks a node and after eight times the events, sampled an eighth as
-// often so that both histories hold the same eight samples a node: with
-// the builders folded the two cost the same, where copying every span
-// made a ranking cost in proportion to events.
-func BenchmarkCollectorHotspots(b *testing.B) {
+// benchRanking ranks a two-node fleet's live state after 32 chunks a node
+// and after eight times the events, sampled an eighth as often so that
+// both histories hold the same eight samples a node.
+func benchRanking(b *testing.B, rank func(*Collector) (*HotspotsResponse, error)) {
 	for _, h := range []struct {
 		name        string
 		chunks      int
@@ -83,7 +82,7 @@ func BenchmarkCollectorHotspots(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp, err := c.Hotspots(0, 10)
+				resp, err := rank(c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,4 +90,18 @@ func BenchmarkCollectorHotspots(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCollectorHotspots: with the builders folded the all-time
+// ranking costs the same at 1x and 8x, where copying every span made it
+// cost in proportion to events.
+func BenchmarkCollectorHotspots(b *testing.B) {
+	benchRanking(b, func(c *Collector) (*HotspotsResponse, error) { return c.Hotspots(0, 10) })
+}
+
+// BenchmarkWindowHotspots: a ranking over a window is a ranged snapshot of
+// the same builders and costs what the all-time one does, where
+// re-decoding the window's chunks cost in proportion to events.
+func BenchmarkWindowHotspots(b *testing.B) {
+	benchRanking(b, func(c *Collector) (*HotspotsResponse, error) { return c.WindowHotspots(0, 10, 0, math.MaxInt64) })
 }

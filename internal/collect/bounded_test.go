@@ -3,6 +3,7 @@ package collect
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -125,14 +126,16 @@ func TestDecodeScratchIsPerShard(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
-// TestCollectorPlateau: 400 chunks from one node through the frame path.
-// The spans the collector holds for it stay those of the last three
-// chunks, the gauge says so, and the heap at chunk 400 is what it was at
-// chunk 100 plus what the samples in between cost.
+// TestCollectorPlateau: 400 chunks from one node through the frame path,
+// a hundred to a granule. The spans the collector holds for it stay those
+// of the last three chunks, the gauge says so, the marks it holds are one
+// per granule it has left, not one per chunk, and the heap at chunk 400
+// is what it was at chunk 100 plus what the samples in between cost.
 func TestCollectorPlateau(t *testing.T) {
 	const perChunk = 4096
 	g := tracegen.New(tracegen.Config{Seed: 9, SampleEvery: 20 * time.Millisecond})
-	c := New(Options{Shards: 1, Logger: quietLogger()})
+	clk := newStoreClock()
+	c := New(Options{Shards: 1, Logger: quietLogger(), Now: clk.now})
 	defer c.Close()
 	var (
 		evs                 []trace.Event
@@ -160,6 +163,12 @@ func TestCollectorPlateau(t *testing.T) {
 		}
 		if k == 100 {
 			heap100, samples100 = heapAlloc(), uint64(samples)
+		}
+		if k%100 == 0 {
+			clk.advance(time.Hour)
+		}
+		if got, want := c.metrics.granuleMarks.Value(), int64((k-1)/100); got != want || len(c.shards[0].nodes[1].marks) != int(want) {
+			t.Fatalf("after chunk %d: %d marks on the gauge, %d on the node, want %d", k, got, len(c.shards[0].nodes[1].marks), want)
 		}
 	}
 	// A sample costs 16 bytes in the series and 8 in the list of every
@@ -240,8 +249,8 @@ func TestLateChunkIsCounted(t *testing.T) {
 	check("after restart", c2)
 }
 
-// TestRankingAllocsFlatInHistory: what a ranking and a node profile
-// allocate, in allocations and in bytes, does not grow with the events
+// TestRankingAllocsFlatInHistory: what a ranking, all-time or over a
+// window, and a node profile allocate, in allocations and in bytes, does not grow with the events
 // behind them — 16 chunks of history against 256, sampled a sixteenth as
 // often so that both hold the same samples.
 func TestRankingAllocsFlatInHistory(t *testing.T) {
@@ -257,7 +266,7 @@ func TestRankingAllocsFlatInHistory(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return cost{allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs}
 	}
-	history := func(chunks int, sampleEvery time.Duration) (hotspots, profile cost) {
+	history := func(chunks int, sampleEvery time.Duration) (hotspots, window, profile cost) {
 		c := New(Options{Shards: 1, Logger: quietLogger()})
 		defer c.Close()
 		shipFleet(t, c, 2, chunks, sampleEvery)
@@ -266,19 +275,24 @@ func TestRankingAllocsFlatInHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		window = measure(func() {
+			if _, err := c.WindowHotspots(0, 10, 0, math.MaxInt64); err != nil {
+				t.Fatal(err)
+			}
+		})
 		profile = measure(func() {
 			if _, err := c.NodeProfile(1); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return hotspots, profile
+		return hotspots, window, profile
 	}
-	hot16, prof16 := history(16, 10*time.Millisecond)
-	hot256, prof256 := history(256, 160*time.Millisecond)
+	hot16, win16, prof16 := history(16, 10*time.Millisecond)
+	hot256, win256, prof256 := history(256, 160*time.Millisecond)
 	for _, q := range []struct {
 		name        string
 		short, long cost
-	}{{"Hotspots", hot16, hot256}, {"NodeProfile", prof16, prof256}} {
+	}{{"Hotspots", hot16, hot256}, {"WindowHotspots", win16, win256}, {"NodeProfile", prof16, prof256}} {
 		t.Logf("%s: %.0f allocations and %.0f B after 16 chunks, %.0f and %.0f B after 256", q.name, q.short.allocs, q.short.bytes, q.long.allocs, q.long.bytes)
 		if q.long.allocs > 1.25*q.short.allocs || q.long.bytes > 1.25*q.short.bytes {
 			t.Errorf("%s costs more than 1.25× as much after sixteen times the events", q.name)

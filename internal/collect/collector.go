@@ -56,10 +56,12 @@ type Options struct {
 	// Metrics, Logger, Now and — unless overridden — Compact are wired by
 	// the collector itself.
 	StoreOptions store.Options
-	// ArchiveGranule is the wall-clock bucket width retention compaction
-	// folds aged-out batches into (default: the store's segment Window).
-	// Finer granules keep compacted history answerable for narrower
-	// /api/hotspots?window= queries at the cost of a larger archive.
+	// ArchiveGranule is the wall-clock resolution of ranked history
+	// (default: the store's segment Window): every node's position is
+	// marked at each granule boundary, /api/hotspots?window= answers for
+	// whole granules, and retention compaction folds aged-out batches into
+	// one archive window per granule. Finer granules answer for narrower
+	// windows at the cost of more marks and a larger archive.
 	ArchiveGranule time.Duration
 	// Policy configures the adaptive-sampling policy engine: when enabled,
 	// the collector ranks each node's coarse instrumentation buckets and
@@ -77,6 +79,12 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
+	}
+	if o.ArchiveGranule <= 0 {
+		o.ArchiveGranule = o.StoreOptions.Window
+	}
+	if o.ArchiveGranule <= 0 {
+		o.ArchiveGranule = time.Hour // store.Options' own Window default
 	}
 	o.Policy = o.Policy.withDefaults()
 	return o
@@ -129,10 +137,20 @@ type nodeState struct {
 	// carries; the bulk path encodes fresh symbols from this cursor so
 	// every stored batch stays densely decodable on replay.
 	symsStored int
-	// archEvents and archHeat are the node's compacted history, replayed
-	// from the store's checkpoint archive at startup.
+	// head is the end of the granule of the node's newest commit, 0 before
+	// the first; marks are its positions at the end of every granule it
+	// committed in before that one, oldest first (see window.go).
+	head  int64
+	marks []granuleMark
+
+	// archEvents, arch and archHeat are the node's compacted history,
+	// replayed from the store's checkpoint archive at startup: the events
+	// folded away, their heat granule by granule, and all of it per sensor
+	// id. Everything ingested since is in the builder, so a compaction
+	// that fires mid-run changes none of them.
 	archEvents uint64
-	archHeat   [][]hotspot.FunctionHeat // per sensor id
+	arch       []archiveGranule
+	archHeat   [][]hotspot.FunctionHeat
 
 	// policy is the node's adaptive-sampling state (nil until the policy
 	// engine first touches the node; see policy.go).
@@ -165,9 +183,9 @@ type shard struct {
 	// batch is the one chunk decode buffer (see decode).
 	batch []trace.Event
 
-	// hist is the shard's historical-query state: the decoded checkpoint
+	// hist is the shard's ranged-series state: the decoded checkpoint
 	// archive plus an LRU of decoded raw windows, lazily built on the
-	// first time-ranged query (see window.go).
+	// first /api/series?from=&to= (see window.go).
 	hist shardHistory
 }
 
@@ -238,14 +256,7 @@ func (c *Collector) openStores() {
 	so.Logger = c.opts.Logger
 	so.Now = c.opts.Now
 	if so.Compact == nil {
-		granule := c.opts.ArchiveGranule
-		if granule <= 0 {
-			granule = so.Window
-		}
-		if granule <= 0 {
-			granule = time.Hour // store.Options' own Window default
-		}
-		so.Compact = NewCompactor(c.opts.Unit, c.opts.SampleInterval, granule)
+		so.Compact = NewCompactor(c.opts.Unit, c.opts.SampleInterval, c.opts.ArchiveGranule)
 	}
 	for i, sh := range c.shards {
 		dir := filepath.Join(c.opts.StoreDir, store.ShardDirName(i))

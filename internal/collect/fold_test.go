@@ -215,12 +215,16 @@ func TestOnePassMatchesStandaloneFolds(t *testing.T) {
 // (a function and a sensor label), so a slice's ids only resolve if the
 // whole prefix's headers were folded; an early and a late slice are
 // compared with the bodies the full-decode prefix pass served
-// (testdata/*.golden, generated at the commit before this one).
+// (testdata/series_slice_*.golden, generated at the commit before the
+// prefix pass). The ranking over the same two chunks — their one-minute
+// granules — comes from the live builder's marks and must say what the
+// decode said (testdata/hotspots_slice_*.golden: the decode's bodies plus
+// the bounds a ranged answer now states).
 func TestRangedReadsIndependentOfRangePosition(t *testing.T) {
 	clk := newStoreClock()
 	c := New(Options{
 		StoreDir: t.TempDir(), Shards: 1, Logger: quietLogger(), Now: clk.now,
-		StoreOptions: store.Options{Window: time.Hour},
+		StoreOptions: store.Options{Window: time.Hour}, ArchiveGranule: time.Minute,
 	})
 	defer c.Close()
 	sym := trace.NewSymTab()
@@ -267,7 +271,7 @@ func TestRangedReadsIndependentOfRangePosition(t *testing.T) {
 			t.Fatalf("%s series slice: status %d:\n%s", name, code, body)
 		}
 		checkGolden(t, "series_slice_"+name, body)
-		hot, err := c.WindowHotspots(0, 10, r[0].UnixNano(), r[1].UnixNano())
+		hot, err := c.WindowHotspots(0, 10, r[0].Truncate(time.Minute).UnixNano(), r[1].Truncate(time.Minute).UnixNano())
 		if err != nil {
 			t.Fatal(err)
 		}

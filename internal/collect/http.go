@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -39,8 +38,8 @@ func (cw *countingResponseWriter) Write(p []byte) (int, error) {
 //	                          for the paper's report layout)
 //	GET /api/hotspots         fleet hot-spot rankings (?k= top-K,
 //	                          ?sensor= sensor index, default 0;
-//	                          ?window=30m ranks the trailing window from
-//	                          durable history instead of all time)
+//	                          ?window=30m ranks the trailing window, in
+//	                          whole granules, instead of all time)
 //	GET /api/series/{node}    one node's sample series as streaming CSV;
 //	                          ?from=&to= (RFC 3339 or unix seconds,
 //	                          half-open) rebuilds the series over that
@@ -217,16 +216,12 @@ func (c *Collector) Handler() http.Handler {
 				http.Error(w, "bad window parameter", http.StatusBadRequest)
 				return
 			}
-			// [now-window, ∞): commit clocks never lead the collector's
-			// clock, so the open upper bound just means "up to the newest
-			// committed batch" without excluding commits at this instant.
-			from := c.opts.Now().Add(-d).UnixNano()
-			resp, err := c.WindowHotspots(sensor, k, from, math.MaxInt64)
+			// [now-window, now]: commit clocks never lead the collector's
+			// clock, so this is everything committed in the trailing window,
+			// commits at this instant included.
+			now := c.opts.Now()
+			resp, err := c.WindowHotspots(sensor, k, now.Add(-d).UnixNano(), now.UnixNano()+1)
 			if err != nil {
-				if errors.Is(err, ErrHistoryUnavailable) {
-					http.Error(w, err.Error(), http.StatusServiceUnavailable)
-					return
-				}
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
@@ -265,8 +260,12 @@ type HotspotsResponse struct {
 	Sensor int    `json:"sensor"`
 	Unit   string `json:"unit"`
 	// Window, when set, scopes the answer to the trailing duration it
-	// names, served from durable history (?window=).
-	Window string `json:"window,omitempty"`
+	// names (?window=). WindowFrom and WindowTo (RFC 3339) say what a
+	// ranged answer covers: the range asked for, moved outward to granule
+	// boundaries — a window narrower than a granule answers for all of it.
+	Window     string `json:"window,omitempty"`
+	WindowFrom string `json:"window_from,omitempty"`
+	WindowTo   string `json:"window_to,omitempty"`
 	// Functions ranks (node, function) pairs by thermal contribution —
 	// the paper's per-node hot-spot answer, fleet-wide.
 	Functions []apiFunction `json:"functions"`
@@ -304,8 +303,8 @@ func (c *Collector) Hotspots(sensor, k int) (*HotspotsResponse, error) {
 	return c.assembleHotspots(c.Profile(), c.archivedHeat(sensor), sensor, k)
 }
 
-// assembleHotspots ranks one profile snapshot (live or rebuilt from a
-// historical window) folded with archived heat into the /api/hotspots
+// assembleHotspots ranks one profile snapshot (all-time or ranged)
+// folded with archived heat into the /api/hotspots
 // shape — the shared back half of Hotspots and WindowHotspots.
 func (c *Collector) assembleHotspots(p *parser.Profile, arch []hotspot.FunctionHeat, sensor, k int) (*HotspotsResponse, error) {
 	// Merge from the untruncated ranking, then cut both to k.

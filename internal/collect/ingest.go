@@ -21,13 +21,12 @@ import (
 // directly, before anything else can reach the shard. The read path
 // (query.go, window.go) shares only the shard-owned state behind do.
 
-// append commits one batch to the shard's store at the collector's
-// clock, which it returns. A failed append degrades the shard.
-func (sh *shard) append(ns *nodeState, seq uint64, flags uint8, payload []byte, what string) (wall int64, ok bool) {
+// append commits one batch to the shard's store, stamped wall, and
+// reports whether it is durable. A failed append degrades the shard.
+func (sh *shard) append(ns *nodeState, seq uint64, flags uint8, wall int64, payload []byte, what string) bool {
 	if !sh.durable {
-		return 0, false
+		return false
 	}
-	wall = sh.c.opts.Now().UnixNano()
 	err := sh.store.Append(store.Batch{
 		Node:     ns.id,
 		Rank:     ns.rank,
@@ -38,9 +37,9 @@ func (sh *shard) append(ns *nodeState, seq uint64, flags uint8, payload []byte, 
 	})
 	if err != nil {
 		sh.degrade(what, ns, err)
-		return 0, false
+		return false
 	}
-	return wall, true
+	return true
 }
 
 // degrade drops the shard to memory-only ingest — loudly — instead of
@@ -55,16 +54,17 @@ func (sh *shard) degrade(what string, ns *nodeState, err error) {
 }
 
 // persist appends one accepted batch to the shard's store before the
-// caller acks it.
-func (sh *shard) persist(ns *nodeState, seq uint64, flags uint8, payload []byte) {
-	wall, ok := sh.append(ns, seq, flags, payload, "store append failed")
-	if !ok {
-		return
+// caller acks it, and returns the commit clock it stamped the batch with:
+// the batch's place in ranked history, on disk or not.
+func (sh *shard) persist(ns *nodeState, seq uint64, flags uint8, payload []byte) (wall int64) {
+	wall = sh.c.opts.Now().UnixNano()
+	if sh.append(ns, seq, flags, wall, payload, "store append failed") {
+		ns.symsStored = ns.sym.Len()
+		// Cached window decodes whose range extends past this commit are now
+		// missing a batch; drop them so the next query re-decodes.
+		sh.hist.invalidateAppend(wall)
 	}
-	ns.symsStored = ns.sym.Len()
-	// Cached window decodes whose range extends past this commit are now
-	// missing a batch; drop them so the next query re-decodes.
-	sh.hist.invalidateAppend(wall)
+	return wall
 }
 
 // persistBulk re-encodes one bulk-path batch as a self-contained chunk —
@@ -72,24 +72,24 @@ func (sh *shard) persist(ns *nodeState, seq uint64, flags uint8, payload []byte)
 // so the durable stream replays through the same dense-id chunk decoder
 // as shipped frames. Flags always carry FlagBulk: replayed bulk batches
 // must not advance the ship resume cursor.
-func (sh *shard) persistBulk(ns *nodeState, flags uint8, events []trace.Event) {
-	if !sh.durable {
-		return
+func (sh *shard) persistBulk(ns *nodeState, flags uint8, events []trace.Event) (wall int64) {
+	var payload []byte
+	if sh.durable {
+		var err error
+		if payload, _, err = encodeChunk(events, ns.sym, ns.symsStored); err != nil {
+			// Events the scanner just decoded will not encode: a codec
+			// invariant broke. Degrade rather than persist a gap.
+			sh.degrade("bulk batch re-encode failed", ns, err)
+		}
 	}
-	payload, _, err := encodeChunk(events, ns.sym, ns.symsStored)
-	if err != nil {
-		// Events the scanner just decoded will not encode: a codec
-		// invariant broke. Degrade rather than persist a gap.
-		sh.degrade("bulk batch re-encode failed", ns, err)
-		return
-	}
-	sh.persist(ns, 0, store.FlagBulk|flags, payload)
+	return sh.persist(ns, 0, store.FlagBulk|flags, payload)
 }
 
 // replayArchive seeds node states from the store's checkpoint archive:
 // compacted history whose raw batches are gone. Builders attach
 // mid-stream (the archive's symbol table carries the dense-id prefix),
-// and folded hot-spot rankings go to archHeat for Hotspots to merge.
+// and the folded hot-spot rankings stay on the node granule by granule for
+// ranked windows to pick from, and folded whole for Hotspots to merge.
 func (sh *shard) replayArchive(blob []byte) error {
 	arch, err := decodeArchive(blob)
 	if err != nil {
@@ -105,9 +105,23 @@ func (sh *shard) replayArchive(blob []byte) error {
 		ns.lastSeen = sh.c.opts.Now()
 		ns.symsStored = sym.Len()
 		ns.archEvents = ent.events
-		ns.archHeat = arch.nodeHeat(ent.node)
 		if ent.truncated {
 			ns.builder.SetTruncated(true)
+		}
+	}
+	for _, w := range arch.windows {
+		for _, wn := range w.nodes {
+			ns, ok := sh.nodes[wn.node]
+			if !ok {
+				continue
+			}
+			ns.arch = append(ns.arch, archiveGranule{from: w.fromWall, to: w.toWall, heat: wn.heat})
+			for len(ns.archHeat) < len(wn.heat) {
+				ns.archHeat = append(ns.archHeat, nil)
+			}
+			for sid := range wn.heat {
+				ns.archHeat[sid] = foldFunctionHeat(ns.archHeat[sid], wn.heat[sid])
+			}
 		}
 	}
 	return nil
@@ -165,7 +179,7 @@ func (sh *shard) replayBatch(b store.Batch) error {
 		return nil
 	}
 	ns.symsStored = ns.sym.Len()
-	ns.err = sh.fold(ns, batch)
+	ns.err = sh.fold(ns, batch, b.WallNano)
 	return nil
 }
 
@@ -216,13 +230,16 @@ func (sh *shard) decode(payload []byte, sym *trace.SymTab) ([]trace.Event, error
 	return batch, err
 }
 
-// fold runs one accepted batch through the node's single stack-matching
-// pass: the core steps each event once and both consumers take the fact.
-// An error is the builder's and poisons the node; the analyzer has then
-// seen exactly the events the builder consumed. The batch over, the
+// fold runs one accepted batch, committed at wall, through the node's
+// single stack-matching pass: the core steps each event once and both
+// consumers take the fact. An error is the builder's and poisons the node;
+// the analyzer has then seen exactly the events the builder consumed. The
+// first batch of a granule is preceded by a mark, and the batch over, the
 // builder folds what lies two batches back — ship, bulk and replay all
-// come through here, so a restart folds where the first run did.
-func (sh *shard) fold(ns *nodeState, batch []trace.Event) error {
+// come through here with the clock the batch was stamped with, so a
+// restart marks and folds where the first run did.
+func (sh *shard) fold(ns *nodeState, batch []trace.Event, wall int64) error {
+	sh.enterGranule(ns, wall)
 	late, resident := ns.builder.Late(), ns.builder.Resident()
 	var err error
 	for i := range batch {
@@ -239,11 +256,11 @@ func (sh *shard) fold(ns *nodeState, batch []trace.Event) error {
 	return err
 }
 
-// take folds one accepted batch into a healthy node, timed and counted;
-// a fold failure poisons the node.
-func (sh *shard) take(ns *nodeState, batch []trace.Event) error {
+// take folds one accepted batch, committed at wall, into a healthy node,
+// timed and counted; a fold failure poisons the node.
+func (sh *shard) take(ns *nodeState, batch []trace.Event, wall int64) error {
 	start := time.Now()
-	ns.err = sh.fold(ns, batch)
+	ns.err = sh.fold(ns, batch, wall)
 	sh.c.metrics.foldSeconds.ObserveSince(start)
 	if ns.err == nil {
 		sh.c.metrics.events.Add(uint64(len(batch)))
@@ -350,8 +367,8 @@ func (sh *shard) chunk(ns *nodeState, seq uint64, payload []byte) (*ctlFrame, er
 	}
 	// Durable commit before the ack this call triggers: once the shipper
 	// retires the chunk, only the store remembers it.
-	sh.persist(ns, seq, 0, payload)
-	if err := sh.take(ns, batch); err != nil {
+	wall := sh.persist(ns, seq, 0, payload)
+	if err := sh.take(ns, batch, wall); err != nil {
 		return nil, err
 	}
 	if !sh.c.opts.Policy.Enabled {
@@ -406,8 +423,7 @@ func (sh *shard) bulk(node, rank uint32, batch []trace.Event, sym *trace.SymTab)
 				e.FuncID = ns.sym.Register(name)
 			}
 		}
-		sh.persistBulk(ns, 0, batch)
-		a.err = sh.take(ns, batch)
+		a.err = sh.take(ns, batch, sh.persistBulk(ns, 0, batch))
 	})
 }
 

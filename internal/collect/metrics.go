@@ -43,14 +43,15 @@ type Metrics struct {
 	decodeSeconds *introspect.Distribution // chunk decode latency
 	lateEvents    *introspect.Counter      // events stamped before their builder's fold boundary
 	residentSpans *introspect.Gauge        // spans the live builders hold in memory
+	granuleMarks  *introspect.Gauge        // builder marks held, one per node per granule it committed in and left
 
 	storeDegrades       *introspect.Counter // shard falls to memory-only ingest
 	storeDegradedShards *introspect.Gauge   // shards currently memory-only (also drives /healthz)
 
-	// Historical read path (debug surface only).
-	windowQueries       *introspect.Counter      // time-ranged window decodes requested
-	windowCacheHits     *introspect.Counter      // window decodes served from the per-shard LRU
-	windowDecodeSeconds *introspect.Distribution // latency of cache-miss window decodes
+	// Ranged series path (debug surface only).
+	windowQueries       *introspect.Counter      // ranged series decodes requested
+	windowCacheHits     *introspect.Counter      // decodes served from the per-shard LRU
+	windowDecodeSeconds *introspect.Distribution // latency of cache-miss decodes
 
 	// Adaptive-sampling control plane (debug surface only).
 	coarseSegments    *introspect.Counter // coarse bucket reports accepted off the wire
@@ -81,6 +82,7 @@ func newMetrics(shards int) *Metrics {
 	m.decodeSeconds = m.debug.Distribution("tempest_collect_decode_seconds", "Chunk decode latency per shipped frame.")
 	m.lateEvents = m.debug.Counter("tempest_collect_late_events_total", "Enters, exits and samples that arrived more than two batches out of order (attributed best effort).")
 	m.residentSpans = m.debug.Gauge("tempest_collect_resident_spans", "Function spans the live profile builders hold in memory.")
+	m.granuleMarks = m.debug.Gauge("tempest_collect_granule_marks", "Builder marks the nodes hold: one per node per granule, the only collector state that grows with uptime.")
 	m.encodeErrors = m.debug.Counter("tempest_collect_response_encode_errors_total", "JSON API responses whose encode or write failed.")
 	m.streamErrors = m.debug.Counter("tempest_collect_stream_abort_total", "Streaming API responses aborted after the first byte.")
 	m.storeDegrades = m.debug.Counter("tempest_collect_store_degrade_events_total", "Shards that fell from durable to memory-only ingest.")

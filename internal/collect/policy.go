@@ -327,7 +327,7 @@ func (sh *shard) issueDirective(ns *nodeState, np *nodePolicy) *ctlFrame {
 	// Persist the directive (FlagPolicy, Seq = revision) before any
 	// connection can send it: a directive a shipper acted on must survive
 	// a collector restart.
-	sh.append(ns, np.rev, store.FlagPolicy, payload, "policy append failed")
+	sh.append(ns, np.rev, store.FlagPolicy, sh.c.opts.Now().UnixNano(), payload, "policy append failed")
 	return &ctlFrame{rev: np.rev, payload: payload}
 }
 

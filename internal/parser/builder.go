@@ -89,6 +89,7 @@ type Builder struct {
 	marks    [2]time.Duration // duration at the last Fold and at the one before
 	markedAt uint64           // events at the last Fold
 	late     uint64
+	unsealed []*Mark // the marks the boundary has not passed yet, oldest first
 
 	err error // poisoned after a structural error
 }
@@ -332,6 +333,21 @@ func (b *Builder) Fold() {
 	// span of its function starts at or after the boundary, so nothing can
 	// merge with it any more and the union's length is a plain sum.
 	due := b.due(bound - 1)
+	// A mark the boundary has passed is sealed: the due samples stamped up
+	// to it are settled first, and it notes where every value list stands.
+	for len(b.unsealed) > 0 && b.unsealed[0].T < bound {
+		m := b.unsealed[0]
+		b.unsealed = b.unsealed[1:]
+		var head [][]Sample
+		head, due = splitDue(due, m.T)
+		m.seal(len(b.funcs), len(b.samples))
+		for _, fid := range b.active {
+			b.settle(fid, head)
+		}
+		for fid := range b.folded {
+			m.sealFunc(fid, b.folded[fid].vals)
+		}
+	}
 	held := b.active[:0]
 	for _, fid := range b.active {
 		b.settle(fid, due)
@@ -364,7 +380,7 @@ func (b *Builder) due(through time.Duration) [][]Sample {
 			continue
 		}
 		sort.SliceStable(pending, func(i, j int) bool { return pending[i].TS < pending[j].TS })
-		n := sort.Search(len(pending), func(i int) bool { return pending[i].TS > through })
+		n := upTo(pending, through)
 		if n == 0 {
 			continue
 		}
@@ -438,7 +454,7 @@ func (b *Builder) SensorStats() []stats.Summary {
 // computation batch Parse performs, fed from streamed state. The builder
 // is consumed: further Add calls have undefined results.
 func (b *Builder) Finish() (*NodeProfile, error) {
-	return b.finish()
+	return b.finish(nil, nil)
 }
 
 // Snapshot produces an in-progress NodeProfile without consuming the
@@ -446,15 +462,40 @@ func (b *Builder) Finish() (*NodeProfile, error) {
 // seen, exactly how Finish treats a crashed run's dangling frames. The
 // builder keeps accumulating afterwards.
 func (b *Builder) Snapshot() (*NodeProfile, error) {
-	return b.clone().finish()
+	return b.SnapshotRange(nil, nil)
 }
 
-// clone copies the builder state that finish mutates or retains: the
-// samples and the resident spans. The core is shared — finish only reads
-// its stacks — and so are the settled values, through slices clipped to
-// their length: finish only appends, and its first append moves the
-// clone's list to an array of its own.
-func (b *Builder) clone() *Builder {
+// SnapshotRange is Snapshot over the part of the stream between two of
+// the builder's marks, lo taken before hi; a nil lo is the stream's
+// origin, a nil hi the present. Per function, TotalTime and Calls are what
+// a Snapshot at hi reported less what one at lo did, and the statistics
+// summarise the values of the samples stamped after lo.T and up to hi.T
+// that the function covered — a contiguous part of the list Snapshot
+// summarises whole, so consecutive ranges add up to the all-time profile
+// and a range of everything is Snapshot bit for bit. Samples, HealthEvents
+// and the significance rule follow the range, Duration is its end, and
+// only a range of everything lists Intervals.
+func (b *Builder) SnapshotRange(lo, hi *Mark) (*NodeProfile, error) {
+	return b.clone(between(lo, hi, b.duration)).finish(lo, hi)
+}
+
+// between returns the node-times a range lies between: after from, up to
+// to. end is the present.
+func between(lo, hi *Mark, end time.Duration) (from, to time.Duration) {
+	from, to = -1, end
+	if lo != nil {
+		from = lo.T
+	}
+	if hi != nil {
+		to = hi.T
+	}
+	return from, to
+}
+
+// spans copies the builder state that running the open invocations up to
+// the present touches: the resident spans. The core is shared — nothing
+// here writes to its stacks.
+func (b *Builder) spans() *Builder {
 	c := &Builder{
 		opts:      b.opts,
 		nodeID:    b.nodeID,
@@ -466,22 +507,40 @@ func (b *Builder) clone() *Builder {
 		maxSensor: b.maxSensor,
 		err:       b.err,
 
-		sensorNames: make(map[int]string, len(b.sensorNames)),
-		health:      append([]HealthEvent(nil), b.health...),
-		samples:     make([][]Sample, len(b.samples)),
-		settled:     append([]int(nil), b.settled...),
-		funcs:       append([]funcState(nil), b.funcs...),
-		folded:      append([]foldState(nil), b.folded...),
-		active:      b.active[:len(b.active):len(b.active)],
+		funcs:  append([]funcState(nil), b.funcs...),
+		folded: append([]foldState(nil), b.folded...),
+		active: b.active[:len(b.active):len(b.active)],
 	}
+	for fid := range c.funcs {
+		c.funcs[fid].intervals = append([]Interval(nil), c.funcs[fid].intervals...)
+	}
+	return c
+}
+
+// clone copies the builder state that finish mutates or retains, for a
+// profile of the samples stamped after from and up to to: the resident
+// spans and those samples. Of the settled samples — in time order, unless
+// one was late — only the ones in range are copied, so a range costs what
+// it holds, not what the stream held; the pending ones all are, finish
+// sorts them out. The settled values are shared, through slices clipped to
+// their length: finish only appends, and its first append moves the
+// clone's list to an array of its own.
+func (b *Builder) clone(from, to time.Duration) *Builder {
+	c := b.spans()
+	c.sensorNames = make(map[int]string, len(b.sensorNames))
+	c.health = append([]HealthEvent(nil), b.health...)
+	c.samples = make([][]Sample, len(b.samples))
+	c.settled = make([]int, len(b.settled))
 	for k, v := range b.sensorNames {
 		c.sensorNames[k] = v
 	}
 	for i, s := range b.samples {
-		c.samples[i] = append([]Sample(nil), s...)
+		settled, pending := s[:b.settled[i]], s[b.settled[i]:]
+		settled = settled[upTo(settled, from):upTo(settled, to)]
+		c.samples[i] = append(append(make([]Sample, 0, len(settled)+len(pending)), settled...), pending...)
+		c.settled[i] = len(settled)
 	}
-	for fid := range c.funcs {
-		c.funcs[fid].intervals = append([]Interval(nil), c.funcs[fid].intervals...)
+	for fid := range c.folded {
 		if f := &c.folded[fid]; f.vals != nil {
 			vals := make([][]float64, len(f.vals))
 			for sid, v := range f.vals {
@@ -494,33 +553,79 @@ func (b *Builder) clone() *Builder {
 	return c
 }
 
-// finish materialises the profile from accumulated state.
-func (b *Builder) finish() (*NodeProfile, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	// Close dangling frames at trace end (abnormal termination for a
-	// finished run; still-running functions for a snapshot). The samples
-	// no Fold has settled — all of them, on a builder nobody folded — are
-	// due now.
+// runOpen closes dangling frames at the newest timestamp seen: abnormal
+// termination for a finished run, still-running functions for a snapshot
+// or a mark.
+func (b *Builder) runOpen() {
 	for _, l := range b.core.Lanes() {
 		for _, fr := range l.Stack {
 			b.insert(fr.Fid, Interval{Start: fr.Enter, End: b.duration})
 		}
 	}
-	due := b.due(math.MaxInt64)
+}
+
+// total is one function's time so far: what was spilled and what is
+// resident.
+func (b *Builder) total(fid int) time.Duration {
+	return b.folded[fid].spilled + TotalDuration(b.funcs[fid].intervals)
+}
+
+// finish materialises the profile of [lo, hi] from accumulated state.
+func (b *Builder) finish(lo, hi *Mark) (*NodeProfile, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	// The samples no Fold has settled — all of them, on a builder nobody
+	// folded — are due now. They are settled in stages: a mark no Fold has
+	// sealed is sealed here, on a copy, once the samples stamped up to it
+	// are in, and what lies past hi is not needed at all.
+	b.runOpen()
+	type stage struct {
+		due  [][]Sample
+		seal *Mark
+	}
+	var stages []stage
+	rest := b.due(math.MaxInt64)
+	sealed := func(m *Mark) *Mark {
+		if m == nil || m.sealed {
+			return m
+		}
+		c := *m
+		c.seal(len(b.funcs), len(b.samples))
+		st := stage{seal: &c}
+		st.due, rest = splitDue(rest, m.T)
+		stages = append(stages, st)
+		return &c
+	}
+	lo, hi = sealed(lo), sealed(hi)
+	whole := lo == nil && hi == nil
+	from, to := between(lo, hi, b.duration)
+	dropped := b.dropped
+	if hi == nil {
+		stages = append(stages, stage{due: rest})
+	} else {
+		dropped = hi.dropped
+	}
+	if lo != nil {
+		dropped -= lo.dropped
+	}
 
 	np := &NodeProfile{
 		NodeID:        b.nodeID,
 		Unit:          b.opts.Unit,
 		Truncated:     b.truncated,
-		Duration:      b.duration,
-		DroppedEvents: b.dropped,
+		Duration:      to,
+		DroppedEvents: dropped,
 		HealthEvents:  b.health,
 	}
 	sort.SliceStable(np.HealthEvents, func(i, j int) bool {
 		return np.HealthEvents[i].TS < np.HealthEvents[j].TS
 	})
+	if !whole {
+		h := np.HealthEvents
+		h = h[sort.Search(len(h), func(i int) bool { return h[i].TS > from }):]
+		np.HealthEvents = h[:sort.Search(len(h), func(i int) bool { return h[i].TS > to })]
+	}
 
 	np.SensorNames = make([]string, b.maxSensor+1)
 	for i := range np.SensorNames {
@@ -538,24 +643,36 @@ func (b *Builder) finish() (*NodeProfile, error) {
 		if f.calls == 0 {
 			continue // never entered: no span, closed or left open
 		}
-		name, err := b.core.Sym().Name(uint32(fid))
-		if err != nil {
-			return nil, err
-		}
 		// The walk over the span list comes first: it leaves the list in
 		// cache for the searches that settle the samples.
-		total := b.folded[fid].spilled + TotalDuration(f.intervals)
-		b.settle(uint32(fid), due)
+		end := markFunc{total: b.total(fid), calls: f.calls}
+		for _, st := range stages {
+			b.settle(uint32(fid), st.due)
+			if st.seal != nil {
+				st.seal.sealFunc(fid, b.folded[fid].vals)
+			}
+		}
+		if hi != nil {
+			end = hi.fn(fid)
+		}
+		begin := lo.fn(fid)
 		fp := FuncProfile{
-			Name:      name,
-			TotalTime: total,
-			Calls:     f.calls,
-			Intervals: f.intervals,
+			TotalTime: end.total - begin.total,
+			Calls:     end.calls - begin.calls,
 			Sensors:   make([]stats.Summary, b.maxSensor+1),
 		}
-		anySamples := false
+		var err error
+		if fp.Name, err = b.core.Sym().Name(uint32(fid)); err != nil {
+			return nil, err
+		}
+		if whole {
+			fp.Intervals = f.intervals
+		}
 		for sid, vals := range b.folded[fid].vals {
-			if len(vals) == 0 {
+			if hi != nil {
+				vals = vals[:hi.at(fid, sid)]
+			}
+			if vals = vals[lo.at(fid, sid):]; len(vals) == 0 {
 				continue
 			}
 			sum, err := stats.Summarize(vals)
@@ -563,9 +680,11 @@ func (b *Builder) finish() (*NodeProfile, error) {
 				return nil, err
 			}
 			fp.Sensors[sid] = sum
-			anySamples = true
+			fp.Significant = true // if it ran long enough, decided below
 		}
-		fp.Significant = anySamples // and long enough, decided below
+		if fp.Calls == 0 && fp.TotalTime == 0 && !fp.Significant {
+			continue // neither entered nor open in the range
+		}
 		np.Functions = append(np.Functions, fp)
 	}
 
@@ -574,8 +693,11 @@ func (b *Builder) finish() (*NodeProfile, error) {
 	// slices of them.
 	np.Samples = make([][]Sample, b.maxSensor+1)
 	copy(np.Samples, b.samples)
-	for _, s := range np.Samples {
+	for sid, s := range np.Samples {
 		sort.SliceStable(s, func(i, j int) bool { return s[i].TS < s[j].TS })
+		if !whole {
+			np.Samples[sid] = s[upTo(s, from):upTo(s, to)]
+		}
 	}
 	np.SampleInterval = b.opts.SampleInterval
 	if np.SampleInterval == 0 {

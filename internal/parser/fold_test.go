@@ -351,6 +351,203 @@ func TestFoldBoundaryCases(t *testing.T) {
 	}
 }
 
+// TestSnapshotRangeTelescopes: marks cut at arbitrary batch boundaries
+// of a folded builder partition its profile. Per function, TotalTime,
+// Calls and every sensor's N summed over consecutive ranges are the
+// all-time Snapshot's exactly and Max is the largest of the ranges'; a
+// range of everything is Snapshot itself; and on a stream whose batches
+// are in order, the range from the origin to a mark is, at any later
+// moment, the Snapshot taken when the mark was cut — whether Fold sealed
+// the mark or the query had to.
+func TestSnapshotRangeTelescopes(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		for disorder, name := range disorderNames {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := tracegen.New(tracegen.Config{Seed: seed, SampleEvery: 200 * time.Microsecond})
+				b := parser.NewBuilder(1, g.Sym(), parser.Options{})
+				var marks []*parser.Mark
+				var then []*parser.NodeProfile // Snapshot when each mark was cut
+				for _, batch := range cutBatches(rng, g.Fill(nil, 40_000), 1024, disorder) {
+					if err := b.Add(batch); err != nil {
+						t.Fatal(err)
+					}
+					b.Fold()
+					if rng.Intn(4) == 0 {
+						np, err := b.Snapshot()
+						if err != nil {
+							t.Fatal(err)
+						}
+						marks, then = append(marks, b.Mark()), append(then, np)
+					}
+				}
+				if len(marks) < 3 {
+					t.Fatalf("%d marks: the case tests nothing", len(marks))
+				}
+				all, err := b.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if whole, err := b.SnapshotRange(nil, nil); err != nil || !reflect.DeepEqual(whole, all) {
+					t.Fatalf("SnapshotRange(nil, nil) is not Snapshot (%v)", err)
+				}
+				type sum struct {
+					total time.Duration
+					calls int64
+					n     []int
+					max   []float64
+				}
+				sums := map[string]*sum{}
+				bounds := append(append([]*parser.Mark{nil}, marks...), nil)
+				for i := 0; i+1 < len(bounds); i++ {
+					np, err := b.SnapshotRange(bounds[i], bounds[i+1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, fp := range np.Functions {
+						s := sums[fp.Name]
+						if s == nil {
+							s = &sum{n: make([]int, len(fp.Sensors)), max: make([]float64, len(fp.Sensors))}
+							sums[fp.Name] = s
+						}
+						// A lane that reports, after the mark, an exit stamped
+						// before it takes back what the mark charged the open
+						// invocation: only batches in order keep ranges positive.
+						if (fp.TotalTime < 0 && disorder != skewed) || fp.Calls < 0 || fp.Intervals != nil {
+							t.Fatalf("range %d: %+v", i, fp)
+						}
+						s.total, s.calls = s.total+fp.TotalTime, s.calls+fp.Calls
+						for sid, st := range fp.Sensors {
+							if st.N > 0 && (s.n[sid] == 0 || st.Max > s.max[sid]) {
+								s.max[sid] = st.Max
+							}
+							s.n[sid] += st.N
+						}
+					}
+				}
+				for _, fp := range all.Functions {
+					s := sums[fp.Name]
+					if s == nil || s.total != fp.TotalTime || s.calls != fp.Calls {
+						t.Fatalf("%s: ranges sum to %+v, Snapshot has %v in %d calls", fp.Name, s, fp.TotalTime, fp.Calls)
+					}
+					for sid, st := range fp.Sensors {
+						if s.n[sid] != st.N || (st.N > 0 && s.max[sid] != st.Max) {
+							t.Fatalf("%s sensor %d: ranges hold %d samples, max %v; Snapshot %d, max %v", fp.Name, sid, s.n[sid], s.max[sid], st.N, st.Max)
+						}
+					}
+				}
+				if len(sums) != len(all.Functions) {
+					t.Fatalf("ranges name %d functions, Snapshot %d", len(sums), len(all.Functions))
+				}
+				if disorder == skewed {
+					return // a batch reaches behind the mark before it
+				}
+				for i, m := range marks {
+					np, err := b.SnapshotRange(nil, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(np, stripIntervals(then[i])) {
+						t.Fatalf("mark %d at %v: the range up to it is not the Snapshot taken then", i, m.T)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSnapshotRangeCostsWhatItHolds: what a range between two sealed marks
+// allocates does not grow with the stream that follows it — the samples
+// outside it are not copied — which is what keeps a compaction pass over
+// many buckets linear in its samples.
+func TestSnapshotRangeCostsWhatItHolds(t *testing.T) {
+	g := tracegen.New(tracegen.Config{Seed: 3, SampleEvery: 200 * time.Microsecond})
+	b := parser.NewBuilder(1, g.Sym(), parser.Options{})
+	var evs []trace.Event
+	feed := func(chunks int) {
+		for k := 0; k < chunks; k++ {
+			evs = g.Fill(evs[:0], 4096)
+			if err := b.Add(evs); err != nil {
+				t.Fatal(err)
+			}
+			b.Fold()
+		}
+	}
+	cost := func(lo, hi *parser.Mark) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := b.SnapshotRange(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	feed(4)
+	lo := b.Mark()
+	feed(4)
+	hi := b.Mark()
+	feed(4) // the boundary passes hi
+	early := cost(lo, hi)
+	feed(160)
+	late, all := cost(lo, hi), cost(nil, nil)
+	t.Logf("%d B after 12 chunks, %d B after 172; everything %d B", early, late, all)
+	if late > early+early/4 || late > all/4 {
+		t.Errorf("the same range allocates %d B after 12 chunks and %d B after 172, a snapshot of everything %d B", early, late, all)
+	}
+}
+
+// TestSnapshotRangeClipsOpenInvocation: f is open from 0 to 100 and a
+// mark is cut at 50. Each side of the mark is charged 50, the call goes
+// to the side it was entered on, and each side summarises the sample
+// stamped on it — asked before Fold has sealed the mark and after.
+func TestSnapshotRangeClipsOpenInvocation(t *testing.T) {
+	const f, tick = 0, 1
+	sym := trace.NewSymTab()
+	sym.Register("f")
+	sym.Register("tick")
+	b := parser.NewBuilder(1, sym, parser.Options{SampleInterval: 10})
+	feed := func(evs ...trace.Event) {
+		t.Helper()
+		if err := b.Add(evs); err != nil {
+			t.Fatal(err)
+		}
+		b.Fold()
+	}
+	check := func(when string, lo, hi *parser.Mark, calls int64, value float64) {
+		t.Helper()
+		np, err := b.SnapshotRange(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := np.Function("f")
+		if !ok || fp.TotalTime != 50 || fp.Calls != calls || fp.Sensors[0].N != 1 || fp.Sensors[0].Max != value || !fp.Significant {
+			t.Errorf("%s: f is %+v, want 50ns, %d calls and the one sample of %v", when, fp, calls, value)
+		}
+		if len(np.Samples[0]) != 1 || np.Samples[0][0].Value != value {
+			t.Errorf("%s: series %+v, want the one sample of %v", when, np.Samples[0], value)
+		}
+	}
+	opts := parser.Options{Unit: parser.Celsius, SampleInterval: 10}
+	b = parser.NewBuilder(1, sym, opts)
+	feed(enter(1, f, 0), sample(40, 40), enter(tickLane, tick, 50), exit(tickLane, tick, 50))
+	m := b.Mark()
+	check("head, unsealed", nil, m, 1, 40)
+	feed(sample(60, 60), exit(1, f, 100))
+	check("before the mark, unsealed", nil, m, 1, 40)
+	check("after the mark, unsealed", m, nil, 0, 60)
+	for ts := time.Duration(110); ts <= 140; ts += 10 {
+		feed(enter(tickLane, tick, ts), exit(tickLane, tick, ts))
+	}
+	if b.Resident() > 3 {
+		t.Fatalf("%d resident spans: the boundary has not passed the mark", b.Resident())
+	}
+	check("before the mark, sealed", nil, m, 1, 40)
+	check("after the mark, sealed", m, nil, 0, 60)
+	if np, err := b.SnapshotRange(m, m); err != nil || len(np.Functions) != 0 {
+		t.Errorf("an empty range: %+v, %v", np, err)
+	}
+}
+
 // TestFoldLateEvents: events stamped behind the boundary are counted, the
 // builder stays healthy, and no function is credited more time than the
 // trace lasted — the late span keeps only what lies past its function's
@@ -457,8 +654,11 @@ func TestFoldPlateau(t *testing.T) {
 // agrees with an unfolded one — on the profile, or on the error. Three
 // bytes make an event: what and where, which function, and how far the
 // clock moves first, or for a stale event how far behind the clock it is
-// stamped.
+// stamped. The first batch whose last event says so is followed by a mark
+// on both builders: the two ranges it cuts are the same on both — Fold seals
+// the one, the query the other — and add up to the whole.
 func FuzzBuilderFold(f *testing.F) {
+	f.Add([]byte{0x00, 1, 5, 0x0a, 0, 3, 0xa0, 2, 4, 0x0a, 1, 6, 0x81, 2, 9, 0x80, 0, 30, 0x81, 0, 1, 0x82, 1, 40, 0x83, 0, 1, 0x01, 1, 2})
 	f.Add([]byte{0x00, 0, 5, 0x04, 1, 5, 0x0a, 0, 3, 0x05, 1, 9, 0x01, 0, 7, 0x80, 0, 1, 0x83, 0, 1, 0x0a, 0, 2, 0x81, 0, 40})
 	f.Add([]byte{0x00, 2, 1, 0x80, 2, 1, 0x81, 2, 1, 0x82, 0, 1, 0x83, 0, 1, 0x4a, 0, 90, 0x40, 2, 80, 0x41, 2, 1})
 	f.Add([]byte{0x21, 1, 1, 0x81, 0, 9, 0x00, 1, 4, 0x82, 0, 9, 0x83, 0, 9, 0x84, 0, 9, 0x01, 1, 3})
@@ -471,10 +671,14 @@ func FuzzBuilderFold(f *testing.F) {
 		folded, plain := parser.NewBuilder(1, sym, opts), parser.NewBuilder(1, sym, opts)
 		var clock time.Duration
 		var batch []trace.Event
-		flush := func() {
+		var foldedMark, plainMark *parser.Mark
+		flush := func(mark bool) {
 			_ = folded.Add(batch) // a poisoned builder keeps saying so
 			folded.Fold()
 			_ = plain.Add(batch)
+			if mark && foldedMark == nil {
+				foldedMark, plainMark = folded.Mark(), plain.Mark()
+			}
 			batch = batch[:0]
 		}
 		for ; len(data) >= 3; data = data[3:] {
@@ -497,10 +701,10 @@ func FuzzBuilderFold(f *testing.F) {
 			}
 			batch = append(batch, e)
 			if op&0x80 != 0 {
-				flush()
+				flush(op&0x20 != 0)
 			}
 		}
-		flush()
+		flush(false)
 		if folded.Late() != 0 {
 			if np, err := folded.Finish(); err == nil {
 				for _, fp := range np.Functions {
@@ -510,6 +714,39 @@ func FuzzBuilderFold(f *testing.F) {
 				}
 			}
 			return
+		}
+		if all, err := folded.Snapshot(); err == nil {
+			if whole, _ := folded.SnapshotRange(nil, nil); !reflect.DeepEqual(whole, all) {
+				t.Fatalf("SnapshotRange(nil, nil) is not Snapshot:\n%+v\n%+v", whole, all)
+			}
+			if foldedMark != nil {
+				sum := map[string]parser.FuncProfile{}
+				for _, r := range [2][4]*parser.Mark{{nil, foldedMark, nil, plainMark}, {foldedMark, nil, plainMark, nil}} {
+					got, _ := folded.SnapshotRange(r[0], r[1])
+					want, _ := plain.SnapshotRange(r[2], r[3])
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("a range of the folded builder differs from the unfolded one's:\n%+v\n%+v", got, want)
+					}
+					for _, fp := range got.Functions {
+						s := sum[fp.Name]
+						s.TotalTime, s.Calls = s.TotalTime+fp.TotalTime, s.Calls+fp.Calls
+						s.Sensors = append(s.Sensors, fp.Sensors...)
+						sum[fp.Name] = s
+					}
+				}
+				for _, fp := range all.Functions {
+					s, n := sum[fp.Name], 0
+					for _, st := range s.Sensors {
+						n += st.N
+					}
+					for _, st := range fp.Sensors {
+						n -= st.N
+					}
+					if s.TotalTime != fp.TotalTime || s.Calls != fp.Calls || n != 0 {
+						t.Fatalf("%s: the two ranges sum to %v in %d calls and are %d samples off; Snapshot has %v in %d", fp.Name, s.TotalTime, s.Calls, n, fp.TotalTime, fp.Calls)
+					}
+				}
+			}
 		}
 		for _, profile := range []func(*parser.Builder) (*parser.NodeProfile, error){(*parser.Builder).Snapshot, (*parser.Builder).Finish} {
 			got, gerr := profile(folded)

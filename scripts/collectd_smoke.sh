@@ -18,8 +18,11 @@
 #     -verify-store, and a restarted collector on the same directory must
 #     replay the history and serve the identical hotspots golden
 #   * the time-ranged surface (/api/windows/{node}, /api/series with
-#     from/to, /api/hotspots?window=) must answer from the replayed
-#     store, agree with the live answers, and reject malformed ranges
+#     from/to from the replayed store, /api/hotspots?window= from the
+#     replayed builders' granule marks) must agree with the live answers,
+#     say what a window covers, and reject malformed ranges
+#   * a memory-only collector (no -store-dir) must rank ?window= too, and
+#     answer 503 for a ranged series
 #
 # Run `make collectd-smoke UPDATE_GOLDEN=1` after intentionally changing
 # the hotspot computation or response shape to regenerate the golden.
@@ -191,10 +194,18 @@ diff -u "$workdir/series-live.csv" "$workdir/series-ranged.csv"
 echo "    full-range series matches live series"
 
 # A window wide enough to cover everything must reproduce the hotspot
-# golden, modulo the echoed "window" field.
-curl -fsS "http://$HTTP/api/hotspots?k=5&window=876000h" \
-    | grep -v '"window"' >"$workdir/hotspots-window.json"
-grep -v '"window"' "$golden" >"$workdir/hotspots-golden-nowindow.json"
+# golden byte for byte, modulo the echoed "window" field and the bounds
+# ("window_from", "window_to") the answer says it covers.
+curl -fsS "http://$HTTP/api/hotspots?k=5&window=876000h" >"$workdir/hotspots-window-full.json"
+for field in '"window": "876000h0m0s"' '"window_from": "' '"window_to": "'; do
+    grep -q "$field" "$workdir/hotspots-window-full.json" || {
+        echo "windowed hotspots do not carry $field:"
+        cat "$workdir/hotspots-window-full.json"
+        exit 1
+    }
+done
+grep -v '"window' "$workdir/hotspots-window-full.json" >"$workdir/hotspots-window.json"
+grep -v '"window' "$golden" >"$workdir/hotspots-golden-nowindow.json"
 diff -u "$workdir/hotspots-golden-nowindow.json" "$workdir/hotspots-window.json"
 echo "    windowed hotspots match golden"
 
@@ -212,5 +223,31 @@ if [ "$code" != "400" ]; then
     exit 1
 fi
 echo "    window=nope -> 400"
+
+echo "==> restarting collector memory-only: rankings need no store"
+kill "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
+"$workdir/tempest-collectd" -listen 127.0.0.1:0 -http 127.0.0.1:0 \
+    >"$workdir/addr3" 2>>"$workdir/collectd.log" &
+daemon_pid=$!
+for _ in $(seq 1 100); do
+    [ -s "$workdir/addr3" ] && break
+    kill -0 "$daemon_pid" 2>/dev/null || { echo "memory-only collectd died:"; cat "$workdir/collectd.log"; exit 1; }
+    sleep 0.05
+done
+[ -s "$workdir/addr3" ] || { echo "memory-only collectd never printed its addresses"; exit 1; }
+read -r ingest_kv http_kv _ <"$workdir/addr3"
+INGEST=${ingest_kv#ingest=}
+HTTP=${http_kv#http=}
+"$workdir/tempest-collectd" -upload cmd/tempest-collectd/testdata/smoke.tpst -to "$INGEST"
+curl -fsS "http://$HTTP/api/hotspots?k=5&window=1h" | grep -v '"window' >"$workdir/hotspots-window-mem.json"
+diff -u "$workdir/hotspots-golden-nowindow.json" "$workdir/hotspots-window-mem.json"
+echo "    memory-only windowed hotspots match golden"
+code=$(curl -sS -o /dev/null -w '%{http_code}' "http://$HTTP/api/series/1?$wide")
+if [ "$code" != "503" ]; then
+    echo "memory-only ranged series returned HTTP $code, want 503"
+    exit 1
+fi
+echo "    memory-only ranged series -> 503"
 
 echo "==> collectd smoke OK"
