@@ -41,8 +41,10 @@ race:
 
 # Seeded end-to-end fault-injection scenario (sensor dropout + torn trace
 # tail + flaky TCP link), plus the per-package chaos tests, the
-# durable-store crash drill (SIGKILL a real collectd mid-ingest, restart,
-# assert nothing acked was lost), and the adaptive control-loop drills
+# durable-store crash drills (a crash at every byte an append → roll →
+# checkpoint → append sequence writes; SIGKILL a real collectd
+# mid-ingest, restart, assert nothing acked was lost), and the adaptive
+# control-loop drills
 # (seeded link chaos on the control channel; closed-loop promotion at an
 # event density that overflows the lane buffer under full detail).
 chaos:
@@ -50,6 +52,7 @@ chaos:
 	$(GO) test -run TestChaos -v ./internal/collect/
 	$(GO) test -run 'TestTCPChaos|TestTCPRank' -v ./internal/mpi/
 	$(GO) test -run 'TestSegmentedSalvage|TestSegmentedChecksum' -v ./internal/trace/
+	$(GO) test -run 'TestStoreCrashPoints' -v ./internal/store/
 	$(GO) test -run 'TestDaemonStoreChaosSIGKILL' -v ./cmd/tempest-collectd/
 
 bench:

@@ -175,10 +175,8 @@ type shard struct {
 	closed bool // set by Close; do runs nothing afterwards
 	nodes  map[uint32]*nodeState
 
-	// store is never nil: Memory when durability is off or after the
-	// shard degraded.
-	store   store.Store
-	durable bool // disk-backed and not degraded
+	// store is nil when durability is off or after the shard degraded.
+	store *store.Disk
 
 	// batch is the one chunk decode buffer (see decode).
 	batch []trace.Event
@@ -229,7 +227,6 @@ func New(opts Options) *Collector {
 			id:    i,
 			nodes: make(map[uint32]*nodeState),
 			c:     c,
-			store: store.Memory{},
 		}
 	}
 	if opts.StoreDir != "" {
@@ -268,7 +265,6 @@ func (c *Collector) openStores() {
 			continue
 		}
 		sh.store = st
-		sh.durable = true
 		if err := st.Replay(sh.replayArchive, sh.replayBatch); err != nil {
 			// Replay already salvaged what it could; the store itself still
 			// accepts appends, so stay durable with partial history.
@@ -410,7 +406,10 @@ func (c *Collector) Close() error {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		sh.closed = true
-		err := sh.store.Close()
+		var err error
+		if sh.store != nil {
+			err = sh.store.Close()
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			c.opts.Logger.Error("store close failed", "shard", sh.id, "err", err)

@@ -24,7 +24,7 @@ import (
 // append commits one batch to the shard's store, stamped wall, and
 // reports whether it is durable. A failed append degrades the shard.
 func (sh *shard) append(ns *nodeState, seq uint64, flags uint8, wall int64, payload []byte, what string) bool {
-	if !sh.durable {
+	if sh.store == nil {
 		return false
 	}
 	err := sh.store.Append(store.Batch{
@@ -48,8 +48,7 @@ func (sh *shard) degrade(what string, ns *nodeState, err error) {
 	sh.c.opts.Logger.Error(what+"; shard degraded to memory-only ingest",
 		"shard", sh.id, "node", ns.id, "err", err)
 	sh.store.Close()
-	sh.store = store.Memory{}
-	sh.durable = false
+	sh.store = nil
 	sh.c.noteDegrade()
 }
 
@@ -74,7 +73,7 @@ func (sh *shard) persist(ns *nodeState, seq uint64, flags uint8, payload []byte)
 // must not advance the ship resume cursor.
 func (sh *shard) persistBulk(ns *nodeState, flags uint8, events []trace.Event) (wall int64) {
 	var payload []byte
-	if sh.durable {
+	if sh.store != nil {
 		var err error
 		if payload, _, err = encodeChunk(events, ns.sym, ns.symsStored); err != nil {
 			// Events the scanner just decoded will not encode: a codec

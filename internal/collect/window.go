@@ -190,22 +190,15 @@ type shardHistory struct {
 	idx    map[histKey]*list.Element
 }
 
-// history returns the shard's store as a HistoryStore when ranged series
-// are possible (disk-backed and not degraded).
-func (sh *shard) history() (store.HistoryStore, bool) {
-	hs, ok := sh.store.(store.HistoryStore)
-	return hs, ok && sh.durable
-}
-
 // histArchive returns the decoded checkpoint archive, re-decoding when a
 // compaction moved the raw/archived split (which also stales every
 // cached raw decode: their batches may have been folded away).
-func (sh *shard) histArchive(hs store.HistoryStore) *fleetArchive {
-	gen := hs.CompactGen()
+func (sh *shard) histArchive() *fleetArchive {
+	gen := sh.store.CompactGen()
 	if sh.hist.genSet && sh.hist.gen == gen {
 		return sh.hist.arch
 	}
-	arch, err := decodeArchive(hs.ArchiveBlob())
+	arch, err := decodeArchive(sh.store.ArchiveBlob())
 	if err != nil {
 		sh.c.opts.Logger.Error("store archive undecodable; historical queries see raw history only",
 			"shard", sh.id, "err", err)
@@ -247,9 +240,9 @@ const windowCache = 16
 // range starts — and the in-range pass folds events into a throwaway
 // mid-stream builder. The archive that says what of the range survives
 // only as folded heat comes back with it.
-func (sh *shard) decodeWindow(hs store.HistoryStore, id uint32, from, to int64) (*fleetArchive, *parser.NodeProfile, error) {
+func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser.NodeProfile, error) {
 	sh.c.metrics.windowQueries.Add(1)
-	arch := sh.histArchive(hs) // before the lookup: a compaction since empties the cache
+	arch := sh.histArchive() // before the lookup: a compaction since empties the cache
 	key := histKey{id, from, to}
 	if el, ok := sh.hist.idx[key]; ok {
 		sh.c.metrics.windowCacheHits.Add(1)
@@ -270,7 +263,7 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, id uint32, from, to int64) 
 	mine := func(sb store.Batch) bool {
 		return sb.Node == id && sb.Flags&(store.FlagPolicy|store.FlagCoarse) == 0 && !dead
 	}
-	err := hs.ReadRange(from, to,
+	err := sh.store.ReadRange(from, to,
 		func(sb store.Batch) error { // prefix: symbols only
 			// Stored payloads decoded whole at ingest and the store
 			// checksums them, so the events behind the header are not
@@ -329,8 +322,7 @@ func (sh *shard) decodeWindow(hs store.HistoryStore, id uint32, from, to int64) 
 func (c *Collector) WindowSeries(id uint32, from, to int64) (np *parser.NodeProfile, archEvents uint64, archived bool, err error) {
 	sh := c.shardFor(id)
 	closed := sh.do(func() {
-		hs, ok := sh.history()
-		if !ok {
+		if sh.store == nil {
 			err = ErrHistoryUnavailable
 			return
 		}
@@ -339,7 +331,7 @@ func (c *Collector) WindowSeries(id uint32, from, to int64) (np *parser.NodeProf
 			return
 		}
 		var arch *fleetArchive
-		if arch, np, err = sh.decodeWindow(hs, id, from, to); err == nil {
+		if arch, np, err = sh.decodeWindow(id, from, to); err == nil {
 			archEvents, archived = arch.nodeRangeArchived(id, from, to)
 		}
 	})
@@ -381,12 +373,11 @@ func (c *Collector) NodeWindows(id uint32) (*WindowsResponse, error) {
 	resp := &WindowsResponse{Node: id, Windows: []WindowEntry{}}
 	sh := c.shardFor(id)
 	err := c.known(id, func(*nodeState) {
-		hs, ok := sh.history()
-		if !ok {
+		if sh.store == nil {
 			return
 		}
 		resp.Durable = true
-		for _, w := range sh.histArchive(hs).windows {
+		for _, w := range sh.histArchive().windows {
 			for _, wn := range w.nodes {
 				if wn.node != id {
 					continue
@@ -399,7 +390,7 @@ func (c *Collector) NodeWindows(id uint32) (*WindowsResponse, error) {
 				})
 			}
 		}
-		for _, wi := range hs.Windows() {
+		for _, wi := range sh.store.Windows() {
 			resp.Windows = append(resp.Windows, WindowEntry{
 				Kind: "raw",
 				From: time.Unix(0, wi.FirstWall).UTC(),

@@ -9,9 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -73,11 +70,10 @@ func writeRecord(w io.Writer, kind byte, body []byte, prev Chain) (Chain, error)
 	return nextChain, nil
 }
 
-// record is one decoded store record.
+// record is one intact store record.
 type record struct {
-	kind  byte
 	body  []byte // without the trailing chain link; aliases the scan buffer
-	chain Chain
+	batch Batch  // body parsed, in a segment file
 }
 
 // appendBatchBody serialises a batch body into dst.
@@ -241,25 +237,18 @@ func readSegHeader(br *bufio.Reader) (segHeader, error) {
 	}
 	h.index = idx
 	h.chainStart = link
-	h.size = len(fixed) + uvarintLen(idx) + ChainLen
+	h.size = len(appendSegHeader(nil, idx, link))
 	return h, nil
 }
 
-func uvarintLen(v uint64) int {
-	var scratch [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(scratch[:], v)
-}
-
-// segScan is the result of walking one segment file.
+// segScan is the result of walking one segment file: its index entry, up
+// to the last intact record, and how the walk ended.
 type segScan struct {
-	header    segHeader
-	final     Chain // chain after the last intact record
-	records   int
-	batches   int
-	firstWall int64 // earliest batch wall clock (valid when batches > 0)
-	lastWall  int64
-	goodOff   int64 // offset just past the last intact record
-	tear      error // nil if the file ended cleanly on a frame boundary
+	segMeta
+	header  segHeader
+	records int
+	goodOff int64 // offset just past the last intact record
+	tear    error // nil if the file ended cleanly on a frame boundary
 }
 
 // scanBuf is what one file scan reads through: a record handed to the
@@ -275,12 +264,17 @@ type scanBuf struct {
 // allocated.
 var scanBufs = sync.Pool{New: func() any { return &scanBuf{br: bufio.NewReaderSize(nil, 1<<16)} }}
 
-// scanSegmentFile walks one segment or checkpoint file, verifying frame
-// CRCs and chain continuity, calling fn (when non-nil) with each intact
-// record. Scanning stops at the first tear, CRC failure or chain break,
-// reported via segScan.tear; an unreadable header is a hard error.
-// A non-nil error from fn aborts the scan and is returned verbatim.
-func scanSegmentFile(path string, fn func(record) error) (*segScan, error) {
+// scanSegmentFile walks the segment or checkpoint file sm names by index
+// and path, whose records are all of one kind (recBatch or
+// recCheckpoint), verifying frame CRCs and chain continuity, calling fn
+// (when non-nil) with each intact record; the scan's segMeta is sm with
+// the rest filled in. Scanning stops at the first tear, CRC failure,
+// chain break or record of another kind — the frame CRC does not cover
+// the kind byte — reported via segScan.tear; an unreadable header is a
+// hard error. A non-nil error from fn aborts the scan and is returned
+// verbatim.
+func scanSegmentFile(sm segMeta, kind byte, fn func(record) error) (*segScan, error) {
+	path := sm.path
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -297,9 +291,9 @@ func scanSegmentFile(path string, fn func(record) error) (*segScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := &segScan{header: hdr, final: hdr.chainStart, goodOff: int64(hdr.size)}
+	sc := &segScan{segMeta: segMeta{index: sm.index, path: path, final: hdr.chainStart}, header: hdr, goodOff: int64(hdr.size)}
 	for {
-		kind, payload, nbuf, err := trace.ReadSegmentFrame(br, sb.frame, maxRecordLen, recBatch, recCheckpoint)
+		_, payload, nbuf, err := trace.ReadSegmentFrame(br, sb.frame, maxRecordLen, kind)
 		sb.frame = nbuf
 		if err == io.EOF {
 			return sc, nil
@@ -312,33 +306,32 @@ func scanSegmentFile(path string, fn func(record) error) (*segScan, error) {
 			sc.tear = fmt.Errorf("%w: record shorter than its chain link", trace.ErrTornSegment)
 			return sc, nil
 		}
-		rec := record{kind: kind, body: payload[:len(payload)-ChainLen]}
-		copy(rec.chain[:], payload[len(payload)-ChainLen:])
-		if want := chainNext(sc.final, rec.body); want != rec.chain {
+		rec := record{body: payload[:len(payload)-ChainLen]}
+		var link Chain
+		copy(link[:], payload[len(payload)-ChainLen:])
+		if want := chainNext(sc.final, rec.body); want != link {
 			sc.tear = fmt.Errorf("%w: record %d of %s", errChainBreak, sc.records, filepath.Base(path))
 			return sc, nil
 		}
-		var wall int64
 		if kind == recBatch {
-			b, err := parseBatchBody(rec.body)
-			if err != nil {
+			if rec.batch, err = parseBatchBody(rec.body); err != nil {
 				// The frame and chain verified but the body is structurally
 				// invalid: treat the record as torn so salvage stops before
 				// it instead of replaying garbage.
 				sc.tear = err
 				return sc, nil
 			}
-			wall = b.WallNano
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
 				return nil, err
 			}
 		}
-		sc.final = rec.chain
+		sc.final = link
 		sc.records++
 		sc.goodOff += int64(trace.SegmentFrameHdrLen + len(payload))
 		if kind == recBatch {
+			wall := rec.batch.WallNano
 			if sc.batches == 0 || wall < sc.firstWall {
 				sc.firstWall = wall
 			}
@@ -348,20 +341,50 @@ func scanSegmentFile(path string, fn func(record) error) (*segScan, error) {
 	}
 }
 
-// segMeta is the in-memory index entry for one closed, uncompacted
-// segment file.
+// walk hands every intact batch in segs' files to fn, in order. A tear
+// ends the walk of its file, not of segs: walk goes on to the next file
+// and returns every tear it met, each naming its file. An error from fn,
+// or a file that will not open, ends the walk.
+func walk(segs []segMeta, fn func(Batch) error) (tears []error, err error) {
+	for _, sm := range segs {
+		name := filepath.Base(sm.path)
+		sc, err := scanSegmentFile(sm, recBatch, func(rec record) error { return fn(rec.batch) })
+		if err != nil {
+			return tears, fmt.Errorf("%s: %w", name, err)
+		}
+		if sc.tear != nil {
+			tears = append(tears, fmt.Errorf("%s: %w", name, sc.tear))
+		}
+	}
+	return tears, nil
+}
+
+// flaking logs and counts the tears a read of recovered segments met:
+// recovery already salvaged the crash tail, so a tear now means the disk
+// is flaking under a live store. The intact prefix of each torn file was
+// served.
+func (d *Disk) flaking(what string, tears []error) {
+	for _, tear := range tears {
+		d.opts.Logger.Error("store: "+what+" tear", "dir", d.dir, "err", tear)
+		d.opts.Metrics.RecoveryErrors.Add(1)
+	}
+}
+
+// segMeta is the in-memory index entry for one uncompacted segment file.
 type segMeta struct {
 	index     uint64
 	path      string
-	firstWall int64
+	firstWall int64 // earliest batch wall clock (valid when batches > 0)
 	lastWall  int64
-	final     Chain
+	final     Chain // chain after the last intact record
 	batches   int
 }
 
-// Disk is the durable backend: an append-only, hash-chained segment log
-// with checkpointed retention. Not concurrency-safe; one shard worker
-// owns each Disk.
+// Disk is one shard's durable history: an append-only, hash-chained
+// segment log with checkpointed retention. Call order: Replay once,
+// before the first Append; then any number of Appends and ranged reads;
+// then Close. Not concurrency-safe: its owner serialises every call, as
+// a collector shard does under its lock.
 type Disk struct {
 	dir  string
 	opts Options
@@ -369,21 +392,18 @@ type Disk struct {
 	err         error // poisoned after an I/O failure
 	closedStore bool
 
-	f            *os.File  // active segment, nil until the first Append
-	w            io.Writer // f, possibly wrapped by opts.WrapWriter
-	segIndex     uint64    // highest segment index ever used
-	segStart     time.Time // when the active segment was opened
-	segBytes     int64
-	segBatches   int
-	segFirstWall int64 // earliest batch wall in the active segment
-	sinceSync    int
+	f         *os.File  // active segment, nil until the first Append
+	w         io.Writer // f, possibly wrapped by opts.WrapWriter
+	active    segMeta   // f's index entry, final set when it closes
+	segIndex  uint64    // highest segment index ever used
+	segStart  time.Time // when the active segment was opened
+	segBytes  int64
+	sinceSync int
 
-	chain    Chain
-	lastWall int64
+	chain Chain
 
 	closed    []segMeta // closed, uncompacted segments, ascending index
 	ckptIndex uint64    // highest checkpoint index (0 = none)
-	ckptPath  string
 	archive   []byte
 	// compactGen counts successful compactions this process has run (and
 	// starts at 1 after recovery when a checkpoint exists), so readers
@@ -395,10 +415,10 @@ type Disk struct {
 
 // Open opens (creating as needed) one shard's disk store and runs crash
 // recovery: stale files from an interrupted compaction are removed, the
-// last segment's torn tail — if the previous process died mid-append —
-// is truncated away, and the hash chain is rebuilt so the next Append
-// continues it. If retention is configured, aged-out segments compact
-// immediately.
+// last segment's torn tail or torn header — if the previous process died
+// mid-append or mid-roll — is discarded, and the hash chain is rebuilt so
+// the next Append continues it. If retention is configured, aged-out
+// segments compact immediately.
 func Open(dir string, opts Options) (*Disk, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -412,202 +432,48 @@ func Open(dir string, opts Options) (*Disk, error) {
 	return d, nil
 }
 
-// parseStoreName classifies one store directory entry.
-func parseStoreName(name string) (index uint64, kind string) {
-	switch {
-	case strings.HasSuffix(name, ".seg"):
-		kind = "seg"
-	case strings.HasSuffix(name, ".ckpt"):
-		kind = "ckpt"
-	case strings.HasSuffix(name, ".tmp"):
-		return 0, "tmp"
-	default:
-		return 0, ""
-	}
-	idx, err := strconv.ParseUint(name[:len(name)-len(filepath.Ext(name))], 10, 64)
-	if err != nil {
-		return 0, ""
-	}
-	return idx, kind
-}
-
-func (d *Disk) segPath(index uint64) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%09d.seg", index))
-}
-
-func (d *Disk) ckptPathFor(index uint64) string {
-	return filepath.Join(d.dir, fmt.Sprintf("%09d.ckpt", index))
-}
-
-// recover scans the directory, cleans up interrupted-compaction debris,
-// loads the newest checkpoint, salvages the segment log's torn tail and
-// rebuilds the chain cursor.
+// recover surveys the directory and acts on what it found: debris goes
+// (a final segment torn inside its header with it — nothing in it was
+// ever acked), a torn tail is cut off, every note and problem is logged
+// and every problem counted once, and the chain cursor is set so the
+// next Append continues it. Problems cost history, never availability:
+// what still chain-verifies is kept, and so is a file whose header will
+// not read, for the operator.
 func (d *Disk) recover() error {
-	ents, err := os.ReadDir(d.dir)
+	f, err := survey(d.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	var segs []uint64
-	var ckpts []uint64
-	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		idx, kind := parseStoreName(ent.Name())
-		switch kind {
-		case "seg":
-			segs = append(segs, idx)
-		case "ckpt":
-			ckpts = append(ckpts, idx)
-		case "tmp":
-			// An interrupted compaction's half-written checkpoint: the
-			// rename never happened, so it covers nothing. Remove it.
-			os.Remove(filepath.Join(d.dir, ent.Name()))
+	for _, path := range f.debris {
+		os.Remove(path)
+	}
+	for _, n := range f.notes {
+		d.opts.Logger.Warn("store: discarding crash damage", "dir", d.dir, "note", n)
+	}
+	for _, p := range f.problems {
+		d.opts.Logger.Error("store: history lost or untrustworthy", "dir", d.dir, "problem", p)
+	}
+	d.opts.Metrics.RecoveryErrors.Add(uint64(len(f.problems)))
+	if tail := f.tornTail; tail != nil {
+		// The crash salvage case: truncate the torn tail so the surviving
+		// prefix re-verifies cleanly forever after.
+		d.opts.Metrics.SalvagedTails.Add(1)
+		if err := os.Truncate(tail.path, tail.goodOff); err != nil {
+			return fmt.Errorf("store: salvage truncate: %w", err)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
-
-	// Newest checkpoint wins; older checkpoints and the raw segments a
-	// checkpoint covers are debris from a compaction that crashed between
-	// rename and delete.
-	if n := len(ckpts); n > 0 {
-		d.ckptIndex = ckpts[n-1]
-		d.ckptPath = d.ckptPathFor(d.ckptIndex)
-		for _, idx := range ckpts[:n-1] {
-			os.Remove(d.ckptPathFor(idx))
-		}
-		kept := segs[:0]
-		for _, idx := range segs {
-			if idx <= d.ckptIndex {
-				os.Remove(d.segPath(idx))
-				continue
-			}
-			kept = append(kept, idx)
-		}
-		segs = kept
-		if err := d.loadCheckpoint(); err != nil {
-			// A checkpoint that fails its own CRC + chain verification is
-			// unusable: the archived history is lost (and Verify will say
-			// so), but the surviving raw segments still replay.
-			d.opts.Logger.Error("store: checkpoint unreadable, archived history dropped",
-				"dir", d.dir, "checkpoint", d.ckptPath, "err", err)
-			d.opts.Metrics.RecoveryErrors.Add(1)
-			d.archive = nil
-		}
-	}
-	d.segIndex = d.ckptIndex
-
-	for i, idx := range segs {
-		last := i == len(segs)-1
-		path := d.segPath(idx)
-		sc, err := scanSegmentFile(path, nil)
-		if err != nil {
-			if last {
-				// The process died creating this segment before even its
-				// header was durable; nothing in it was ever acked.
-				d.opts.Logger.Warn("store: removing segment with torn header", "segment", path, "err", err)
-				os.Remove(path)
-				break
-			}
-			d.opts.Logger.Error("store: unreadable mid-log segment skipped", "segment", path, "err", err)
-			d.opts.Metrics.RecoveryErrors.Add(1)
-			d.segIndex = idx
-			continue
-		}
-		if sc.header.index != idx {
-			// The index lives in the header, outside any record's CRC or
-			// chain: a flip here (or a renamed file) is metadata tampering.
-			// The records themselves still chain-verify, so keep them — but
-			// count it, and Verify fails the shard until the operator acts.
-			d.opts.Logger.Error("store: segment header index disagrees with filename",
-				"segment", path, "header_index", sc.header.index)
-			d.opts.Metrics.RecoveryErrors.Add(1)
-		}
-		if i == 0 && d.ckptIndex == 0 {
-			// No checkpoint: the log must root at the zero chain. A nonzero
-			// start claims continuation of history that no longer exists —
-			// keep the batches (availability) but say so loudly.
-			if sc.header.chainStart != (Chain{}) {
-				d.opts.Logger.Error("store: segment roots mid-history with no checkpoint", "segment", path)
-				d.opts.Metrics.RecoveryErrors.Add(1)
-			}
-			d.chain = sc.header.chainStart
-		} else if sc.header.chainStart != d.chain {
-			// First segment after a checkpoint must continue prevFinal;
-			// later segments must continue their predecessor. A mismatch
-			// means history between them was lost or altered.
-			d.opts.Logger.Error("store: chain discontinuity at segment", "segment", path)
-			d.opts.Metrics.RecoveryErrors.Add(1)
-		}
-		if sc.tear != nil {
-			if last {
-				// The crash salvage case: truncate the torn tail so the
-				// surviving prefix re-verifies cleanly forever after.
-				d.opts.Logger.Warn("store: truncating torn segment tail",
-					"segment", path, "offset", sc.goodOff, "err", sc.tear)
-				d.opts.Metrics.SalvagedTails.Add(1)
-				if err := os.Truncate(path, sc.goodOff); err != nil {
-					return fmt.Errorf("store: salvage truncate: %w", err)
-				}
-			} else {
-				d.opts.Logger.Error("store: mid-log tear, segment suffix lost",
-					"segment", path, "err", sc.tear)
-				d.opts.Metrics.RecoveryErrors.Add(1)
-			}
-		}
-		d.closed = append(d.closed, segMeta{
-			index:     idx,
-			path:      path,
-			firstWall: sc.firstWall,
-			lastWall:  sc.lastWall,
-			final:     sc.final,
-			batches:   sc.batches,
-		})
-		d.chain = sc.final
-		if sc.lastWall > d.lastWall {
-			d.lastWall = sc.lastWall
-		}
-		d.segIndex = idx
+	d.ckptIndex, d.archive, d.chain, d.segIndex = f.ckptIndex, f.archive, f.final, f.segIndex
+	for _, sc := range f.segs {
+		d.closed = append(d.closed, sc.segMeta)
 	}
 	return nil
 }
 
-// loadCheckpoint reads and verifies the newest checkpoint, seeding the
-// archive blob and the chain cursor.
-func (d *Disk) loadCheckpoint() error {
-	var found bool
-	sc, err := scanSegmentFile(d.ckptPath, func(rec record) error {
-		if rec.kind != recCheckpoint || found {
-			return fmt.Errorf("store: unexpected record %q in checkpoint", rec.kind)
-		}
-		covered, prevFinal, archive, err := parseCheckpointBody(rec.body)
-		if err != nil {
-			return err
-		}
-		if covered != d.ckptIndex {
-			return fmt.Errorf("store: checkpoint covers %d but is named %d", covered, d.ckptIndex)
-		}
-		d.archive = append([]byte(nil), archive...)
-		d.chain = prevFinal
-		found = true
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if sc.tear != nil {
-		return sc.tear
-	}
-	if !found {
-		return errors.New("store: checkpoint holds no record")
-	}
-	return nil
-}
-
-// Replay streams the recovered history: archive first, then every
-// surviving batch in commit order. Must run before the first Append.
-func (d *Disk) Replay(archiveFn func([]byte) error, batchFn func(Batch) error) error {
+// Replay streams the recovered history: the archive blob (if a checkpoint
+// exists), then every surviving raw batch in commit order. The Batch
+// passed to batchFn aliases scan buffers and is valid only during the
+// callback. Must run before the first Append.
+func (d *Disk) Replay(archiveFn func(archive []byte) error, batchFn func(Batch) error) error {
 	if d.err != nil {
 		return d.err
 	}
@@ -619,27 +485,13 @@ func (d *Disk) Replay(archiveFn func([]byte) error, batchFn func(Batch) error) e
 	if batchFn == nil {
 		return nil
 	}
-	for _, sm := range d.closed {
-		sc, err := scanSegmentFile(sm.path, func(rec record) error {
-			if rec.kind != recBatch {
-				return nil
-			}
-			b, err := parseBatchBody(rec.body)
-			if err != nil {
-				return err
-			}
-			d.opts.Metrics.ReplayedBatches.Add(1)
-			return batchFn(b)
-		})
-		if err != nil {
-			return fmt.Errorf("store: replay %s: %w", filepath.Base(sm.path), err)
-		}
-		if sc.tear != nil {
-			// recover already salvaged tails; a tear now means the disk is
-			// actively flaking under us. Keep the prefix, tell the caller.
-			d.opts.Logger.Error("store: replay tear", "segment", sm.path, "err", sc.tear)
-			d.opts.Metrics.RecoveryErrors.Add(1)
-		}
+	tears, err := walk(d.closed, func(b Batch) error {
+		d.opts.Metrics.ReplayedBatches.Add(1)
+		return batchFn(b)
+	})
+	d.flaking("replay", tears)
+	if err != nil {
+		return fmt.Errorf("store: replay %w", err)
 	}
 	return nil
 }
@@ -665,8 +517,9 @@ func (d *Disk) fail(err error) error {
 
 // Append commits one batch: framed, hash-chained, and — at the default
 // SyncEvery=1 — fsynced before returning, so a nil return means the
-// batch survives SIGKILL. This is the commit the shard worker performs
-// before acking a chunk.
+// batch survives SIGKILL. This is the commit a shard performs before
+// acking a chunk. An error poisons the store: every later Append fails
+// fast with it.
 func (d *Disk) Append(b Batch) error {
 	if d.err != nil {
 		return d.err
@@ -689,11 +542,11 @@ func (d *Disk) Append(b Batch) error {
 	}
 	d.chain = nextChain
 	d.segBytes += int64(trace.SegmentFrameHdrLen + len(body) + ChainLen)
-	if d.segBatches == 0 || b.WallNano < d.segFirstWall {
-		d.segFirstWall = b.WallNano
+	if a := &d.active; a.batches == 0 || b.WallNano < a.firstWall {
+		a.firstWall = b.WallNano
 	}
-	d.segBatches++
-	d.lastWall = b.WallNano
+	d.active.batches++
+	d.active.lastWall = b.WallNano
 	d.sinceSync++
 	if d.sinceSync >= d.opts.SyncEvery {
 		if err := d.sync(); err != nil {
@@ -722,18 +575,6 @@ func (d *Disk) sync() error {
 	return nil
 }
 
-// Flush makes everything appended so far durable (a no-op at the default
-// SyncEvery=1). The daemon calls it on SIGTERM before acking shutdown.
-func (d *Disk) Flush() error {
-	if d.err != nil {
-		return d.err
-	}
-	if err := d.sync(); err != nil {
-		return d.fail(err)
-	}
-	return nil
-}
-
 // roll closes the active segment (if any), gives compaction a chance,
 // and opens the next segment with the current chain as its start.
 func (d *Disk) roll(now time.Time) error {
@@ -744,7 +585,7 @@ func (d *Disk) roll(now time.Time) error {
 		d.maybeCompact(now)
 	}
 	d.segIndex++
-	path := d.segPath(d.segIndex)
+	path := segPath(d.dir, d.segIndex)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
@@ -768,31 +609,24 @@ func (d *Disk) roll(now time.Time) error {
 	}
 	d.f = f
 	d.w = w
+	d.active = segMeta{index: d.segIndex, path: path}
 	d.segStart = now
 	d.segBytes = int64(len(hdr))
-	d.segBatches = 0
-	d.segFirstWall = 0
 	d.sinceSync = 0
 	d.opts.Metrics.Segments.Add(1)
 	return nil
 }
 
-// closeActive flushes, fsyncs and closes the active segment, indexing it
-// as closed (compactable).
+// closeActive fsyncs and closes the active segment; once both succeed it
+// is indexed as closed (compactable).
 func (d *Disk) closeActive() error {
-	if err := d.sync(); err != nil {
-		return err
+	err := d.sync()
+	if cerr := d.f.Close(); err == nil {
+		err = cerr
 	}
-	err := d.f.Close()
 	if err == nil {
-		d.closed = append(d.closed, segMeta{
-			index:     d.segIndex,
-			path:      d.segPath(d.segIndex),
-			firstWall: d.segFirstWall,
-			lastWall:  d.lastWall,
-			final:     d.chain,
-			batches:   d.segBatches,
-		})
+		d.active.final = d.chain
+		d.closed = append(d.closed, d.active)
 	}
 	d.f = nil
 	d.w = nil
@@ -823,27 +657,18 @@ func (d *Disk) maybeCompact(now time.Time) {
 		return
 	}
 	var batches []Batch
-	for _, sm := range d.closed[:covered] {
-		sc, err := scanSegmentFile(sm.path, func(rec record) error {
-			if rec.kind != recBatch {
-				return nil
-			}
-			b, err := parseBatchBody(rec.body)
-			if err != nil {
-				return err
-			}
-			b.Payload = append([]byte(nil), b.Payload...)
-			batches = append(batches, b)
-			return nil
-		})
-		if err == nil && sc.tear != nil {
-			err = sc.tear
-		}
-		if err != nil {
-			d.opts.Logger.Error("store: compaction read failed, raw segments kept", "segment", sm.path, "err", err)
-			d.opts.Metrics.CompactionErrors.Add(1)
-			return
-		}
+	tears, err := walk(d.closed[:covered], func(b Batch) error {
+		b.Payload = append([]byte(nil), b.Payload...)
+		batches = append(batches, b)
+		return nil
+	})
+	if err == nil && len(tears) > 0 {
+		err = tears[0] // folding a prefix of what is on disk would lose the rest
+	}
+	if err != nil {
+		d.opts.Logger.Error("store: compaction read failed, raw segments kept", "dir", d.dir, "err", err)
+		d.opts.Metrics.CompactionErrors.Add(1)
+		return
 	}
 	last := d.closed[covered-1]
 	blob, err := d.opts.Compact(d.archive, batches)
@@ -860,15 +685,14 @@ func (d *Disk) maybeCompact(now time.Time) {
 	// The checkpoint is durable; the raw prefix and the older checkpoint
 	// are now redundant. A crash between these removes and the updates
 	// below replays into recover's debris cleanup.
-	if d.ckptPath != "" {
-		os.Remove(d.ckptPath)
+	if d.ckptIndex > 0 {
+		os.Remove(ckptPath(d.dir, d.ckptIndex))
 	}
 	for _, sm := range d.closed[:covered] {
 		os.Remove(sm.path)
 	}
 	syncDir(d.dir)
 	d.ckptIndex = last.index
-	d.ckptPath = d.ckptPathFor(last.index)
 	d.archive = blob
 	d.closed = append([]segMeta(nil), d.closed[covered:]...)
 	d.compactGen++
@@ -879,7 +703,8 @@ func (d *Disk) maybeCompact(now time.Time) {
 // writeCheckpoint persists one checkpoint atomically: temp file, fsync,
 // rename, directory fsync.
 func (d *Disk) writeCheckpoint(index uint64, prevFinal Chain, archive []byte) error {
-	tmp := filepath.Join(d.dir, fmt.Sprintf("%09d.ckpt.tmp", index))
+	path := ckptPath(d.dir, index)
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -904,7 +729,7 @@ func (d *Disk) writeCheckpoint(index uint64, prevFinal Chain, archive []byte) er
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, d.ckptPathFor(index)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -920,12 +745,7 @@ func (d *Disk) Close() error {
 	if d.f == nil {
 		return d.err
 	}
-	err := d.sync()
-	if cerr := d.f.Close(); err == nil {
-		err = cerr
-	}
-	d.f = nil
-	d.w = nil
+	err := d.closeActive()
 	if d.err == nil {
 		d.err = errStoreClosed
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/internal/introspect"
 	"tempest/internal/store"
 )
 
@@ -57,13 +58,16 @@ func buildCanonicalStore(tb testing.TB) ([]byte, []store.Batch) {
 //     altered or reordered data (CRC catches in-record damage, the hash
 //     chain catches splices);
 //  3. the salvaged prefix re-verifies cleanly after recovery truncates
-//     the damage (when the segment header itself survived).
+//     the damage (when the segment header itself survived);
+//  4. VerifyDir before Open fails exactly when Open counts a recovery
+//     error: the audit and recovery agree on what a crash is.
 func FuzzStoreRecovery(f *testing.F) {
 	canonical, want := buildCanonicalStore(f)
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte("not a segment at all"), uint32(7))
 	f.Add(canonical[:len(canonical)/2], uint32(canonicalHeaderLen+3))
 	f.Add(canonical, uint32(1))
+	f.Add(canonical, uint32(0)) // a full-length final segment with a bad magic
 	f.Fuzz(func(t *testing.T, raw []byte, flip uint32) {
 		// Property 1: hostile bytes, both file kinds.
 		for _, name := range []string{"000000001.seg", "000000001.ckpt"} {
@@ -71,7 +75,7 @@ func FuzzStoreRecovery(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			d, err := store.Open(dir, store.Options{Logger: quietLogger()})
+			d, err := openAgreeing(t, dir)
 			if err == nil {
 				d.Replay(func([]byte) error { return nil }, func(store.Batch) error { return nil })
 				d.Close()
@@ -91,7 +95,7 @@ func FuzzStoreRecovery(f *testing.F) {
 		if err := os.WriteFile(segPath, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d, err := store.Open(dir, store.Options{Logger: quietLogger()})
+		d, err := openAgreeing(t, dir)
 		if err != nil {
 			t.Fatalf("Open on corrupted store: %v", err)
 		}
@@ -126,9 +130,9 @@ func FuzzStoreRecovery(f *testing.F) {
 			}
 			return
 		}
-		// A flip in the header: either recovery already dropped the
-		// unreadable file (magic/version damage), or verification must
-		// flag the header inconsistency (index or chain-start damage,
+		// A flip in the header: either recovery could not read it
+		// (magic/version damage, counted by property 4), or verification
+		// must flag the header inconsistency (index or chain-start damage,
 		// which recovery keeps for availability but never trusts).
 		if len(got) < len(want) {
 			return
@@ -144,4 +148,22 @@ func FuzzStoreRecovery(f *testing.F) {
 			t.Fatalf("flip at %d: header corruption undetected by verify", off)
 		}
 	})
+}
+
+// openAgreeing verifies dir, opens it and checks property 4.
+func openAgreeing(t *testing.T, dir string) (*store.Disk, error) {
+	t.Helper()
+	rep, err := store.VerifyDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := store.NewMetrics(introspect.New())
+	d, err := store.Open(dir, store.Options{Logger: quietLogger(), Metrics: m})
+	if err != nil {
+		return nil, err
+	}
+	if failed, counted := rep.Err() != nil, m.RecoveryErrors.Value(); failed != (counted > 0) {
+		t.Fatalf("VerifyDir before Open failed=%v (%v), but Open counted %d recovery errors", failed, rep.Err(), counted)
+	}
+	return d, nil
 }

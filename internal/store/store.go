@@ -1,50 +1,47 @@
-// Package store is the collector's durable profile store: a pluggable
-// persistence layer behind the ingest shard workers that makes
-// acknowledged fleet history survive a collector crash.
+// Package store is the collector's durable profile store: the persistence
+// layer behind the ingest shards that makes acknowledged fleet history
+// survive a collector crash.
 //
 // The collector's exactly-once wire contract (per-node sequence cursors,
 // resume-on-reconnect) is only as strong as the collector's memory: if an
 // acked chunk lives nowhere but a parser.Builder, a SIGKILL erases data
 // the shipper was told is safe and has already dropped. store closes that
-// hole. Each shard owns one Store; every accepted batch is appended — and
-// fsynced — before the shard acks it, and on startup the collector
-// replays the store back into warm Builders.
+// hole. Each durable shard owns one Disk; every accepted batch is
+// appended — and fsynced — before the shard acks it, and on startup the
+// collector replays the store back into warm Builders. A shard without a
+// Disk (durability off, or degraded after its disk failed) persists
+// nothing.
 //
-// Two backends implement Store:
+// Disk appends batches to time-windowed segment files framed with the
+// checksummed self-delimiting trace-v2 segment frame
+// (trace.WriteSegmentFrame), hash-chained record to record:
 //
-//   - Memory is the pre-store behavior: nothing persists, every call is a
-//     no-op. It is also the degraded-mode fallback a shard switches to
-//     when its disk store fails mid-run, so ingest never wedges on a full
-//     or dying disk.
+//	segment file  "%09d.seg":
+//	  header  magic uint32 'TPSS' LE, version uint16 = 1,
+//	          index uvarint, chainStart [32]byte
+//	  record  trace segment frame, kind 'B', payload = body ‖ chain
+//	  body    node, rank, seq uvarint; flags byte; wallNano uvarint;
+//	          payloadLen uvarint; payload (opaque chunk bytes)
+//	  chain   SHA-256(prevChain ‖ body) — prevChain is the previous
+//	          record's chain, or the header's chainStart for the first
 //
-//   - Disk appends batches to time-windowed segment files framed with the
-//     checksummed self-delimiting trace-v2 segment frame
-//     (trace.WriteSegmentFrame), hash-chained record to record:
-//
-//     segment file  "%09d.seg":
-//     header  magic uint32 'TPSS' LE, version uint16 = 1,
-//     index uvarint, chainStart [32]byte
-//     record  trace segment frame, kind 'B', payload = body ‖ chain
-//     body    node, rank, seq uvarint; flags byte; wallNano uvarint;
-//     payloadLen uvarint; payload (opaque chunk bytes)
-//     chain   SHA-256(prevChain ‖ body) — prevChain is the previous
-//     record's chain, or the header's chainStart for the first
-//
-//     checkpoint file  "%09d.ckpt" (written by retention compaction):
-//     header  as above, chainStart = zero
-//     record  kind 'C', body = coveredIndex uvarint,
-//     prevFinal [32]byte, archiveLen uvarint, archive (opaque)
+//	checkpoint file  "%09d.ckpt" (written by retention compaction):
+//	  header  as above, chainStart = zero
+//	  record  kind 'C', body = coveredIndex uvarint,
+//	          prevFinal [32]byte, archiveLen uvarint, archive (opaque)
 //
 // The chain makes history tamper-evident end to end: flipping any byte of
 // any committed record breaks either its CRC or the chain continuity of
-// everything after it, and Verify walks the whole store proving both. A
-// checkpoint embeds the final chain value of the raw prefix it replaced
+// everything after it, and VerifyDir walks the whole store proving both.
+// A checkpoint embeds the final chain value of the raw prefix it replaced
 // (prevFinal), so continuity survives compaction.
 //
-// Crash recovery mirrors trace.ReadTrace salvage: a torn tail on the
-// *last* segment — the only place a crash can tear — is truncated away
-// and everything before it is kept. Tears or chain breaks anywhere else
-// are corruption, reported loudly and skipped.
+// Crash recovery mirrors trace.ReadTrace salvage: the *last* segment is
+// the only place a crash can tear, so its torn tail is truncated away (or,
+// torn inside its header, the file removed) and everything before it is
+// kept. Tears or chain breaks anywhere else are corruption, reported
+// loudly and skipped. Open and VerifyDir read a directory through one
+// survey, so they agree on which is which.
 //
 // Retention: segments roll on a time window; once every batch in a closed
 // segment is older than Retention, the segment prefix is folded through
@@ -110,45 +107,6 @@ const (
 // payloads.
 type Compactor func(prevArchive []byte, batches []Batch) ([]byte, error)
 
-// Store is one shard's durable history.
-//
-// Call order: Replay once, before the first Append; then any number of
-// Append/Flush; then Close. Implementations are not concurrency-safe —
-// each shard worker exclusively owns its store, exactly like its
-// builders.
-type Store interface {
-	// Replay streams the recovered state: the archive blob (if a
-	// checkpoint exists), then every surviving raw batch in commit order.
-	// The Batch passed to batchFn aliases internal buffers and is valid
-	// only during the callback.
-	Replay(archiveFn func(archive []byte) error, batchFn func(Batch) error) error
-	// Append commits one batch durably. When it returns nil the batch
-	// will survive a crash; the caller may ack. An error poisons the
-	// store (every later call fails fast) — callers degrade to Memory.
-	Append(Batch) error
-	// Flush forces any buffered writes to stable storage (used on
-	// graceful shutdown when SyncEvery > 1).
-	Flush() error
-	// Close flushes and releases the store.
-	Close() error
-}
-
-// Memory is the no-op backend: the collector's pre-durability behavior,
-// and the degraded-mode fallback after a disk failure.
-type Memory struct{}
-
-// Replay of an empty store replays nothing.
-func (Memory) Replay(func([]byte) error, func(Batch) error) error { return nil }
-
-// Append accepts and forgets.
-func (Memory) Append(Batch) error { return nil }
-
-// Flush is a no-op.
-func (Memory) Flush() error { return nil }
-
-// Close is a no-op.
-func (Memory) Close() error { return nil }
-
 // Options tunes a Disk store. The zero value selects the defaults noted
 // per field.
 type Options struct {
@@ -199,25 +157,8 @@ func (o Options) withDefaults() Options {
 }
 
 // ShardDirName names shard i's subdirectory under a store root — shared
-// by OpenShards and VerifyDir so they always agree on layout.
+// by the collector and VerifyDir so they always agree on layout.
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-// OpenShards opens (creating as needed) one Disk store per shard under
-// root. On error, already-opened stores are closed.
-func OpenShards(root string, shards int, opts Options) ([]Store, error) {
-	out := make([]Store, 0, shards)
-	for i := 0; i < shards; i++ {
-		d, err := Open(filepath.Join(root, ShardDirName(i)), opts)
-		if err != nil {
-			for _, s := range out {
-				s.Close()
-			}
-			return nil, fmt.Errorf("store: shard %d: %w", i, err)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
 
 // CheckDir verifies that dir can host a store: it must be creatable and
 // writable. The daemon calls this at startup so a mistyped -store-dir is

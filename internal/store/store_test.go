@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/internal/introspect"
 	"tempest/internal/store"
 )
 
@@ -40,7 +42,7 @@ func testBatch(node uint32, seq uint64, wall time.Time, payload string) store.Ba
 
 // replayAll drains a store's recovered state into slices, copying
 // payloads (the callback contract says they alias internal buffers).
-func replayAll(t *testing.T, s store.Store) (archive []byte, batches []store.Batch) {
+func replayAll(t *testing.T, s *store.Disk) (archive []byte, batches []store.Batch) {
 	t.Helper()
 	err := s.Replay(
 		func(a []byte) error {
@@ -386,9 +388,6 @@ func TestAppendFailurePoisonsButKeepsPrefix(t *testing.T) {
 	if err := d.Append(testBatch(1, 99, clk.t, "after")); err == nil {
 		t.Fatal("poisoned store accepted an append")
 	}
-	if err := d.Flush(); err == nil {
-		t.Fatal("poisoned store flushed cleanly")
-	}
 	d.Close()
 
 	// Every batch that was acked (Append returned nil) survives reopen.
@@ -486,33 +485,13 @@ func TestCrashMidCompactionDebrisCleanup(t *testing.T) {
 	mustVerifyOK(t, dir)
 }
 
-func TestMemoryStoreIsInert(t *testing.T) {
-	var m store.Memory
-	if err := m.Append(store.Batch{Node: 1, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	called := false
-	err := m.Replay(
-		func([]byte) error { called = true; return nil },
-		func(store.Batch) error { called = true; return nil })
-	if err != nil || called {
-		t.Fatalf("memory replayed something: err=%v called=%v", err, called)
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenShardsAndVerifyDir(t *testing.T) {
 	root := t.TempDir()
-	stores, err := store.OpenShards(root, 3, store.Options{Logger: quietLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range stores {
+	for i := 0; i < 3; i++ {
+		s, err := store.Open(filepath.Join(root, store.ShardDirName(i)), store.Options{Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Append(store.Batch{Node: uint32(i + 1), Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
 		}
@@ -532,5 +511,265 @@ func TestOpenShardsAndVerifyDir(t *testing.T) {
 	}
 	if err := store.CheckDir(root); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyAgreesWithRecoveryOnTornHeader pins the offline audit to what
+// recovery does with a final segment torn inside its header — a SIGKILL
+// between roll's create and its header write. Both call it a crash, not
+// tampering: VerifyDir passes with a note, Open removes the file without
+// a recovery error and replays every batch, and the recovered store
+// verifies clean.
+func TestVerifyAgreesWithRecoveryOnTornHeader(t *testing.T) {
+	for _, n := range []int{0, 5} {
+		t.Run(fmt.Sprintf("%d-byte", n), func(t *testing.T) {
+			dir := t.TempDir()
+			want := writeStore(t, dir, 3)
+			data, err := os.ReadFile(soleSegment(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn := filepath.Join(dir, "000000002.seg")
+			if err := os.WriteFile(torn, data[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			sr := mustVerifyOK(t, dir)
+			if len(sr.Notes) != 1 || sr.TornTailBytes != int64(n) || sr.Batches != len(want) {
+				t.Fatalf("pre-recovery verify: notes %q, torn bytes %d, batches %d; want one note, %d, %d",
+					sr.Notes, sr.TornTailBytes, sr.Batches, n, len(want))
+			}
+
+			m := store.NewMetrics(introspect.New())
+			d, err := store.Open(dir, store.Options{Logger: quietLogger(), Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.RecoveryErrors.Value(); got != 0 {
+				t.Fatalf("recovery counted %d errors for a crash", got)
+			}
+			_, got := replayAll(t, d)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed %d batches, want all %d", len(got), len(want))
+			}
+			if _, err := os.Stat(torn); !os.IsNotExist(err) {
+				t.Fatalf("torn-header segment survived recovery (stat err %v)", err)
+			}
+			if sr := mustVerifyOK(t, dir); len(sr.Notes) != 0 || sr.TornTailBytes != 0 {
+				t.Fatalf("recovered store still has notes %q", sr.Notes)
+			}
+		})
+	}
+}
+
+// TestVerifyAgreesWithRecoveryOnCorruptFinalHeader is the other side of
+// that line: a final segment whose full-length header has a flipped magic
+// or version byte is damage, not a crash. VerifyDir fails it, Open counts
+// one recovery error and keeps the file for the operator, and the audit
+// goes on failing until someone acts.
+func TestVerifyAgreesWithRecoveryOnCorruptFinalHeader(t *testing.T) {
+	for _, off := range []int{0, 4} { // magic, version
+		t.Run(fmt.Sprintf("byte-%d", off), func(t *testing.T) {
+			dir := t.TempDir()
+			want := writeStore(t, dir, 3)
+			data, err := os.ReadFile(soleSegment(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[off] ^= 0x01
+			bad := filepath.Join(dir, "000000002.seg")
+			if err := os.WriteFile(bad, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			verifyFails := func(when string) {
+				t.Helper()
+				rep, err := store.VerifyDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sr := rep.Shards[0]; len(sr.Problems) != 1 || len(sr.Notes) != 0 {
+					t.Fatalf("%s: problems %q, notes %q; want one problem, no note", when, sr.Problems, sr.Notes)
+				}
+			}
+			verifyFails("before recovery")
+
+			m := store.NewMetrics(introspect.New())
+			d, err := store.Open(dir, store.Options{Logger: quietLogger(), Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.RecoveryErrors.Value(); got != 1 {
+				t.Fatalf("recovery counted %d errors, want 1", got)
+			}
+			_, got := replayAll(t, d)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replayed %d batches, want the first segment's %d", len(got), len(want))
+			}
+			if _, err := os.Stat(bad); err != nil {
+				t.Fatalf("recovery removed the corrupt segment: %v", err)
+			}
+			verifyFails("after recovery")
+		})
+	}
+}
+
+// crashWriter fails the write that crosses byte at of everything written
+// through the store's writers, after letting the bytes before it through,
+// and calls crash from inside that write — the moment the power went.
+// Every later write fails too.
+type crashWriter struct {
+	w       io.Writer
+	written *int
+	at      int
+	crash   func()
+}
+
+func (c *crashWriter) Write(p []byte) (int, error) {
+	if *c.written > c.at {
+		return 0, fmt.Errorf("injected: crashed")
+	}
+	if *c.written+len(p) <= c.at {
+		*c.written += len(p)
+		return c.w.Write(p)
+	}
+	n, _ := c.w.Write(p[:c.at-*c.written])
+	*c.written = c.at + 1
+	c.crash()
+	return n, fmt.Errorf("injected: crash at byte %d", c.at)
+}
+
+// copyDir snapshots the files in src into a fresh directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestStoreCrashPoints crashes append → roll → retention checkpoint →
+// append at every byte it writes, and holds each crash image to one
+// definition of recoverable: VerifyDir finds no problem, Open counts no
+// recovery error, every acknowledged batch comes back in order and
+// unaltered — folded into the archive or raw — and the recovered store
+// verifies clean. The image is taken inside the failing write, so partial
+// headers and half-written checkpoint temp files are in it. fsync, rename
+// and remove boundaries need a file-operation seam and are not covered.
+func TestStoreCrashPoints(t *testing.T) {
+	// run drives the sequence with writes failing from byte at on (-1:
+	// never), returning every batch it tried, how many Appends returned
+	// nil before the crash, the crash image and the bytes written.
+	run := func(at int) (tried []store.Batch, acked int, image string, written int) {
+		dir := t.TempDir()
+		clk := newFakeClock()
+		d, err := store.Open(dir, store.Options{
+			Window:    time.Minute,
+			Retention: 2 * time.Minute,
+			Compact:   jsonCompactor,
+			Now:       clk.now,
+			Logger:    quietLogger(),
+			WrapWriter: func(w io.Writer) io.Writer {
+				if at < 0 {
+					return &crashWriter{w: w, written: &written, at: math.MaxInt}
+				}
+				return &crashWriter{w: w, written: &written, at: at, crash: func() { image = copyDir(t, dir) }}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for i, step := range []time.Duration{0, time.Second, time.Minute, 3 * time.Minute, 0} {
+			// 1 s: same segment; 1 min: roll; 3 min: roll, and both closed
+			// segments fold into a checkpoint; 0: append after it.
+			clk.advance(step)
+			b := testBatch(1, uint64(i), clk.t, fmt.Sprintf("batch-%d", i))
+			tried = append(tried, b)
+			if err := d.Append(b); err != nil {
+				break
+			}
+			if image == "" {
+				acked++
+			}
+		}
+		return tried, acked, image, written
+	}
+
+	_, acked, _, total := run(-1)
+	if acked != 5 || total == 0 {
+		t.Fatalf("clean run acked %d of 5 batches, wrote %d bytes", acked, total)
+	}
+	sawDebris, sawArchive := false, false
+	for at := 0; at < total; at++ {
+		tried, acked, image, _ := run(at)
+		if image == "" {
+			t.Fatalf("byte %d: no write crossed it", at)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(image, "*.ckpt.tmp")); len(tmps) > 0 {
+			sawDebris = true
+		}
+		rep, err := store.VerifyDir(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Fatalf("byte %d: crash image fails verification: %v", at, err)
+		}
+		m := store.NewMetrics(introspect.New())
+		d, err := store.Open(image, store.Options{Logger: quietLogger(), Metrics: m})
+		if err != nil {
+			t.Fatalf("byte %d: Open: %v", at, err)
+		}
+		if got := m.RecoveryErrors.Value(); got != 0 {
+			t.Fatalf("byte %d: recovery counted %d errors", at, got)
+		}
+		archive, raw := replayAll(t, d)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var folded struct{ Batches, Bytes int }
+		if archive != nil {
+			sawArchive = true
+			if err := json.Unmarshal(archive, &folded); err != nil {
+				t.Fatalf("byte %d: archive: %v", at, err)
+			}
+		}
+		bytes := 0
+		for _, b := range tried[:min(folded.Batches, len(tried))] {
+			bytes += len(b.Payload)
+		}
+		if folded.Batches+len(raw) > len(tried) || bytes != folded.Bytes {
+			t.Fatalf("byte %d: archive %+v and %d raw batches do not fit the %d tried", at, folded, len(raw), len(tried))
+		}
+		if len(raw) > 0 && !reflect.DeepEqual(raw, tried[folded.Batches:folded.Batches+len(raw)]) {
+			t.Fatalf("byte %d: raw replay is not the batches after the archived ones, in order", at)
+		}
+		if folded.Batches+len(raw) < acked {
+			t.Fatalf("byte %d: recovered %d batches, %d were acked", at, folded.Batches+len(raw), acked)
+		}
+		if sr := mustVerifyOK(t, image); len(sr.Notes) != 0 {
+			t.Fatalf("byte %d: recovered store still has notes %q", at, sr.Notes)
+		}
+	}
+	if !sawDebris || !sawArchive {
+		t.Fatalf("%d crash points never hit the checkpoint (temp debris %v, archive %v)", total, sawDebris, sawArchive)
 	}
 }

@@ -15,10 +15,13 @@ import (
 // continuity. `tempest-collectd -verify-store` is a thin CLI shell over
 // VerifyDir.
 //
-// A torn tail on the *final* segment is the expected signature of a
-// crash that has not been recovered yet; it is reported (TornTailBytes)
-// but is not a verification failure, because the next Open will truncate
-// it and no acked data lives in it. Corruption anywhere else fails.
+// A torn tail on the *final* segment, or a final segment cut short inside
+// its header, is the expected signature of a crash that has not been
+// recovered yet; it is reported (Notes, TornTailBytes) but is not a
+// verification failure, because the next Open discards it and no acked
+// data lives in it. Corruption anywhere else fails — a full-length final
+// header with a wrong magic or version included — exactly what Open
+// counts on RecoveryErrors, since both read the directory through survey.
 
 // ShardReport is one shard directory's verification result.
 type ShardReport struct {
@@ -27,9 +30,10 @@ type ShardReport struct {
 	Checkpoints   int
 	Batches       int // intact raw batches across surviving segments
 	ArchiveBytes  int
-	TornTailBytes int64 // unrecovered torn tail on the final segment
+	TornTailBytes int64 // unrecovered torn bytes of the final segment
 	FinalChain    Chain
 	Problems      []string
+	Notes         []string // a torn final segment, which the next start discards
 }
 
 // Report is a whole store root's verification result.
@@ -56,8 +60,8 @@ func (r *Report) WriteText(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s: %s  segments=%d checkpoints=%d batches=%d archive_bytes=%d chain=%s\n",
 			s.Dir, status, s.Segments, s.Checkpoints, s.Batches, s.ArchiveBytes, s.FinalChain)
-		if s.TornTailBytes > 0 {
-			fmt.Fprintf(w, "%s: note: %d-byte torn tail on the final segment (unrecovered crash; next start salvages it)\n", s.Dir, s.TornTailBytes)
+		for _, n := range s.Notes {
+			fmt.Fprintf(w, "%s: note: %s\n", s.Dir, n)
 		}
 		for _, p := range s.Problems {
 			fmt.Fprintf(w, "%s: problem: %s\n", s.Dir, p)
@@ -92,123 +96,22 @@ func VerifyDir(root string) (*Report, error) {
 	return rep, nil
 }
 
-// verifyShard walks one shard directory read-only.
+// verifyShard surveys one shard directory and reports what it found.
 func verifyShard(dir string) ShardReport {
 	sr := ShardReport{Dir: dir}
-	ents, err := os.ReadDir(dir)
+	f, err := survey(dir)
 	if err != nil {
 		sr.Problems = append(sr.Problems, err.Error())
 		return sr
 	}
-	var segs, ckpts []uint64
-	for _, ent := range ents {
-		if ent.IsDir() {
-			continue
-		}
-		idx, kind := parseStoreName(ent.Name())
-		switch kind {
-		case "seg":
-			segs = append(segs, idx)
-		case "ckpt":
-			ckpts = append(ckpts, idx)
-		}
+	if f.ckptIndex > 0 {
+		sr.Checkpoints = 1 // only the newest is live
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
-
-	chain := Chain{}
-	haveCkpt := false
-	if n := len(ckpts); n > 0 {
-		// Only the newest checkpoint is live; older ones and covered
-		// segments are recoverable debris, noted but not failures.
-		ckptIdx := ckpts[n-1]
-		sr.Checkpoints = 1
-		kept := segs[:0]
-		for _, idx := range segs {
-			if idx > ckptIdx {
-				kept = append(kept, idx)
-			}
-		}
-		segs = kept
-		path := filepath.Join(dir, fmt.Sprintf("%09d.ckpt", ckptIdx))
-		prevFinal, archiveLen, err := verifyCheckpointFile(path, ckptIdx)
-		if err != nil {
-			sr.Problems = append(sr.Problems, fmt.Sprintf("checkpoint %s: %v", filepath.Base(path), err))
-		} else {
-			chain = prevFinal
-			haveCkpt = true
-			sr.ArchiveBytes = archiveLen
-		}
-	}
-
-	for i, idx := range segs {
-		last := i == len(segs)-1
-		path := filepath.Join(dir, fmt.Sprintf("%09d.seg", idx))
-		sc, err := scanSegmentFile(path, nil)
-		if err != nil {
-			sr.Problems = append(sr.Problems, fmt.Sprintf("segment %s: %v", filepath.Base(path), err))
-			continue
-		}
-		sr.Segments++
-		if sc.header.index != idx {
-			sr.Problems = append(sr.Problems, fmt.Sprintf("segment %s declares index %d", filepath.Base(path), sc.header.index))
-		}
-		if i == 0 && !haveCkpt {
-			// The log's root: a fresh store roots at zero; anything else
-			// means the prefix this chain continued was deleted.
-			if sc.header.chainStart != (Chain{}) {
-				sr.Problems = append(sr.Problems, fmt.Sprintf("segment %s: chain starts mid-history with no checkpoint", filepath.Base(path)))
-			}
-		} else if sc.header.chainStart != chain {
-			sr.Problems = append(sr.Problems, fmt.Sprintf("segment %s: chain discontinuity with predecessor", filepath.Base(path)))
-		}
-		if sc.tear != nil {
-			if last {
-				fi, statErr := os.Stat(path)
-				if statErr == nil {
-					sr.TornTailBytes = fi.Size() - sc.goodOff
-				}
-			} else {
-				sr.Problems = append(sr.Problems, fmt.Sprintf("segment %s: mid-log tear: %v", filepath.Base(path), sc.tear))
-			}
-		}
+	sr.ArchiveBytes, sr.Segments = len(f.archive), len(f.segs)
+	for _, sc := range f.segs {
 		sr.Batches += sc.batches
-		chain = sc.final
 	}
-	sr.FinalChain = chain
+	sr.TornTailBytes, sr.FinalChain = f.torn, f.final
+	sr.Problems, sr.Notes = f.problems, f.notes
 	return sr
-}
-
-// verifyCheckpointFile checks one checkpoint's structure, CRC and chain.
-func verifyCheckpointFile(path string, wantIndex uint64) (prevFinal Chain, archiveLen int, err error) {
-	found := false
-	sc, err := scanSegmentFile(path, func(rec record) error {
-		if rec.kind != recCheckpoint || found {
-			return fmt.Errorf("unexpected record %q", rec.kind)
-		}
-		covered, pf, archive, err := parseCheckpointBody(rec.body)
-		if err != nil {
-			return err
-		}
-		if covered != wantIndex {
-			return fmt.Errorf("covers index %d, file named %d", covered, wantIndex)
-		}
-		prevFinal = pf
-		archiveLen = len(archive)
-		found = true
-		return nil
-	})
-	if err != nil {
-		return Chain{}, 0, err
-	}
-	if sc.tear != nil {
-		return Chain{}, 0, sc.tear
-	}
-	if sc.header.chainStart != (Chain{}) {
-		return Chain{}, 0, fmt.Errorf("checkpoint chain must root at zero")
-	}
-	if !found {
-		return Chain{}, 0, fmt.Errorf("holds no checkpoint record")
-	}
-	return prevFinal, archiveLen, nil
 }

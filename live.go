@@ -103,11 +103,13 @@ type LiveSession struct {
 	tracer *trace.Tracer
 	daemon *tempd.Daemon
 
-	bmu     sync.Mutex
+	bmu sync.Mutex
+	// core matches the session's stacks once per event; builder and the
+	// optional critical-path analyzer crit consume its facts under the
+	// same lock, so both views agree event for event.
+	core    *trace.Fold
 	builder *parser.Builder
-	// crit is the optional streaming critical-path analyzer; it shares
-	// the builder's feed (and lock), so both views agree event for event.
-	crit *critpath.Analyzer
+	crit    *critpath.Analyzer
 
 	ir           *introspect.Registry
 	acct         *introspect.Accountant
@@ -199,9 +201,10 @@ func NewLiveSession(cfg LiveConfig) (*LiveSession, error) {
 	ir.FuncCounter("tempest_live_lane_overflow_total", "Events dropped because a lane buffer filled between drains (raise LaneBufferCap, lower DrainInterval, or run adaptive sampling).",
 		func() float64 { return float64(tracer.DroppedCount()) })
 	s.acct.Register(ir, "tempest_live_overhead_fraction", "Instrumentation self-time over workload wall clock (paper §3.4 bounds it below 7%).")
-	// The builder shares the tracer's live (lock-protected) symbol
-	// table, so drained events always resolve.
-	s.builder = parser.NewBuilder(cfg.NodeID, tracer.SymTab(), parser.Options{Unit: cfg.Unit})
+	// The core shares the tracer's live (lock-protected) symbol table, so
+	// drained events always resolve.
+	s.core = trace.NewFold(tracer.SymTab())
+	s.builder = parser.NewBuilderOn(s.core, cfg.NodeID, parser.Options{Unit: cfg.Unit})
 	if cfg.CritPath {
 		s.crit = critpath.New(critpath.Options{})
 	}
@@ -370,9 +373,15 @@ func (s *LiveSession) drain() {
 	s.ctlMu.Unlock()
 	s.bmu.Lock()
 	ev, sym := s.tracer.Drain()
-	_ = s.builder.Add(ev) // a structural error poisons the builder; Close reports it
-	if s.crit != nil {
-		_ = s.crit.Add(s.cfg.NodeID, sym, ev) // never fails structurally
+	for i := range ev {
+		e := &ev[i]
+		m := s.core.Step(e)
+		// A structural error poisons the builder (Close reports it); the
+		// analyzer tolerates odd streams and keeps counting.
+		_ = s.builder.Apply(e, m)
+		if s.crit != nil {
+			s.crit.Apply(s.cfg.NodeID, s.core, e, m)
+		}
 	}
 	if s.cfg.DrainSink != nil {
 		s.cfg.DrainSink(ev, sym)
