@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet vet-cross tempest-vet test race chaos bench bench-validate bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke loc clean
+.PHONY: all build fmt vet vet-cross tempest-vet test race chaos bench bench-validate bench-smoke fuzz-smoke collectd-smoke loc clean
 
 all: fmt vet vet-cross tempest-vet build test bench-validate
 
@@ -65,32 +65,14 @@ bench:
 bench-validate:
 	$(GO) run ./_bench -validate
 
-# Per-call instrumentation cost in each sampling mode, written to
-# BENCH_instrument.json (the committed baseline). Re-run and commit when
-# touching instrument.Trace's fast paths; the inert cost must not move.
-bench-instrument:
-	./scripts/bench/instrument_bench.sh
-
-# Critical-path analyzer throughput over a 1M-event stream (with and
-# without timeline tracks), written to BENCH_critpath.json (the committed
-# baseline). Re-run and commit when touching internal/critpath's sweep.
-bench-critpath:
-	./scripts/bench/critpath_bench.sh
-
-# Interprocedural analysis cost over this repository (loader vs
-# callgraph+costmodel), written to BENCH_analysis.json (the committed
-# baseline). Re-run and commit when touching internal/analysis/callgraph
-# or internal/analysis/costmodel.
-bench-analysis:
-	./scripts/bench/analysis_bench.sh
-
 # One-iteration pass over the streaming-pipeline benchmarks: compiles and
 # executes every benchmark body (batch vs stream allocation profile,
 # sequential vs parallel ParseAll, the fleet-shaped interleaved fold,
 # folded vs unfolded builders at 1M events and at 10⁴ symbols with
 # 16-event batches, critical-path sweep, chunk decode, all-time and
 # windowed rankings after 1× and 8× the events, the per-mode
-# instrument.Trace hooks)
+# instrument.Trace hooks, the interprocedural analysis over this
+# repository)
 # without waiting for stable timings — the CI guard that the pipeline
 # still runs end to end at 1M events.
 bench-smoke:
@@ -98,13 +80,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Pipeline|ParseAll|BuilderAddInterleaved|BuilderFold' -benchtime=1x -benchmem ./internal/parser/
 	$(GO) test -run '^$$' -bench 'CritPath' -benchtime=1x -benchmem ./internal/critpath/
 	$(GO) test -run '^$$' -bench 'DecodeChunk|CollectorHotspots|WindowHotspots' -benchtime=1x -benchmem ./internal/collect/
+	$(GO) test -run '^$$' -bench 'Repo(Load|Analysis)' -benchtime=1x -benchmem ./internal/analysis/costmodel/
 
 # Run every fuzz target once over its checked-in seed corpus (no open-
 # ended fuzzing): codec, streaming scanner, the profile builder's fold
 # (never panics; folded == unfolded whenever nothing was late, on the
 # whole profile and on the two ranges a mark cuts it into), the
-# collector's ship-mode frame decoder, the slice-cursor segment and chunk
-# decoders against the reader-based ones they replaced, the
+# collector's ship-mode frame decoder, the coarse-report and control
+# decoders (never panic; decoding is a fixed point), the slice-cursor
+# segment and chunk decoders against the reader-based ones they
+# replaced, the
 # checkpoint-archive decoder (never panics; re-encoding is a fixed
 # point), the durable store's crash/tamper recovery, and the
 # critical-path analyzer (never panics; stream==batch; agrees with the

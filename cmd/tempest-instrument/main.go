@@ -53,7 +53,6 @@ func run(args []string) int {
 		quiet   = fs.Bool("q", false, "suppress the per-function listing")
 		budget  = fs.Float64("budget", 0, "overhead budget as a `fraction` of predicted runtime (e.g. 0.05); the static cost model demotes cheap-but-chatty functions to coarse or skip until the estimate fits")
 		planOut = fs.String("plan", "", "write the reviewable instrumentation-plan JSON to this `file` (\"-\" for stdout); with -n, plan without rewriting")
-		bench   = fs.String("hookbench", "", "BENCH_instrument.json `file` with measured per-call hook costs (default: module root's copy, else built-in numbers)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: tempest-instrument [-o dir | -w | -n] [-match re] [-exclude re] package-dir")
@@ -98,7 +97,7 @@ func run(args []string) int {
 	}
 
 	if *budget > 0 || *planOut != "" {
-		plan, err := buildPlan(fs.Arg(0), *budget, *bench)
+		plan, err := buildPlan(fs.Arg(0), *budget)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tempest-instrument: %v\n", err)
 			return 1
@@ -152,9 +151,9 @@ func run(args []string) int {
 
 // buildPlan loads the target package (and its module-internal
 // dependencies) through the offline loader, builds the interprocedural
-// call graph, prices every function with the measured hook costs and
-// returns the budgeted instrumentation plan.
-func buildPlan(dir string, budget float64, benchPath string) (*costmodel.Plan, error) {
+// call graph, prices every function's hooks and returns the budgeted
+// instrumentation plan.
+func buildPlan(dir string, budget float64) (*costmodel.Plan, error) {
 	// Loader patterns are module-relative: turn the target directory
 	// into one so the plan covers the package being instrumented (plus
 	// its module-internal dependencies), not the module root.
@@ -174,28 +173,7 @@ func buildPlan(dir string, budget float64, benchPath string) (*costmodel.Plan, e
 	if err != nil {
 		return nil, err
 	}
-	m := costmodel.Analyze(g, costmodel.Options{})
-	hooks := DefaultHooks(dir, benchPath)
-	return m.BuildPlan(costmodel.PlanOptions{Budget: budget, Hooks: hooks}), nil
-}
-
-// DefaultHooks resolves hook costs: an explicit -hookbench file, else
-// the module root's committed BENCH_instrument.json, else the built-in
-// defaults.
-func DefaultHooks(dir, benchPath string) costmodel.HookCosts {
-	if benchPath == "" {
-		if abs, err := filepath.Abs(dir); err == nil {
-			if modDir, _, err := analysis.FindModule(abs); err == nil {
-				benchPath = filepath.Join(modDir, "BENCH_instrument.json")
-			}
-		}
-	}
-	if benchPath != "" {
-		if hc, err := costmodel.LoadHookCosts(benchPath); err == nil {
-			return hc
-		}
-	}
-	return costmodel.DefaultHookCosts
+	return costmodel.Analyze(g, costmodel.Options{}).BuildPlan(budget), nil
 }
 
 // writePlan renders the plan to path, stdout for "-".

@@ -59,6 +59,27 @@ func TestBadRegexpIsUsageError(t *testing.T) {
 	}
 }
 
+// TestAutoinstrPlanGolden pins the -budget plan for the example workload
+// byte for byte: a change to the planner's hook prices, its work-unit
+// conversion or its demotion order shows up as a diff here.
+func TestAutoinstrPlanGolden(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "plan.json")
+	if code := run([]string{"-n", "-q", "-budget", "0.05", "-plan", out, "../../examples/autoinstr/workload"}); code != 0 {
+		t.Fatalf("plan run exited %d", code)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "autoinstr_plan.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("plan changed:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestInPlaceRoundTrip(t *testing.T) {
 	dir := fixture(t)
 	if code := run([]string{"-q", "-w", dir}); code != 0 {

@@ -229,7 +229,7 @@ func TestBudgetPlanKeepsOverheadUnderPaperBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := costmodel.Analyze(g, costmodel.Options{})
-	plan := model.BuildPlan(costmodel.PlanOptions{Budget: budget})
+	plan := model.BuildPlan(budget)
 	if plan.EstimatedOverhead > budget {
 		t.Fatalf("planned overhead %.4f exceeds budget %.2f", plan.EstimatedOverhead, budget)
 	}
@@ -258,6 +258,10 @@ func TestBudgetPlanKeepsOverheadUnderPaperBound(t *testing.T) {
 	}
 	if applied == 0 {
 		t.Fatal("plan matched no registered symbols; nothing was demoted")
+	}
+	if raceEnabled {
+		t.Log("race detector compiled in: the plan is checked, the 7 % bound is not")
+		return
 	}
 
 	const n = 150_000

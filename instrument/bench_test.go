@@ -8,9 +8,10 @@ import (
 )
 
 // The three costs the adaptive control plane trades between, measured
-// per Trace call. scripts/bench/instrument_bench.sh runs these and commits
-// the result as BENCH_instrument.json; the inert number is the one the
-// refactor must not regress (it is every uninstrumented binary's tax).
+// per Trace call. `make bench-smoke` runs each once; the numbers to
+// compare are the _bench grid's instrument.inert_ns, instrument.detail_ns,
+// instrument.coarse_ns and instrument.off_ns cells. The inert number must
+// not regress: it is every uninstrumented binary's tax.
 
 func benchTracer(b *testing.B) *trace.Tracer {
 	b.Helper()

@@ -7,56 +7,21 @@ import (
 	"sort"
 )
 
-// HookCosts holds the measured per-call cost of one instrumented
-// function activation in each mode, in nanoseconds — the numbers
-// BENCH_instrument.json records for instrument.Trace.
-type HookCosts struct {
-	DetailNS float64 `json:"detail_ns"`
-	CoarseNS float64 `json:"coarse_ns"`
-	SkipNS   float64 `json:"skip_ns"`
-}
+// The planner's per-call hook prices in nanoseconds: one instrumented
+// activation in detail mode (entry/exit event pair) and in coarse mode
+// (bucket add). A skipped function costs nothing. These are the
+// tight-loop BenchmarkTraceDetail / BenchmarkTraceCoarse figures once
+// recorded as the per-mode baseline, kept fixed so plans do not move; the
+// _bench grid's instrument.detail_ns and instrument.coarse_ns cells are
+// the current measurements.
+const (
+	detailNS = 223.3
+	coarseNS = 159.2
+)
 
-// DefaultHookCosts mirrors the committed BENCH_instrument.json numbers,
-// used when no benchmark file is supplied.
-var DefaultHookCosts = HookCosts{DetailNS: 223.3, CoarseNS: 159.2, SkipNS: 0}
-
-// LoadHookCosts reads hook costs from a BENCH_instrument.json-shaped
-// file ({"modes": {"detail": ns, "coarse": ns, "off": ns, ...}}).
-func LoadHookCosts(path string) (HookCosts, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return HookCosts{}, err
-	}
-	var doc struct {
-		Modes map[string]float64 `json:"modes"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return HookCosts{}, fmt.Errorf("costmodel: parse %s: %w", path, err)
-	}
-	hc := DefaultHookCosts
-	if v := doc.Modes["detail"]; v > 0 {
-		hc.DetailNS = v
-	}
-	if v := doc.Modes["coarse"]; v > 0 {
-		hc.CoarseNS = v
-	}
-	return hc, nil
-}
-
-// PlanOptions tunes plan construction.
-type PlanOptions struct {
-	// Budget is the target overhead fraction (e.g. 0.05 for 5%).
-	Budget float64
-	// Hooks prices the instrumentation; zero value means DefaultHookCosts.
-	Hooks HookCosts
-	// WorkUnitNS converts the model's abstract work units into
-	// nanoseconds for the overhead denominator (default 4: a unit is
-	// roughly one simple statement).
-	WorkUnitNS float64
-	// MinMode floors demotion: "coarse" keeps every function at least
-	// coarsely counted; empty allows "skip".
-	MinMode string
-}
+// workUnitNS converts the model's abstract work units into nanoseconds
+// for the overhead denominator: a unit is roughly one simple statement.
+const workUnitNS = 4
 
 // PlanEntry is one function's instrumentation decision.
 type PlanEntry struct {
@@ -91,22 +56,18 @@ type Plan struct {
 	byMode map[string]string
 }
 
-// BuildPlan derives an instrumentation plan from the model. Functions
-// start in detail mode; while the predicted overhead exceeds the
-// budget, the function with the worst hook-cost-to-hotness ratio is
-// demoted detail→coarse→skip (greedy, deterministic).
-func (m *Model) BuildPlan(opts PlanOptions) *Plan {
-	if opts.Hooks == (HookCosts{}) {
-		opts.Hooks = DefaultHookCosts
-	}
-	if opts.WorkUnitNS <= 0 {
-		opts.WorkUnitNS = 4
-	}
+// BuildPlan derives an instrumentation plan from the model for an
+// overhead budget given as a fraction (e.g. 0.05 for 5%; 0 plans
+// everything in detail). Functions start in detail mode; while the
+// predicted overhead exceeds the budget, the function with the worst
+// hook-cost-to-hotness ratio is demoted detail→coarse→skip (greedy,
+// deterministic).
+func (m *Model) BuildPlan(budget float64) *Plan {
 	ranked := m.Ranked()
 	var workNS float64
 	entries := make([]PlanEntry, 0, len(ranked))
 	for _, fc := range ranked {
-		workNS += fc.Freq * fc.Self * opts.WorkUnitNS
+		workNS += fc.Freq * fc.Self * workUnitNS
 		if fc.Node.Owner() != nil {
 			// Function literals cannot carry an instrumenter prologue;
 			// their work still belongs in the denominator.
@@ -117,7 +78,7 @@ func (m *Model) BuildPlan(opts PlanOptions) *Plan {
 			Mode:   "detail",
 			Freq:   fc.Freq,
 			Score:  fc.Score,
-			HookNS: fc.Freq * opts.Hooks.DetailNS,
+			HookNS: fc.Freq * detailNS,
 		})
 	}
 	hookNS := 0.0
@@ -130,30 +91,27 @@ func (m *Model) BuildPlan(opts PlanOptions) *Plan {
 		}
 		return hookNS / (workNS + hookNS)
 	}
-	p := &Plan{Budget: opts.Budget, BaselineOverhead: overhead(), WorkNS: workNS}
+	p := &Plan{Budget: budget, BaselineOverhead: overhead(), WorkNS: workNS}
 
 	modeNS := func(mode string, freq float64) float64 {
 		switch mode {
 		case "coarse":
-			return freq * opts.Hooks.CoarseNS
+			return freq * coarseNS
 		case "skip":
-			return freq * opts.Hooks.SkipNS
+			return 0
 		}
-		return freq * opts.Hooks.DetailNS
+		return freq * detailNS
 	}
 	demoted := func(mode string) (string, bool) {
 		switch mode {
 		case "detail":
 			return "coarse", true
 		case "coarse":
-			if opts.MinMode == "coarse" {
-				return "", false
-			}
 			return "skip", true
 		}
 		return "", false
 	}
-	for opts.Budget > 0 && overhead() > opts.Budget {
+	for budget > 0 && overhead() > budget {
 		best, bestGain := -1, 0.0
 		for i := range entries {
 			next, ok := demoted(entries[i].Mode)

@@ -181,9 +181,8 @@ type shard struct {
 	// batch is the one chunk decode buffer (see decode).
 	batch []trace.Event
 
-	// hist is the shard's ranged-series state: the decoded checkpoint
-	// archive plus an LRU of decoded raw windows, lazily built on the
-	// first /api/series?from=&to= (see window.go).
+	// hist is the shard's decoded checkpoint archive, lazily built on the
+	// first ranged query (see window.go).
 	hist shardHistory
 }
 

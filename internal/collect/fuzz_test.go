@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/instrument"
 	"tempest/internal/hotspot"
 	"tempest/internal/trace"
 )
@@ -269,6 +270,63 @@ func FuzzArchiveDecode(f *testing.F) {
 		}
 		if !bytes.Equal(encodeArchive(b), again) {
 			t.Fatal("re-encoding an accepted archive is not a fixed point")
+		}
+	})
+}
+
+// FuzzCoarseDecode drives the coarse bucket-report decoder, which every
+// collector runs on every coarse frame it is sent: it must never panic,
+// and decoding is a fixed point on accepted input — what it accepted
+// re-encodes to a payload that decodes to the same report.
+func FuzzCoarseDecode(f *testing.F) {
+	good := encodeCoarse([]instrument.CoarseStat{{Name: "pkg.A", Calls: 12, Nanos: 34_000_000}, {Name: "pkg.B", Calls: 1, Nanos: -1}})
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add(encodeCoarse(nil))
+	f.Add(good[:len(good)-1])
+	f.Add(append(bytes.Clone(good), 0))
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0}) // name longer than the payload
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		stats, err := decodeCoarse(payload)
+		if err != nil {
+			return
+		}
+		again, err := decodeCoarse(encodeCoarse(stats))
+		if err != nil {
+			t.Fatalf("re-encoded coarse report does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, stats) {
+			t.Fatalf("decode is not a fixed point:\n got %+v\nwant %+v", again, stats)
+		}
+	})
+}
+
+// FuzzControlDecode is the same contract for the control-payload decoder:
+// shippers run it on the directives their collector sends down, and a
+// restarting collector on the directives its store replays.
+func FuzzControlDecode(f *testing.F) {
+	good := encodeControl(instrument.Directive{
+		Default: instrument.ModeCoarse,
+		Funcs:   []instrument.FuncMode{{Name: "pkg.Hot", Mode: instrument.ModeDetail}, {Name: "pkg.Muted", Mode: instrument.ModeOff}},
+	})
+	f.Add(good)
+	f.Add([]byte{})
+	f.Add(encodeControl(instrument.Directive{Default: instrument.ModeDetail}))
+	f.Add(good[:len(good)-1])
+	f.Add(append(bytes.Clone(good), 0))
+	f.Add([]byte{byte(instrument.ModeOff) + 1, 0}) // default mode out of range
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // function count past the cap
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		d, err := decodeControl(payload)
+		if err != nil {
+			return
+		}
+		again, err := decodeControl(encodeControl(d))
+		if err != nil {
+			t.Fatalf("re-encoded directive does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, d) {
+			t.Fatalf("decode is not a fixed point:\n got %+v\nwant %+v", again, d)
 		}
 	})
 }

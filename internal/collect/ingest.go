@@ -59,9 +59,6 @@ func (sh *shard) persist(ns *nodeState, seq uint64, flags uint8, payload []byte)
 	wall = sh.c.opts.Now().UnixNano()
 	if sh.append(ns, seq, flags, wall, payload, "store append failed") {
 		ns.symsStored = ns.sym.Len()
-		// Cached window decodes whose range extends past this commit are now
-		// missing a batch; drop them so the next query re-decodes.
-		sh.hist.invalidateAppend(wall)
 	}
 	return wall
 }

@@ -50,8 +50,7 @@ type Metrics struct {
 
 	// Ranged series path (debug surface only).
 	windowQueries       *introspect.Counter      // ranged series decodes requested
-	windowCacheHits     *introspect.Counter      // decodes served from the per-shard LRU
-	windowDecodeSeconds *introspect.Distribution // latency of cache-miss decodes
+	windowDecodeSeconds *introspect.Distribution // decode latency
 
 	// Adaptive-sampling control plane (debug surface only).
 	coarseSegments    *introspect.Counter // coarse bucket reports accepted off the wire
@@ -88,8 +87,7 @@ func newMetrics(shards int) *Metrics {
 	m.storeDegrades = m.debug.Counter("tempest_collect_store_degrade_events_total", "Shards that fell from durable to memory-only ingest.")
 	m.storeDegradedShards = m.debug.Gauge("tempest_collect_store_degraded_shards", "Shards currently ingesting memory-only after a store failure.")
 	m.windowQueries = m.debug.Counter("tempest_collect_window_queries_total", "Time-ranged historical window decodes requested.")
-	m.windowCacheHits = m.debug.Counter("tempest_collect_window_cache_hits_total", "Historical window decodes served from the per-shard LRU cache.")
-	m.windowDecodeSeconds = m.debug.Distribution("tempest_collect_window_decode_seconds", "Latency of cache-miss historical window decodes.")
+	m.windowDecodeSeconds = m.debug.Distribution("tempest_collect_window_decode_seconds", "Latency of historical window decodes.")
 	m.coarseSegments = m.debug.Counter("tempest_collect_coarse_segments_total", "Coarse instrumentation bucket reports accepted off the wire.")
 	m.coarseErrors = m.debug.Counter("tempest_collect_coarse_decode_errors_total", "Coarse reports that failed to decode (acknowledged and dropped).")
 	m.policyRounds = m.debug.Counter("tempest_collect_policy_rounds_total", "Adaptive-sampling policy evaluation rounds.")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +95,22 @@ func TestCoarseRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeCoarse(append(encodeCoarse(stats), 0xff)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestCoarseDecodeBoundsCountByPayload: a four-byte coarse payload that
+// declares 2²⁴ entries must be rejected without sizing anything by that
+// count — every collector decodes every coarse frame it is sent.
+func TestCoarseDecodeBoundsCountByPayload(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeCoarse([]byte{0x80, 0x80, 0x80, 0x08})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile entry count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting a 4-byte payload allocated %d bytes", grew)
 	}
 }
 

@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"container/list"
 	"errors"
 	"math"
 	"sort"
@@ -26,10 +25,9 @@ import (
 //
 // Series over a time range are the one thing still rebuilt from the
 // durable store, where sub-granule resolution is the point: the raw
-// batches in range are re-decoded on demand through store.ReadRange, with
-// a small per-shard LRU of decoded windows so a dashboard scrubbing back
-// and forth doesn't re-scan the same segments per request. All of this
-// state is shard-owned, like every builder: touched only inside do.
+// batches in range are re-decoded on demand through store.ReadRange at
+// every request. All of this state is shard-owned, like every builder:
+// touched only inside do.
 
 // ErrHistoryUnavailable reports a ranged series query against a collector
 // (or shard) without a durable store: memory-only ingest keeps no raw
@@ -165,34 +163,16 @@ func (c *Collector) WindowHotspots(sensor, k int, from, to int64) (*HotspotsResp
 	return resp, nil
 }
 
-// histKey names one decoded window: a node's series over [from, to).
-type histKey struct {
-	node     uint32
-	from, to int64
-}
-
-// histCacheEnt is one LRU slot: the node's finished profile over exactly
-// its in-range events, nil when it has none. Entries are read-only once
-// built — readers never write through the profile.
-type histCacheEnt struct {
-	key histKey
-	np  *parser.NodeProfile
-}
-
-// shardHistory is a shard's ranged-series state: the decoded archive
-// (refreshed when the store's compaction generation moves) and the LRU
-// of decoded raw windows. Zero value ready; shard-owned.
+// shardHistory is a shard's decoded checkpoint archive, refreshed when
+// the store's compaction generation moves. Zero value ready; shard-owned.
 type shardHistory struct {
 	gen    uint64
 	genSet bool
 	arch   *fleetArchive
-	lru    *list.List
-	idx    map[histKey]*list.Element
 }
 
 // histArchive returns the decoded checkpoint archive, re-decoding when a
-// compaction moved the raw/archived split (which also stales every
-// cached raw decode: their batches may have been folded away).
+// compaction moved the raw/archived split.
 func (sh *shard) histArchive() *fleetArchive {
 	gen := sh.store.CompactGen()
 	if sh.hist.genSet && sh.hist.gen == gen {
@@ -206,35 +186,12 @@ func (sh *shard) histArchive() *fleetArchive {
 	}
 	sh.hist.gen, sh.hist.genSet = gen, true
 	sh.hist.arch = arch
-	sh.hist.lru, sh.hist.idx = nil, nil
 	return arch
 }
 
-// invalidateAppend drops cached decodes whose range extends past a fresh
-// commit at wall — they no longer cover every in-range batch.
-func (h *shardHistory) invalidateAppend(wall int64) {
-	if h.lru == nil {
-		return
-	}
-	var stale []*list.Element
-	for el := h.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*histCacheEnt).key.to > wall {
-			stale = append(stale, el)
-		}
-	}
-	for _, el := range stale {
-		delete(h.idx, el.Value.(*histCacheEnt).key)
-		h.lru.Remove(el)
-	}
-}
-
-// windowCache is how many decoded windows each shard's LRU holds.
-const windowCache = 16
-
 // decodeWindow rebuilds one node's profile over the raw batches it
-// committed in [from, to), nil when there are none, serving from the LRU
-// when the same range was decoded before. Other nodes' batches are
-// skipped at the batch header. The prefix pass replays the node's earlier
+// committed in [from, to), nil when there are none. Other nodes' batches
+// are skipped at the batch header. The prefix pass replays the node's earlier
 // chunks through its symbol table only — chunk symbol ids are dense and
 // cumulative, so in-range payloads decode correctly no matter where the
 // range starts — and the in-range pass folds events into a throwaway
@@ -242,13 +199,7 @@ const windowCache = 16
 // only as folded heat comes back with it.
 func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser.NodeProfile, error) {
 	sh.c.metrics.windowQueries.Add(1)
-	arch := sh.histArchive() // before the lookup: a compaction since empties the cache
-	key := histKey{id, from, to}
-	if el, ok := sh.hist.idx[key]; ok {
-		sh.c.metrics.windowCacheHits.Add(1)
-		sh.hist.lru.MoveToFront(el)
-		return arch, el.Value.(*histCacheEnt).np, nil
-	}
+	arch := sh.histArchive()
 	start := time.Now()
 
 	// Post-compaction raw chunks were encoded against the archive's
@@ -301,17 +252,6 @@ func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser
 		np, _ = b.Finish() // a profile or nothing
 	}
 	sh.c.metrics.windowDecodeSeconds.ObserveSince(start)
-
-	if sh.hist.lru == nil {
-		sh.hist.lru = list.New()
-		sh.hist.idx = map[histKey]*list.Element{}
-	}
-	sh.hist.idx[key] = sh.hist.lru.PushFront(&histCacheEnt{key: key, np: np})
-	for sh.hist.lru.Len() > windowCache {
-		el := sh.hist.lru.Back()
-		delete(sh.hist.idx, el.Value.(*histCacheEnt).key)
-		sh.hist.lru.Remove(el)
-	}
 	return arch, np, nil
 }
 

@@ -348,7 +348,9 @@ func encodeCoarse(stats []instrument.CoarseStat) []byte {
 func decodeCoarse(payload []byte) ([]instrument.CoarseStat, error) {
 	buf := bytes.NewBuffer(payload)
 	n, err := binary.ReadUvarint(buf)
-	if err != nil || n > 1<<24 {
+	// An entry is at least three bytes (name length, calls, nanos): the
+	// count is bounded by the payload before anything is sized by it.
+	if err != nil || n > uint64(buf.Len()/3) {
 		return nil, fmt.Errorf("%w: coarse entry count", errWire)
 	}
 	out := make([]instrument.CoarseStat, 0, n)

@@ -41,9 +41,9 @@ func genEvents(n int) ([]trace.Event, *trace.SymTab) {
 	return evs, sym
 }
 
-// BenchmarkCritPath1M is the committed-baseline benchmark
-// (scripts/bench/critpath_bench.sh → BENCH_critpath.json): one full
-// 1M-event analysis per iteration, summary included. allocs/op is the
+// BenchmarkCritPath1M is one full 1M-event analysis per iteration,
+// summary included; the numbers to compare are the _bench grid's
+// critpath.add_ns_per_event and critpath.summary_ms cells. allocs/op is the
 // memory pin — it counts analyzer state only (lanes, functions, ops),
 // not events, so it must stay in the hundreds however many events flow.
 func BenchmarkCritPath1M(b *testing.B) {
