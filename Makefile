@@ -43,13 +43,16 @@ race:
 # tail + flaky TCP link), plus the per-package chaos tests, the
 # durable-store crash drills (a crash at every byte an append → roll →
 # checkpoint → append sequence writes; SIGKILL a real collectd
-# mid-ingest, restart, assert nothing acked was lost), and the adaptive
-# control-loop drills
+# mid-ingest, restart, assert nothing acked was lost), a restart whose
+# shards recover side by side over a torn tail and an unopenable shard
+# (under the race detector, ten times), and the adaptive control-loop
+# drills
 # (seeded link chaos on the control channel; closed-loop promotion at an
 # event density that overflows the lane buffer under full detail).
 chaos:
 	$(GO) test -run 'TestChaos|TestAdaptiveSampling' -v .
 	$(GO) test -run TestChaos -v ./internal/collect/
+	$(GO) test -race -count=10 -run TestRestartRecoversEveryShard ./internal/collect/
 	$(GO) test -run 'TestTCPChaos|TestTCPRank' -v ./internal/mpi/
 	$(GO) test -run 'TestSegmentedSalvage|TestSegmentedChecksum' -v ./internal/trace/
 	$(GO) test -run 'TestStoreCrashPoints' -v ./internal/store/
@@ -89,14 +92,15 @@ bench-smoke:
 # collector's ship-mode frame decoder, the coarse-report and control
 # decoders (never panic; decoding is a fixed point), the slice-cursor
 # segment and chunk decoders against the reader-based ones they
-# replaced, the
+# replaced, the instrumentation-plan JSON decoder (never panics; decoding
+# is a fixed point), the
 # checkpoint-archive decoder (never panics; re-encoding is a fixed
 # point), the durable store's crash/tamper recovery, and the
 # critical-path analyzer (never panics; stream==batch; agrees with the
 # Builder's stack discipline on accepted streams; one shared core == two
 # standalone folds).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/parser/ ./internal/collect/ ./internal/store/ ./internal/critpath/
+	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/parser/ ./internal/collect/ ./internal/store/ ./internal/critpath/ ./internal/analysis/costmodel/
 
 # End-to-end fleet-collector smoke: start tempest-collectd on ephemeral
 # ports, ship the canned trace, and diff /api/hotspots against its

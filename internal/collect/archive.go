@@ -438,7 +438,8 @@ func foldFunctionHeat(a, b []hotspot.FunctionHeat) []hotspot.FunctionHeat {
 // sensor — and the per-window rankings appended to the previous archive.
 // An invocation open across a bucket boundary is charged to each bucket
 // for its clipped length. granule <= 0 folds the whole pass into a single
-// window spanning its batches. Deterministic; retains nothing.
+// window spanning its batches. Deterministic; retains nothing; captures
+// only its arguments, so every shard's store may run it at once.
 func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store.Compactor {
 	gran := granule.Nanoseconds()
 	return func(prevArchive []byte, batches []store.Batch) ([]byte, error) {

@@ -161,7 +161,9 @@ type nodeState struct {
 // actor: every ingest and query call is synchronous, so callers run their
 // own code on their own goroutine, under mu, through do. Everything below
 // waiting is shard-owned state, touched only inside do — or during New's
-// single-threaded open/replay phase, before anything else can reach it.
+// open/replay phase, before anything else can reach it, on one goroutine
+// per shard that touches only its own shard's state (what shards share
+// there — metrics, logger, compactor — is safe for concurrent use).
 type shard struct {
 	id int
 	c  *Collector
@@ -211,8 +213,8 @@ var errCollectorClosed = errors.New("collect: collector closed")
 // New returns a running collector; attach ingest listeners with Serve and
 // the HTTP API with Handler. With Options.StoreDir set, New first recovers
 // the durable store — salvaging any crash-torn tail — and replays acked
-// history into warm builders, so the collector resumes where the last
-// process died.
+// history into warm builders, every shard on its own goroutine, so the
+// collector resumes where the last process died.
 func New(opts Options) *Collector {
 	opts = opts.withDefaults()
 	c := &Collector{
@@ -242,10 +244,9 @@ func New(opts Options) *Collector {
 }
 
 // openStores opens one disk store per shard and replays recovered
-// history into warm node states. A shard whose store cannot open or
-// replay runs degraded (memory-only) instead of failing the collector:
-// ingest availability outranks durability, and the degradation is loud —
-// logged, counted on the debug registry, and surfaced on /healthz.
+// history into warm node states, every shard at once: shards share no
+// state, so recovery spreads over the cores instead of queuing shard
+// after shard.
 func (c *Collector) openStores() {
 	so := c.opts.StoreOptions
 	so.Metrics = store.NewMetrics(c.metrics.debug)
@@ -254,21 +255,36 @@ func (c *Collector) openStores() {
 	if so.Compact == nil {
 		so.Compact = NewCompactor(c.opts.Unit, c.opts.SampleInterval, c.opts.ArchiveGranule)
 	}
-	for i, sh := range c.shards {
-		dir := filepath.Join(c.opts.StoreDir, store.ShardDirName(i))
-		st, err := store.Open(dir, so)
-		if err != nil {
-			c.opts.Logger.Error("store open failed; shard ingests memory-only",
-				"shard", i, "dir", dir, "err", err)
-			c.noteDegrade()
-			continue
-		}
-		sh.store = st
-		if err := st.Replay(sh.replayArchive, sh.replayBatch); err != nil {
-			// Replay already salvaged what it could; the store itself still
-			// accepts appends, so stay durable with partial history.
-			c.opts.Logger.Error("store replay incomplete", "shard", i, "err", err)
-		}
+	var wg sync.WaitGroup
+	for _, sh := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.openStore(so)
+		}()
+	}
+	wg.Wait()
+}
+
+// openStore opens the shard's disk store and replays it. A shard whose
+// store cannot open runs degraded (memory-only) instead of failing the
+// collector: ingest availability outranks durability, and the degradation
+// is loud — logged, counted on the debug registry, and surfaced on
+// /healthz.
+func (sh *shard) openStore(so store.Options) {
+	dir := filepath.Join(sh.c.opts.StoreDir, store.ShardDirName(sh.id))
+	st, err := store.Open(dir, so)
+	if err != nil {
+		sh.c.opts.Logger.Error("store open failed; shard ingests memory-only",
+			"shard", sh.id, "dir", dir, "err", err)
+		sh.c.noteDegrade()
+		return
+	}
+	sh.store = st
+	if err := st.Replay(sh.replayArchive, sh.replayBatch); err != nil {
+		// Replay already salvaged what it could; the store itself still
+		// accepts appends, so stay durable with partial history.
+		sh.c.opts.Logger.Error("store replay incomplete", "shard", sh.id, "err", err)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // The write path: everything that changes a node's state. Connections
 // and IngestTrace enter a shard through resume, frame, bulk and
 // finishBulk; startup replay calls replayArchive and replayBatch
-// directly, before anything else can reach the shard. The read path
-// (query.go, window.go) shares only the shard-owned state behind do.
+// directly, on the shard's own goroutine, before anything else can reach
+// the shard. The read path (query.go, window.go) shares only the
+// shard-owned state behind do.
 
 // append commits one batch to the shard's store, stamped wall, and
 // reports whether it is durable. A failed append degrades the shard.

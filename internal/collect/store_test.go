@@ -153,6 +153,118 @@ func TestCollectorStoreRecovery(t *testing.T) {
 	}
 }
 
+// TestRestartRecoversEveryShard restarts a four-shard collector whose
+// shards recover side by side, one of them over a torn tail and one whose
+// directory will not open: the torn shard salvages, the blocked one
+// degrades alone, and every node on a healthy shard comes back byte-equal
+// to a collector that never restarted.
+func TestRestartRecoversEveryShard(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{StoreDir: dir, Shards: 4, Logger: quietLogger()}
+	oracle, oracleAddr := startCollector(t, Options{Shards: 4, Logger: quietLogger()})
+	c1, addr := startCollector(t, opts)
+
+	// Nodes 1..8 land on every shard; odd nodes ship, even ones upload.
+	onShard := map[uint32]int{}
+	covered := map[int]bool{}
+	var traces []*trace.Trace
+	for node := uint32(1); node <= 8; node++ {
+		tr := buildTrace(t, node, []string{"compute", "exchange", "io"}, 30+5*int(node))
+		traces = append(traces, tr)
+		onShard[node] = c1.shardFor(node).id
+		covered[onShard[node]] = true
+		if node%2 == 1 {
+			if err := c1.IngestTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.IngestTrace(tr); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			uploadBulk(t, addr, tr)
+			uploadBulk(t, oracleAddr, tr)
+		}
+	}
+	if len(covered) != 4 {
+		t.Fatalf("nodes 1..8 cover shards %v, want all 4", covered)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := store.VerifyDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shard 1's final segment gets a torn tail that holds nothing acked;
+	// shard 2's directory becomes a regular file.
+	const torn, blocked = 1, 2
+	segs, err := filepath.Glob(filepath.Join(dir, store.ShardDirName(torn), "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("shard %d segments: %v %v", torn, segs, err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn!")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	blockedDir := filepath.Join(dir, store.ShardDirName(blocked))
+	if err := os.RemoveAll(blockedDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blockedDir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	healthyBatches := uint64(0)
+	for _, s := range rep.Shards {
+		if filepath.Base(s.Dir) != store.ShardDirName(blocked) {
+			healthyBatches += uint64(s.Batches)
+		}
+	}
+
+	c2 := New(opts)
+	defer c2.Close()
+	if got := c2.DegradedStoreShards(); got != 1 {
+		t.Fatalf("DegradedStoreShards = %d, want 1", got)
+	}
+	counter := func(name string) uint64 { return c2.metrics.debug.Counter(name, "").Value() }
+	if got := counter("tempest_store_salvaged_tails_total"); got != 1 {
+		t.Errorf("SalvagedTails = %d, want 1", got)
+	}
+	if got := counter("tempest_store_replayed_batches_total"); got != healthyBatches {
+		t.Errorf("ReplayedBatches = %d, want the healthy shards' %d", got, healthyBatches)
+	}
+	if got := counter("tempest_store_recovery_errors_total"); got != 0 {
+		t.Errorf("RecoveryErrors = %d, want 0", got)
+	}
+	for _, tr := range traces {
+		got, err := c2.NodeProfile(tr.NodeID)
+		if onShard[tr.NodeID] == blocked {
+			if err == nil {
+				t.Errorf("node %d on the degraded shard answers after restart", tr.NodeID)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("node %d lost across restart: %v", tr.NodeID, err)
+		}
+		want, err := oracle.NodeProfile(tr.NodeID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := renderNode(t, got), renderNode(t, want); g != w {
+			t.Errorf("node %d (shard %d) diverged across restart:\n--- recovered ---\n%s--- oracle ---\n%s",
+				tr.NodeID, onShard[tr.NodeID], g, w)
+		}
+	}
+}
+
 // TestCollectorStoreRetention drives time-windowed compaction: raw
 // history ages out, folds into the checkpoint archive, and the fleet
 // hot-spot answer stays exactly what an uninterrupted, uncompacted run

@@ -384,7 +384,11 @@ type segMeta struct {
 // segment log with checkpointed retention. Call order: Replay once,
 // before the first Append; then any number of Appends and ranged reads;
 // then Close. Not concurrency-safe: its owner serialises every call, as
-// a collector shard does under its lock.
+// a collector shard does under its lock. Distinct Disks share nothing but
+// what their Options hand them (Metrics, Logger, Now, Compact), so they
+// may be used concurrently, Open included, whenever those are safe for
+// concurrent use: a collector opens and replays every shard's Disk on its
+// own goroutine.
 type Disk struct {
 	dir  string
 	opts Options

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -511,6 +512,81 @@ func TestOpenShardsAndVerifyDir(t *testing.T) {
 	}
 	if err := store.CheckDir(root); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the -verify-store report golden")
+
+// TestVerifyDirReportGolden audits a four-shard store with a torn final
+// tail in shard 1 and a flipped interior byte in shard 2: the report text,
+// shard order and every note and problem included, is pinned byte for
+// byte (root path elided), so auditing the shards side by side must print
+// what auditing them one after another did.
+func TestVerifyDirReportGolden(t *testing.T) {
+	root := t.TempDir()
+	for i := 0; i < 4; i++ {
+		clk := newFakeClock()
+		dir := filepath.Join(root, store.ShardDirName(i))
+		d, err := store.Open(dir, store.Options{Now: clk.now, Logger: quietLogger(), Window: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < 4+i; seq++ {
+			if err := d.Append(testBatch(uint32(i+1), uint64(seq), clk.t, fmt.Sprintf("shard-%d-payload-%02d", i, seq))); err != nil {
+				t.Fatal(err)
+			}
+			clk.advance(25 * time.Second) // a segment rolls every third batch
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := func(shard int) []string {
+		t.Helper()
+		s, err := filepath.Glob(filepath.Join(root, store.ShardDirName(shard), "*.seg"))
+		if err != nil || len(s) < 2 {
+			t.Fatalf("shard %d: want several segments, got %v (err %v)", shard, s, err)
+		}
+		return s
+	}
+	s1 := segs(1)
+	last := s1[len(s1)-1]
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	first := segs(2)[0]
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(first, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := store.VerifyDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	rep.WriteText(&sb)
+	got := strings.ReplaceAll(sb.String(), root, "ROOT")
+	golden := filepath.Join("testdata", "verify_report.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("-verify-store report moved:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Verification: an offline, read-only walk of a store directory that
@@ -73,7 +74,8 @@ func (r *Report) WriteText(w io.Writer) {
 }
 
 // VerifyDir verifies a store root. The root may be a collector store
-// (shard-NNN subdirectories) or a single shard directory.
+// (shard-NNN subdirectories) or a single shard directory. Shards are
+// audited concurrently, one goroutine each, and reported in name order.
 func VerifyDir(root string) (*Report, error) {
 	ents, err := os.ReadDir(root)
 	if err != nil {
@@ -89,10 +91,16 @@ func VerifyDir(root string) (*Report, error) {
 	if len(shardDirs) == 0 {
 		shardDirs = []string{root}
 	}
-	rep := &Report{}
-	for _, dir := range shardDirs {
-		rep.Shards = append(rep.Shards, verifyShard(dir))
+	rep := &Report{Shards: make([]ShardReport, len(shardDirs))}
+	var wg sync.WaitGroup
+	for i, dir := range shardDirs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep.Shards[i] = verifyShard(dir)
+		}()
 	}
+	wg.Wait()
 	return rep, nil
 }
 
