@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build fmt vet vet-cross tempest-vet test race chaos bench bench-validate bench-smoke fuzz-smoke collectd-smoke loc clean
+.PHONY: all build fmt vet vet-cross tempest-vet test race chaos bench bench-paper bench-validate bench-smoke fuzz-smoke collectd-smoke loc clean
 
-all: fmt vet vet-cross tempest-vet build test bench-validate
+all: fmt vet vet-cross tempest-vet build test bench-paper bench-validate
 
 # Nothing else checks formatting; any file gofmt would rewrite fails.
 fmt:
@@ -34,13 +34,13 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the whole module. Everything here runs real
-# concurrency somewhere (tracer lanes, tempd, transports, parser pool,
+# concurrency somewhere (tracer lanes, tempd, MPI ranks, parser pool,
 # collector, auto-instrument hooks), so nothing is hand-picked.
 race:
 	$(GO) test -race ./...
 
 # Seeded end-to-end fault-injection scenario (sensor dropout + torn trace
-# tail + flaky TCP link), plus the per-package chaos tests, the
+# tail), plus the collector's chaos tests over flaky links, the
 # durable-store crash drills (a crash at every byte an append → roll →
 # checkpoint → append sequence writes; SIGKILL a real collectd
 # mid-ingest, restart, assert nothing acked was lost), a restart whose
@@ -53,13 +53,18 @@ chaos:
 	$(GO) test -run 'TestChaos|TestAdaptiveSampling' -v .
 	$(GO) test -run TestChaos -v ./internal/collect/
 	$(GO) test -race -count=10 -run TestRestartRecoversEveryShard ./internal/collect/
-	$(GO) test -run 'TestTCPChaos|TestTCPRank' -v ./internal/mpi/
 	$(GO) test -run 'TestSegmentedSalvage|TestSegmentedChecksum' -v ./internal/trace/
 	$(GO) test -run 'TestStoreCrashPoints' -v ./internal/store/
 	$(GO) test -run 'TestDaemonStoreChaosSIGKILL' -v ./cmd/tempest-collectd/
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# Every paper benchmark (E1–E10, the ablations, the suite signatures)
+# once: each asserts its result's shape with b.Fatalf, so a change that
+# breaks a reproduced figure fails here (~3 s).
+bench-paper:
+	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
 # The pipeline benchmark at 1/50 scale, untraced and traced, with its
 # metric set checked against BENCHMARK.json (~20 s). `./...` skips

@@ -1,6 +1,6 @@
 // ablation_bench_test.go quantifies the design choices DESIGN.md §5 calls
-// out: sampling rate, sensor quantisation, ring-buffer sizing, transport
-// choice and core binding. Each benchmark sweeps one knob and reports the
+// out: sampling rate, sensor quantisation, ring-buffer sizing, core
+// binding and interconnect bandwidth. Each benchmark sweeps one knob and reports the
 // accuracy/overhead trade-off as custom metrics.
 package tempest
 
@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tempest/internal/cluster"
-	"tempest/internal/mpi"
 	"tempest/internal/nas"
 	"tempest/internal/parser"
 	"tempest/internal/trace"
@@ -149,81 +148,6 @@ func BenchmarkAblation_RingBufferPressure(b *testing.B) {
 	}
 	b.ReportMetric(dropPctSmall, "drop_pct_1Ki")
 	b.ReportMetric(dropPctBig, "drop_pct_256Ki")
-}
-
-// Ablation: in-process vs TCP transport for the same collective program.
-func BenchmarkAblation_TransportChanVsTCP(b *testing.B) {
-	const size = 4
-	program := func(c *mpi.Comm) error {
-		for k := 0; k < 20; k++ {
-			in := make([]float64, 256)
-			out := make([]float64, 256)
-			if err := c.Alltoall(in, out); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var chanNS, tcpNS float64
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if err := mpi.Run(size, program); err != nil {
-			b.Fatal(err)
-		}
-		chanNS = float64(time.Since(start).Nanoseconds())
-
-		nodes := make([]*mpi.TCPTransport, size)
-		addrs := make([]string, size)
-		for r := range addrs {
-			addrs[r] = "127.0.0.1:0"
-		}
-		for r := range nodes {
-			n, err := mpi.NewTCPNode(r, addrs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes[r] = n
-		}
-		for _, n := range nodes {
-			for pr, peer := range nodes {
-				if err := n.SetPeerAddr(pr, peer.Addr()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		start = time.Now()
-		errCh := make(chan error, size)
-		for r := range nodes {
-			go func(r int) {
-				w, err := mpi.NewWorldOver(nodes[r])
-				if err != nil {
-					errCh <- err
-					return
-				}
-				comm, err := w.Comm(r)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				errCh <- program(comm)
-			}(r)
-		}
-		for r := 0; r < size; r++ {
-			if err := <-errCh; err != nil {
-				b.Fatal(err)
-			}
-		}
-		tcpNS = float64(time.Since(start).Nanoseconds())
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}
-	b.ReportMetric(chanNS/1e6, "chan_ms")
-	b.ReportMetric(tcpNS/1e6, "tcp_ms")
-	b.ReportMetric(tcpNS/chanNS, "tcp_slowdown_x")
 }
 
 // Ablation: bound vs calibrated-unbound timestamping (the §3.3 mitigation

@@ -52,17 +52,6 @@ type Program struct {
 	Pkgs []*Package
 }
 
-// Package returns the loaded package with the given import path, nil if
-// absent.
-func (p *Program) Package(path string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.PkgPath == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // ProgramPass carries the whole program to a program-wide Analyzer.
 type ProgramPass struct {
 	Analyzer *Analyzer

@@ -430,9 +430,6 @@ func (n *Node) Owner() *Node { return n.owner }
 // No-op for external nodes.
 func (n *Node) VisitItems(fn func(*Item)) { n.Items.visit(fn) }
 
-// Visit applies fn to the item and every descendant, pre-order.
-func (it *Item) Visit(fn func(*Item)) { it.visit(fn) }
-
 // solveParamCalls runs the forwarding fixpoint: paramCalls[f][i] is the
 // minimum loop depth at which f (transitively through forwarding)
 // invokes its i-th parameter.

@@ -1,18 +1,17 @@
-// Package seqwire checks the wire-frame builders of the collector and
-// MPI transports. Both protocols rely on every frame carrying its
-// sequence number (dedup/reorder after reconnect) and — for the
-// collector protocol — a CRC32 of the payload (corruption rejection).
-// A frame builder is recognised structurally: a function that makes a
-// local []byte, stores header fields into it with binary.*.PutUint*,
-// and Writes that same buffer. For such functions the pass requires,
-// before the first Write:
+// Package seqwire checks the collector's wire-frame builders. The
+// ship protocol relies on every frame carrying its sequence number
+// (dedup/reorder after reconnect) and a CRC32 of the payload
+// (corruption rejection). A frame builder is recognised structurally: a
+// function that makes a local []byte, stores header fields into it with
+// binary.*.PutUint*, and Writes that same buffer. For such functions the
+// pass requires, before the first Write:
 //
 //   - a PutUint64 whose value involves a sequence counter (an
 //     identifier containing "seq", or "rev" for control frames — policy
 //     directive revisions play the sequence role on the downstream
 //     channel), and
-//   - in internal/collect, a PutUint32 of a crc32 checksum; a computed
-//     checksum that never reaches the buffer is also flagged.
+//   - a PutUint32 of a crc32 checksum; a computed checksum that never
+//     reaches the buffer is also flagged.
 package seqwire
 
 import (
@@ -25,16 +24,13 @@ import (
 )
 
 // targets are the wire-protocol packages.
-var targets = []string{"internal/collect", "internal/mpi"}
-
-// crcTargets additionally require a checksum field.
-var crcTargets = []string{"internal/collect"}
+var targets = []string{"internal/collect"}
 
 // Analyzer implements the seqwire pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "seqwire",
-	Doc: "collect/mpi frame builders must store the sequence number (and, in collect, the " +
-		"payload checksum) into the frame before writing it",
+	Doc: "collector frame builders must store the sequence number and the payload checksum " +
+		"into the frame before writing it",
 	Run: run,
 }
 
@@ -42,20 +38,19 @@ func run(pass *analysis.Pass) error {
 	if !analysis.PathMatches(pass.Pkg.Path(), targets) {
 		return nil
 	}
-	needCRC := analysis.PathMatches(pass.Pkg.Path(), crcTargets)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBuilder(pass, fd, needCRC)
+			checkBuilder(pass, fd)
 		}
 	}
 	return nil
 }
 
-func checkBuilder(pass *analysis.Pass, fd *ast.FuncDecl, needCRC bool) {
+func checkBuilder(pass *analysis.Pass, fd *ast.FuncDecl) {
 	// Buffers created locally with make([]byte, …).
 	buffers := map[types.Object]bool{}
 	// Identifiers assigned from crc32.* calls ("sum := crc32.ChecksumIEEE(p)").
@@ -147,7 +142,7 @@ func checkBuilder(pass *analysis.Pass, fd *ast.FuncDecl, needCRC bool) {
 	if !hasSeq {
 		pass.Reportf(firstWrite.Pos(), "frame written without a sequence number: no binary PutUint64 of a seq counter into the frame buffer before Write")
 	}
-	if needCRC && !hasCRCPut {
+	if !hasCRCPut {
 		if crcCallPos != token.NoPos && crcCallPos < firstWrite.Pos() {
 			pass.Reportf(firstWrite.Pos(), "frame checksum is computed but never stored into the frame buffer before Write")
 		} else {

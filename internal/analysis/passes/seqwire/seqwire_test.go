@@ -8,5 +8,5 @@ import (
 )
 
 func TestSeqWire(t *testing.T) {
-	analysistest.Run(t, seqwire.Analyzer, "internal/collect", "internal/mpi")
+	analysistest.Run(t, seqwire.Analyzer, "internal/collect")
 }

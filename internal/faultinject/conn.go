@@ -30,8 +30,8 @@ type ConnFaults struct {
 	Sleep   func(time.Duration)
 }
 
-// Dialer matches the dial hook mpi.TCPOptions accepts, so a FaultyDialer
-// slots straight into the transport under test.
+// Dialer matches the dial hook collect.ShipperOptions accepts, so a
+// FaultyDialer slots straight into the shipper under test.
 type Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 // FaultyDialer wraps base (nil = net.DialTimeout) so every connection it

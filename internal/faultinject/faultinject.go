@@ -1,11 +1,12 @@
 // Package faultinject is Tempest's deterministic fault-injection harness.
 //
 // The paper's evaluation runs tempd for hours against real hardware where
-// sensors flake, the daemon is killed by the destructor's signal, and MPI
-// peers stall. This package makes those failure modes reproducible: every
-// injector draws from a Plan seeded with an explicit int64 (never the wall
-// clock), so a chaos test or benchmark that replays the same Scenario
-// observes the identical fault sequence, read for read and byte for byte.
+// sensors flake and the daemon is killed by the destructor's signal; a
+// fleet adds nodes that ship traces over links that drop. This package
+// makes those failure modes reproducible: every injector draws from a Plan
+// seeded with an explicit int64 (never the wall clock), so a chaos test
+// that replays the same seed observes the identical fault sequence, read
+// for read and byte for byte.
 //
 // Three composable injectors mirror the three layers the profiler depends
 // on:
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // ErrInjected is the root of every synthetic failure this package raises;
@@ -57,41 +57,3 @@ func (pl *Plan) Hit(p float64) bool {
 	defer pl.mu.Unlock()
 	return pl.rng.Float64() < p
 }
-
-// Intn returns a deterministic value in [0,n).
-func (pl *Plan) Intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return pl.rng.Intn(n)
-}
-
-// Jitter returns d scaled by a factor drawn uniformly from [1-frac, 1+frac].
-func (pl *Plan) Jitter(d time.Duration, frac float64) time.Duration {
-	if frac <= 0 || d <= 0 {
-		return d
-	}
-	pl.mu.Lock()
-	f := 1 + frac*(2*pl.rng.Float64()-1)
-	pl.mu.Unlock()
-	return time.Duration(float64(d) * f)
-}
-
-// Scenario bundles a seed with the fault mixes for each layer, so one
-// value describes a full chaos run ("sensor dropout + torn trace tail +
-// one flaky TCP link") and can be replayed exactly.
-type Scenario struct {
-	// Seed drives every probabilistic decision in the scenario.
-	Seed int64
-	// Sensor is applied to sensors wrapped with NewFaultySensor.
-	Sensor SensorFaults
-	// Conn is applied to connections produced by FaultyDialer.
-	Conn ConnFaults
-	// Writer is applied to writers wrapped with NewFaultyWriter.
-	Writer WriterFaults
-}
-
-// Plan derives the scenario's fault plan.
-func (sc Scenario) Plan() *Plan { return NewPlan(sc.Seed) }

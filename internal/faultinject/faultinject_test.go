@@ -195,26 +195,3 @@ func TestFaultyWriterTornTail(t *testing.T) {
 		t.Fatalf("Written = %d", fw.Written())
 	}
 }
-
-func TestScenarioPlanDeterminism(t *testing.T) {
-	sc := Scenario{Seed: 99, Sensor: SensorFaults{ErrorRate: 0.5}}
-	a, b := sc.Plan(), sc.Plan()
-	for i := 0; i < 100; i++ {
-		if a.Hit(0.5) != b.Hit(0.5) {
-			t.Fatalf("plan decision %d diverged", i)
-		}
-	}
-}
-
-func TestPlanJitterBounds(t *testing.T) {
-	p := NewPlan(5)
-	for i := 0; i < 100; i++ {
-		d := p.Jitter(time.Second, 0.5)
-		if d < 500*time.Millisecond || d > 1500*time.Millisecond {
-			t.Fatalf("jitter %v outside ±50%%", d)
-		}
-	}
-	if p.Jitter(time.Second, 0) != time.Second {
-		t.Error("zero frac must not jitter")
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -218,21 +217,4 @@ func ParseLogLevel(s string) (slog.Level, error) {
 // handler on w at the given level.
 func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
-// SortedNames returns every registered series name across regs, sorted —
-// a convenience for tests asserting coverage.
-func SortedNames(regs ...*Registry) []string {
-	var names []string
-	for _, r := range regs {
-		for _, s := range r.Snapshot() {
-			name := s.Name
-			if s.Labels != "" {
-				name += "{" + s.Labels + "}"
-			}
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

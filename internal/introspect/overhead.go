@@ -33,12 +33,6 @@ func NewAccountant() *Accountant {
 	return a
 }
 
-// Restart resets the wall-clock origin and folded self-time.
-func (a *Accountant) Restart() {
-	a.startNS.Store(time.Now().UnixNano())
-	a.selfNS.Store(0)
-}
-
 // AddSelf folds d of completed self-work into the total.
 func (a *Accountant) AddSelf(d time.Duration) {
 	if a == nil || d <= 0 {

@@ -16,7 +16,6 @@ const (
 	tagGather         = -6
 	tagScatter        = -7
 	tagAlltoall       = -8
-	tagAllgather      = -9
 )
 
 // Hooks observe communication operations; the cluster package uses them to
@@ -32,27 +31,27 @@ type Hooks struct {
 
 // Comm is one rank's endpoint in a world — the handle every MPI-style
 // call goes through, analogous to MPI_COMM_WORLD bound to a rank. Derived
-// communicators created with Split share the transport but carry their
+// communicators created with Split share the world but carry their
 // own context id and rank translation table, so their traffic can never
 // match a receive posted on a different communicator.
 type Comm struct {
-	rank      int
-	size      int
-	transport Transport
-	hooks     Hooks
+	rank  int
+	size  int
+	world *World
+	hooks Hooks
 	// ctx is the communicator context id (0 = world).
 	ctx int
-	// group maps this communicator's ranks to transport ranks; nil is
+	// group maps this communicator's ranks to world ranks; nil is
 	// the identity (world communicator).
 	group []int
-	// invGroup maps transport ranks back; nil for the world.
+	// invGroup maps world ranks back; nil for the world.
 	invGroup map[int]int
 	// splitSeq counts Split calls issued on this communicator, part of
 	// child context-id derivation (see split.go).
 	splitSeq int
 }
 
-// worldRank translates a communicator rank to a transport rank.
+// worldRank translates a communicator rank to a world rank.
 func (c *Comm) worldRank(r int) int {
 	if c.group == nil {
 		return r
@@ -60,7 +59,7 @@ func (c *Comm) worldRank(r int) int {
 	return c.group[r]
 }
 
-// localRank translates a transport rank back into this communicator.
+// localRank translates a world rank back into this communicator.
 func (c *Comm) localRank(w int) int {
 	if c.invGroup == nil {
 		return w
@@ -70,7 +69,7 @@ func (c *Comm) localRank(w int) int {
 
 // tsend routes a send through this communicator's context.
 func (c *Comm) tsend(to, tag int, data []byte) error {
-	return c.transport.Send(c.worldRank(c.rank), c.worldRank(to), c.ctx, tag, data)
+	return c.world.send(c.worldRank(c.rank), c.worldRank(to), c.ctx, tag, data)
 }
 
 // trecv routes a receive through this communicator's context, translating
@@ -80,7 +79,7 @@ func (c *Comm) trecv(from, tag int) (src, gotTag int, data []byte, err error) {
 	if from != AnySource {
 		wfrom = c.worldRank(from)
 	}
-	wsrc, gotTag, data, err := c.transport.Recv(c.worldRank(c.rank), wfrom, c.ctx, tag)
+	wsrc, gotTag, data, err := c.world.recv(c.worldRank(c.rank), wfrom, c.ctx, tag)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -112,7 +111,7 @@ func (c *Comm) opEnd(op string) {
 }
 
 // Send delivers data to rank `to` with a non-negative user tag. The
-// transport owns data after the call; callers must not reuse the slice.
+// receiver owns data after the call; callers must not reuse the slice.
 func (c *Comm) Send(to, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: user tag %d must be ≥0", tag)

@@ -15,9 +15,6 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(0); err == nil {
 		t.Error("size 0 should fail")
 	}
-	if _, err := NewWorldOver(nil); err == nil {
-		t.Error("nil transport should fail")
-	}
 }
 
 func TestWorldAccessors(t *testing.T) {

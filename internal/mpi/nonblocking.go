@@ -58,7 +58,7 @@ func (r *Request) Test() bool {
 	}
 }
 
-// Isend starts a nonblocking send. The transport owns data after the call.
+// Isend starts a nonblocking send. The receiver owns data after the call.
 func (c *Comm) Isend(to, tag int, data []byte) (*Request, error) {
 	if tag < 0 {
 		return nil, errors.New("mpi: user tag must be ≥0")

@@ -20,8 +20,7 @@ import (
 // Two sibling splits of one parent therefore never collide (different
 // seq), nor do colour groups of one split (different colourIndex), nor do
 // grandchildren of different parents (different parent ctx). The scheme
-// bounds colours and splits per communicator and the nesting depth; ids
-// must stay within uint32 for the TCP frame format.
+// bounds colours and splits per communicator and the nesting depth.
 const (
 	maxSplitColors   = 63
 	maxSplitsPerComm = 63
@@ -31,7 +30,7 @@ const (
 // Split partitions the communicator. Every member must call Split
 // (collectively). Ranks passing the same colour form a new communicator,
 // ordered by (key, parent rank); a negative colour opts out and receives
-// nil. The returned communicator shares the parent's transport but uses a
+// nil. The returned communicator shares the parent's world but uses a
 // fresh context id, so its traffic cannot be confused with the parent's.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	c.opStart("MPI_Comm_split")
@@ -98,12 +97,12 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, fmt.Errorf("mpi: split nesting too deep: context id overflow")
 	}
 	sub := &Comm{
-		size:      len(group),
-		transport: c.transport,
-		hooks:     c.hooks,
-		ctx:       newCtx,
-		group:     make([]int, len(group)),
-		invGroup:  make(map[int]int, len(group)),
+		size:     len(group),
+		world:    c.world,
+		hooks:    c.hooks,
+		ctx:      newCtx,
+		group:    make([]int, len(group)),
+		invGroup: make(map[int]int, len(group)),
 	}
 	for newRank, m := range group {
 		world := c.worldRank(m.parentRank)

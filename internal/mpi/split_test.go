@@ -312,30 +312,3 @@ func TestIsendNegativeTag(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSplitOverTCP(t *testing.T) {
-	// Context isolation must survive the TCP frame format.
-	const size = 4
-	worlds, _ := buildTCPWorld(t, size)
-	err := runTCP(t, worlds, func(c *Comm) error {
-		sub, err := c.Split(c.Rank()%2, c.Rank())
-		if err != nil {
-			return err
-		}
-		out := make([]float64, 1)
-		if err := sub.Allreduce(OpSum, []float64{float64(c.Rank())}, out); err != nil {
-			return err
-		}
-		want := 2.0 // evens 0+2
-		if c.Rank()%2 == 1 {
-			want = 4 // odds 1+3
-		}
-		if out[0] != want {
-			return fmt.Errorf("tcp sub sum %v, want %v", out[0], want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -6,33 +6,21 @@ import (
 	"sync"
 )
 
-// World owns a transport and the per-rank Comm endpoints.
+// World owns one mailbox per rank and the per-rank Comm endpoints.
 type World struct {
-	transport Transport
-	comms     []*Comm
-	closeOnce sync.Once
+	boxes []*mailbox
+	comms []*Comm
 }
 
 // NewWorld builds an in-process world of `size` ranks.
 func NewWorld(size int) (*World, error) {
-	t, err := NewChanTransport(size)
-	if err != nil {
-		return nil, err
+	if size < 1 {
+		return nil, fmt.Errorf("mpi: world size %d must be ≥1", size)
 	}
-	return NewWorldOver(t)
-}
-
-// NewWorldOver builds a world over an existing transport. For symmetric
-// transports (in-process) all ranks' Comms are usable; for endpoint
-// transports (TCP) only the local rank's Comm is.
-func NewWorldOver(t Transport) (*World, error) {
-	if t == nil {
-		return nil, errors.New("mpi: nil transport")
-	}
-	size := t.Size()
-	w := &World{transport: t, comms: make([]*Comm, size)}
-	for r := 0; r < size; r++ {
-		w.comms[r] = &Comm{rank: r, size: size, transport: t}
+	w := &World{boxes: make([]*mailbox, size), comms: make([]*Comm, size)}
+	for r := range w.boxes {
+		w.boxes[r] = newMailbox()
+		w.comms[r] = &Comm{rank: r, size: size, world: w}
 	}
 	return w, nil
 }
@@ -42,8 +30,8 @@ func (w *World) Size() int { return len(w.comms) }
 
 // Comm returns rank r's endpoint.
 func (w *World) Comm(r int) (*Comm, error) {
-	if r < 0 || r >= len(w.comms) {
-		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(w.comms))
+	if err := w.checkRank(r); err != nil {
+		return nil, err
 	}
 	return w.comms[r], nil
 }
@@ -51,11 +39,51 @@ func (w *World) Comm(r int) (*Comm, error) {
 // Comms returns all endpoints in rank order.
 func (w *World) Comms() []*Comm { return append([]*Comm(nil), w.comms...) }
 
-// Close shuts the transport down; pending receives fail with ErrClosed.
+// Close shuts every mailbox; pending and later receives fail with
+// ErrClosed. Closing twice is harmless.
 func (w *World) Close() error {
-	var err error
-	w.closeOnce.Do(func() { err = w.transport.Close() })
-	return err
+	for _, b := range w.boxes {
+		b.close()
+	}
+	return nil
+}
+
+// send queues data from world rank `from` in rank `to`'s mailbox under
+// communicator context ctx. The receiver owns data after the call.
+func (w *World) send(from, to, ctx, tag int, data []byte) error {
+	if err := w.checkRank(from); err != nil {
+		return err
+	}
+	if err := w.checkRank(to); err != nil {
+		return err
+	}
+	return w.boxes[to].put(inMsg{src: from, ctx: ctx, tag: tag, data: data})
+}
+
+// recv blocks until a message for world rank `me` matching (from, ctx,
+// tag) arrives; from may be AnySource and tag AnyTag. It returns the
+// actual source, actual tag and payload.
+func (w *World) recv(me, from, ctx, tag int) (src, gotTag int, data []byte, err error) {
+	if err := w.checkRank(me); err != nil {
+		return 0, 0, nil, err
+	}
+	if from != AnySource {
+		if err := w.checkRank(from); err != nil {
+			return 0, 0, nil, err
+		}
+	}
+	msg, err := w.boxes[me].get(from, ctx, tag)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return msg.src, msg.tag, msg.data, nil
+}
+
+func (w *World) checkRank(r int) error {
+	if r < 0 || r >= len(w.boxes) {
+		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(w.boxes))
+	}
+	return nil
 }
 
 // Run executes body once per rank, each on its own goroutine, and waits

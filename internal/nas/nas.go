@@ -74,14 +74,6 @@ type Verification struct {
 	Detail string
 }
 
-// checkRankCount validates the world size against a kernel's requirement.
-func checkRankCount(rc *cluster.Rank, requirement func(int) bool, msg string) error {
-	if !requirement(rc.Size()) {
-		return fmt.Errorf("nas: %s (got %d ranks)", msg, rc.Size())
-	}
-	return nil
-}
-
 // isPow2 reports whether n is a power of two.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 

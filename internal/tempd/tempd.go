@@ -29,7 +29,6 @@ import (
 
 	"tempest/internal/introspect"
 	"tempest/internal/sensors"
-	"tempest/internal/stats"
 	"tempest/internal/trace"
 )
 
@@ -64,9 +63,6 @@ type Daemon struct {
 	lastHealth []sensors.Health
 	busyNS     atomic.Int64 // cumulative time spent inside SampleOnce
 
-	accMu     sync.Mutex
-	sensorAcc []*stats.Accumulator // per-sensor streaming °C summaries
-
 	readSeconds *introspect.Distribution // registry ReadAll latency per round
 	tickLag     *introspect.Distribution // delay between tick fire and loop wakeup
 	mSamples    *introspect.Counter
@@ -99,17 +95,12 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Registry.Len() == 0 {
 		return nil, errors.New("tempd: registry has no sensors (run Discover first)")
 	}
-	acc := make([]*stats.Accumulator, cfg.Registry.Len())
-	for i := range acc {
-		acc[i] = stats.NewAccumulator(false)
-	}
 	d := &Daemon{
 		reg:        cfg.Registry,
 		tracer:     cfg.Tracer,
 		interval:   time.Duration(float64(time.Second) / rate),
 		perSensor:  make([]atomic.Uint64, cfg.Registry.Len()),
 		lastHealth: make([]sensors.Health, cfg.Registry.Len()),
-		sensorAcc:  acc,
 	}
 	ir := cfg.Introspect
 	if ir == nil {
@@ -161,11 +152,6 @@ func (d *Daemon) SampleOnce() error {
 		d.tracer.Sample(uint32(i), v)
 		d.samples.Add(1)
 		d.mSamples.Inc()
-		if i < len(d.sensorAcc) {
-			d.accMu.Lock()
-			d.sensorAcc[i].Add(v)
-			d.accMu.Unlock()
-		}
 	}
 	if err != nil {
 		d.lastErr.Store(err)
@@ -293,23 +279,3 @@ func (d *Daemon) BusyFraction() float64 {
 
 // BusyTime reports cumulative time spent inside SampleOnce.
 func (d *Daemon) BusyTime() time.Duration { return time.Duration(d.busyNS.Load()) }
-
-// SensorStats returns O(1)-state streaming summaries (°C) of every
-// sample each sensor has produced so far — the daemon-side half of the
-// live hot-spot view, available while sampling is still running without
-// touching the trace. Med/Mod are NaN (moment statistics only); entries
-// with N==0 have produced no samples yet.
-func (d *Daemon) SensorStats() []stats.Summary {
-	d.accMu.Lock()
-	defer d.accMu.Unlock()
-	out := make([]stats.Summary, len(d.sensorAcc))
-	for i, acc := range d.sensorAcc {
-		if acc.N() == 0 {
-			continue
-		}
-		if s, err := acc.Summary(); err == nil {
-			out[i] = s
-		}
-	}
-	return out
-}

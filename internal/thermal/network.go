@@ -222,15 +222,6 @@ func (n *Network) SetPower(i int, watts float64) error {
 // Power returns the power currently injected into node i, in watts.
 func (n *Network) Power(i int) float64 { return n.power[i] }
 
-// TotalPower returns the sum of injected power across all nodes, in watts.
-func (n *Network) TotalPower() float64 {
-	var sum float64
-	for _, p := range n.power {
-		sum += p
-	}
-	return sum
-}
-
 // SetBoundary changes the pinned temperature of boundary node i (ambient
 // drift, room air conditioning cycles). It is an error on a dynamic node.
 func (n *Network) SetBoundary(i int, tempC float64) error {
