@@ -15,12 +15,14 @@ vet:
 	$(GO) vet ./...
 
 # instrument finds a goroutine's lane through per-architecture assembly
-# (amd64, arm64) with a portable fallback for everything else. Vet the
-# second assembly file and the no-assembly build, neither of which an
-# amd64 host compiles otherwise.
+# (amd64, arm64) with a portable fallback for everything else, and
+# vclock reads the cycle counter only on amd64. Vet the second assembly
+# file and the builds without assembly — instrument's fallback and the
+# real clock on the monotonic OS clock, with the lanes it stamps — none
+# of which an amd64 host compiles otherwise.
 vet-cross:
-	GOARCH=arm64 $(GO) vet ./instrument/
-	GOARCH=riscv64 $(GO) vet ./instrument/
+	GOARCH=arm64 $(GO) vet ./instrument/ ./internal/vclock/ ./internal/trace/
+	GOARCH=riscv64 $(GO) vet ./instrument/ ./internal/vclock/ ./internal/trace/
 
 # Project-specific invariant checks (internal/analysis passes): Enter/Exit
 # pairing, wall-clock bans in virtual-time packages, lock annotations,
@@ -35,9 +37,13 @@ test:
 
 # Race-detector pass over the whole module. Everything here runs real
 # concurrency somewhere (tracer lanes, tempd, MPI ranks, parser pool,
-# collector, auto-instrument hooks), so nothing is hand-picked.
+# collector, auto-instrument hooks), so nothing is hand-picked. The
+# instrument tests run ten more times: a detail call finds its lane twice,
+# and a lane handed to a goroutine on a recycled g must carry its
+# happens-before edge with it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./instrument/
 
 # Seeded end-to-end fault-injection scenario (sensor dropout + torn trace
 # tail), plus the collector's chaos tests over flaky links, the

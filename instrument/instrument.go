@@ -35,6 +35,11 @@
 // path: each slot carries one atomic mode word, so a collector can
 // flip instrumentation density on a live, saturated workload.
 //
+// A detail-mode call allocates nothing: each slot's exit hook is built
+// once, when a tracer is attached or the slot registered, and finds the
+// goroutine's lane and the call's entry time again when it runs. A
+// coarse-mode call allocates the closure it returns.
+//
 // Lanes are allocated per goroutine, matching the tracer's
 // one-lane-per-worker model, so instrumented code may be freely
 // concurrent. A goroutine is identified by the address of its runtime g
@@ -134,13 +139,20 @@ type laneEntry struct {
 	lane *trace.Lane
 }
 
+// detailSlot is what ModeDetail needs of one slot under one binding: the
+// tracer's function id, and the exit hook Trace hands out for it.
+type detailSlot struct {
+	fid  uint32
+	exit func()
+}
+
 // binding connects the slot table to one tracer.
 type binding struct {
 	tracer *trace.Tracer
-	// fids maps slot → tracer function id. Copy-on-write like slots:
-	// extend (always under regMu) swaps in a grown copy, Trace reads it
-	// with one atomic load.
-	fids atomic.Pointer[[]uint32]
+	// detail maps slot → function id and exit hook. Copy-on-write like
+	// slots: extend (always under regMu) swaps in a grown copy, Trace
+	// reads it with one atomic load.
+	detail atomic.Pointer[[]detailSlot]
 	// laneCache is the hot lookup: the entry last used at hash(key). On a
 	// miss — first call, or two live goroutines sharing an entry — lanes
 	// has the answer.
@@ -211,19 +223,36 @@ func Detach(tr *trace.Tracer) {
 // Attached reports whether any tracer is currently bound.
 func Attached() bool { return active.Load() != nil }
 
-// extend interns every known name and publishes the grown slot→fid
-// table. Callers hold regMu, which serializes writers.
+// extend interns every known name and publishes the grown slot table,
+// building each new slot's exit hook once so Trace never allocates one.
+// Callers hold regMu, which serializes writers and keeps names and slots
+// the same length.
 func (b *binding) extend(all []string) {
-	var old []uint32
-	if p := b.fids.Load(); p != nil {
+	var old []detailSlot
+	if p := b.detail.Load(); p != nil {
 		old = *p
 	}
-	grown := make([]uint32, len(old), len(all))
+	tab := *slots.Load()
+	grown := make([]detailSlot, len(old), len(all))
 	copy(grown, old)
-	for _, name := range all[len(old):] {
-		grown = append(grown, b.tracer.RegisterFunc(name))
+	for i := len(old); i < len(all); i++ {
+		fid := b.tracer.RegisterFunc(all[i])
+		grown = append(grown, detailSlot{fid: fid, exit: b.exitHook(fid, tab[i])})
 	}
-	b.fids.Store(&grown)
+	b.detail.Store(&grown)
+}
+
+// exitHook is the exit half of a detail-mode call of function fid: it
+// finds the calling goroutine's lane again, records the exit and books
+// the call in st's coarse bucket, timed from the enter the lane's shadow
+// stack pops.
+func (b *binding) exitHook(fid uint32, st *slotState) func() {
+	return func() {
+		end := b.tracer.Now()
+		start, _ := b.lane(laneKey()).ExitSpan(fid, end)
+		st.calls.Add(1)
+		st.nanos.Add(int64(max(end-start, 0)))
+	}
 }
 
 // noop is returned when instrumentation is detached.
@@ -234,10 +263,12 @@ var noop = func() {}
 // With no tracer attached it costs one atomic load. With a tracer
 // attached, the slot's mode decides the cost: ModeOff is three atomic
 // loads and the shared no-op; ModeCoarse is two clock reads and two
-// atomic adds; ModeDetail adds to that a lane lookup (one atomic load
-// and a compare on a cache hit) and the lane's enter/exit pair, each
-// stamped with the clock reading the bucket already took. No mode takes
-// a package-level lock, and the returned closure is the only allocation.
+// atomic adds; ModeDetail adds to that two lane lookups (one atomic load
+// and a compare each on a cache hit) and the lane's enter/exit pair,
+// each stamped with the clock reading the bucket takes. No mode takes a
+// package-level lock. ModeDetail allocates nothing: it returns the
+// slot's exit hook, built when the slot was bound, which takes the entry
+// time back from the lane. ModeCoarse allocates the closure it returns.
 func Trace(slot int) func() {
 	b := active.Load()
 	if b == nil {
@@ -266,22 +297,16 @@ func Trace(slot int) func() {
 		}
 	}
 	// ModeDetail (and any unknown mode value, defensively).
-	fids := *b.fids.Load()
-	if slot >= len(fids) {
+	detail := *b.detail.Load()
+	if slot >= len(detail) {
 		return noop
 	}
-	fid := fids[slot]
+	d := &detail[slot]
 	lane := b.lane(laneKey())
-	start := b.tracer.Now()
-	// Balanced by construction: the returned closure is the Exit and
+	// Balanced by construction: the returned hook is the Exit and
 	// callers defer it.
-	lane.EnterAt(fid, start) //tempest:ignore enterexit
-	return func() {
-		end := b.tracer.Now()
-		_ = lane.ExitAt(fid, end)
-		st.calls.Add(1)
-		st.nanos.Add(int64(end - start))
-	}
+	lane.EnterAt(d.fid, b.tracer.Now()) //tempest:ignore enterexit
+	return d.exit
 }
 
 // SetDefaultMode sets the mode for every instrumented function without

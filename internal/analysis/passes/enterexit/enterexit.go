@@ -5,7 +5,7 @@
 // callee or as a function that never closes in the profile. This pass
 // moves the check to compile time: inside one function, every
 // Lane.Enter/EnterAt/EnterBlock must be paired with an
-// Exit/ExitAt/ExitBlock carrying the same id expression on the same
+// Exit/ExitAt/ExitSpan/ExitBlock carrying the same id expression on the same
 // lane, either directly or through defer. Lane.Instrument and
 // Lane.InstrumentBlock are self-balancing and always fine.
 package enterexit
@@ -98,7 +98,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			case "EnterBlock":
 				// Result discarded: nothing can exit this block id.
 				pass.Reportf(s.pos, "result of Lane.EnterBlock is discarded; capture the id and Exit it, or use InstrumentBlock")
-			case "Exit", "ExitAt", "ExitBlock":
+			case "Exit", "ExitAt", "ExitSpan", "ExitBlock":
 				exits = append(exits, s)
 			}
 		}
@@ -144,7 +144,7 @@ func laneCall(pass *analysis.Pass, call *ast.CallExpr) (site, bool) {
 	}
 	name := obj.Name()
 	switch name {
-	case "Enter", "EnterAt", "EnterBlock", "Exit", "ExitAt", "ExitBlock":
+	case "Enter", "EnterAt", "EnterBlock", "Exit", "ExitAt", "ExitSpan", "ExitBlock":
 	default:
 		return site{}, false
 	}
@@ -153,7 +153,7 @@ func laneCall(pass *analysis.Pass, call *ast.CallExpr) (site, bool) {
 	}
 	s := site{pos: call.Pos(), call: name, recv: analysis.ExprString(sel.X)}
 	switch name {
-	case "Enter", "EnterAt", "Exit", "ExitAt", "ExitBlock":
+	case "Enter", "EnterAt", "Exit", "ExitAt", "ExitSpan", "ExitBlock":
 		if len(call.Args) > 0 {
 			s.arg = analysis.ExprString(call.Args[0])
 		}

@@ -27,6 +27,18 @@ func straightLine(l *trace.Lane, fid uint32) {
 	_ = l.Exit(fid)
 }
 
+func spanPair(l *trace.Lane, fid uint32) {
+	l.EnterAt(fid, 1)
+	work()
+	_, _ = l.ExitSpan(fid, 2)
+}
+
+func spanMismatch(l *trace.Lane, a, b uint32) {
+	l.EnterAt(a, 1) // want `not matched by an Exit`
+	work()
+	_, _ = l.ExitSpan(b, 2) // want `exits an id this function never entered`
+}
+
 func mismatchedIDs(l *trace.Lane, a, b uint32) {
 	l.Enter(a) // want `not matched by an Exit`
 	work()

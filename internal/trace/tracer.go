@@ -44,17 +44,27 @@ type Tracer struct {
 // shadow stack is pushed and popped inside the same critical section as
 // the event it belongs to, so a lane handed from a finished goroutine to
 // its successor (instrument reuses lanes that way) carries a
-// happens-before edge with it.
+// happens-before edge with it. A lane's timestamps never decrease: every
+// event is clamped to the newest one the lane has recorded, across
+// drains.
 type Lane struct {
 	tracer *Tracer
 	id     uint32
 	mu     sync.Mutex
 	buf    []Event // guarded by mu
 	cap    int
-	hw     int      // guarded by mu; high-water mark of len(buf)
-	stack  []uint32 // written under mu; Depth reads it from the owning goroutine
-	drops  uint64   // guarded by mu; pending drop count to fold into the next recorded event
-	events uint64   // guarded by mu; events recorded, summed by Tracer.EventCount
+	hw     int           // guarded by mu; high-water mark of len(buf)
+	last   time.Duration // guarded by mu; newest timestamp recorded, the clamp's floor
+	stack  []frame       // written under mu; Depth reads it from the owning goroutine
+	drops  uint64        // guarded by mu; pending drop count to fold into the next recorded event
+	events uint64        // guarded by mu; events recorded, summed by Tracer.EventCount
+}
+
+// frame is one open function on a lane's shadow stack: its id and the
+// (clamped) timestamp of its enter event.
+type frame struct {
+	fid uint32
+	ts  time.Duration
 }
 
 // ErrStackMismatch is returned by Exit when the exiting function does not
@@ -122,15 +132,31 @@ func (t *Tracer) now() time.Duration { return t.cfg.Clock.Now() - t.origin }
 // against the same origin the tracer's events use.
 func (t *Tracer) Now() time.Duration { return t.now() }
 
-// record appends an event to the lane buffer, dropping (with accounting)
-// when full.
+// record clamps e's timestamp and appends it to the lane buffer,
+// dropping (with accounting) when full.
 func (l *Lane) record(e Event) {
 	l.mu.Lock()
+	e.TS = l.clampLocked(e.TS)
 	l.recordLocked(e)
 	l.mu.Unlock()
 }
 
-// recordLocked is record for callers that already hold l.mu.
+// clampLocked holds ts to the newest timestamp the lane has recorded, and
+// makes the result the new floor. The floor outlives Drain, so an event
+// is never stamped before one an earlier drain already took. Virtual
+// clocks regress on simulation bugs and a cycle counter by a few ns when
+// a goroutine moves to another core; either way the trace stays
+// well-formed for the codec and an exit never precedes its enter.
+// Callers hold l.mu.
+func (l *Lane) clampLocked(ts time.Duration) time.Duration {
+	if ts < l.last {
+		return l.last
+	}
+	l.last = ts
+	return ts
+}
+
+// recordLocked appends an already clamped event. Callers hold l.mu.
 func (l *Lane) recordLocked(e Event) {
 	if len(l.buf) >= l.cap {
 		l.drops++
@@ -188,29 +214,33 @@ func (l *Lane) Enter(fid uint32) {
 func (l *Lane) Exit(fid uint32) error {
 	ts := l.tracer.now()
 	l.mu.Lock()
-	err := l.exitLocked(fid, ts)
+	_, err := l.exitLocked(fid, ts)
 	l.mu.Unlock()
 	return err
 }
 
 // enterLocked pushes the shadow stack and records the enter event at ts.
 func (l *Lane) enterLocked(fid uint32, ts time.Duration) {
-	l.stack = append(l.stack, fid)
+	ts = l.clampLocked(ts)
+	l.stack = append(l.stack, frame{fid: fid, ts: ts})
 	l.recordLocked(Event{TS: ts, Lane: l.id, Kind: KindEnter, FuncID: fid})
 }
 
-// exitLocked records the exit event at ts and pops the shadow stack.
-func (l *Lane) exitLocked(fid uint32, ts time.Duration) error {
+// exitLocked records the exit event at ts and pops the shadow stack,
+// returning when the popped frame was entered (the exit's own clamped
+// timestamp when the stack was empty).
+func (l *Lane) exitLocked(fid uint32, ts time.Duration) (time.Duration, error) {
+	ts = l.clampLocked(ts)
 	l.recordLocked(Event{TS: ts, Lane: l.id, Kind: KindExit, FuncID: fid})
 	if len(l.stack) == 0 {
-		return ErrStackEmpty
+		return ts, ErrStackEmpty
 	}
 	top := l.stack[len(l.stack)-1]
 	l.stack = l.stack[:len(l.stack)-1]
-	if top != fid {
-		return fmt.Errorf("%w: entered id %d, exiting id %d", ErrStackMismatch, top, fid)
+	if top.fid != fid {
+		return top.ts, fmt.Errorf("%w: entered id %d, exiting id %d", ErrStackMismatch, top.fid, fid)
 	}
-	return nil
+	return top.ts, nil
 }
 
 // Depth reports the current shadow-stack depth.

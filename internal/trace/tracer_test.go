@@ -307,6 +307,64 @@ func TestExplicitTimestampsClampPerLane(t *testing.T) {
 	}
 }
 
+// The clamp's floor is the newest timestamp the lane ever recorded, not
+// the newest one still buffered: a Drain between an enter and its exit
+// must not let the exit be stamped before the enter.
+func TestClampSurvivesDrain(t *testing.T) {
+	tr, _ := newTestTracer(t, 0)
+	lane := tr.NewLane()
+	f := tr.RegisterFunc("f")
+	lane.EnterAt(f, 100)
+	if ev, _ := tr.Drain(); len(ev) != 1 {
+		t.Fatalf("drained %d events, want the enter", len(ev))
+	}
+	entered, err := lane.ExitSpan(f, 90)
+	if err != nil || entered != 100 {
+		t.Fatalf("ExitSpan = %v, %v; want the enter's 100ns", entered, err)
+	}
+	ev, _ := tr.Drain()
+	if len(ev) != 1 || ev[0].Kind != KindExit || ev[0].TS != 100 {
+		t.Fatalf("after the drain the exit reads %+v, want one exit at 100ns", ev)
+	}
+}
+
+// backClock is a clock a test can set backward, as a cycle counter read
+// on another core can be.
+type backClock struct{ now time.Duration }
+
+func (c *backClock) Now() time.Duration { return c.now }
+
+// Enter and Exit stamp from the clock and clamp like the explicit
+// variants: a clock that steps back yields equal timestamps, and the
+// exit's entry time is the enter's.
+func TestClockedEnterExitClamp(t *testing.T) {
+	clk := &backClock{}
+	tr, err := NewTracer(Config{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := tr.NewLane()
+	f := tr.RegisterFunc("f")
+	clk.now = 100
+	lane.Enter(f)
+	tr.Drain()
+	clk.now = 95
+	lane.Marker("m")
+	clk.now = 90
+	if err := lane.Exit(f); err != nil {
+		t.Fatal(err)
+	}
+	ev, _ := tr.Drain()
+	if len(ev) != 2 {
+		t.Fatalf("drained %d events, want marker and exit", len(ev))
+	}
+	for _, e := range ev {
+		if e.TS != 100 {
+			t.Errorf("%v event at %v, want clamped to 100ns", e.Kind, e.TS)
+		}
+	}
+}
+
 func TestRegisterFuncIdempotent(t *testing.T) {
 	tr, _ := newTestTracer(t, 0)
 	a := tr.RegisterFunc("same")

@@ -3,9 +3,13 @@
 // The paper samples the per-core TSC via rdtsc because OS timer calls are
 // too heavy for per-function-call instrumentation (§3.2), and compensates
 // for cross-core TSC skew by binding the profiled process to one core
-// (§3.3). Go cannot issue rdtsc from portable code, so this package offers
+// (§3.3). This package offers
 //
-//   - RealClock: the monotonic OS clock, for profiling real executions;
+//   - RealClock: the clock real executions are profiled with. On amd64,
+//     when the kernel runs its own clock from the TSC (its verdict that
+//     the counter is invariant and in step across cores), it reads the
+//     TSC itself, converted at a rate calibrated once per process against
+//     the monotonic OS clock; everywhere else it is that monotonic clock;
 //   - VirtualClock: a manually advanced deterministic clock, the time base
 //     of the simulated cluster; and
 //   - TSC: a cycle-accurate model of per-core timestamp counters with
@@ -25,24 +29,6 @@ import (
 type Clock interface {
 	// Now returns nanoseconds since the clock's origin.
 	Now() time.Duration
-}
-
-// RealClock reads the OS monotonic clock, rebased so the first reading
-// after construction is near zero.
-type RealClock struct {
-	origin time.Time
-}
-
-// NewRealClock returns a RealClock with origin at the current instant.
-func NewRealClock() *RealClock {
-	// RealClock is the one sanctioned bridge to the wall clock: live
-	// profiling sessions inject it, simulated runs never see it.
-	return &RealClock{origin: time.Now()} //tempest:ignore wallclock
-}
-
-// Now returns the monotonic time elapsed since construction.
-func (c *RealClock) Now() time.Duration {
-	return time.Since(c.origin) //tempest:ignore wallclock
 }
 
 // VirtualClock is a deterministic, manually advanced clock. It is the time

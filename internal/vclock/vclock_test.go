@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,6 +15,150 @@ func TestRealClockMonotonic(t *testing.T) {
 	b := c.Now()
 	if b < a {
 		t.Errorf("real clock went backward: %v then %v", a, b)
+	}
+}
+
+// realClockPaths returns a clock on each path RealClock can take on this
+// host: the cycle counter (when the kernel keeps time with it) and the
+// monotonic OS clock, forced through monotonicOnly.
+func realClockPaths(t *testing.T) map[string]*RealClock {
+	t.Helper()
+	paths := map[string]*RealClock{}
+	if c := NewRealClock(); c.nsPerTick != 0 {
+		paths["tsc"] = c
+	} else {
+		t.Log("no TSC clocksource here: only the monotonic path is checked")
+	}
+	monotonicOnly = true
+	paths["monotonic"] = NewRealClock()
+	monotonicOnly = false
+	if paths["monotonic"].nsPerTick != 0 {
+		t.Fatal("monotonicOnly did not keep RealClock off the counter")
+	}
+	return paths
+}
+
+// checkTracksMonotonic fails unless c's elapsed time over a 200 ms sleep
+// agrees with time.Since within 0.1 %. Each end is a c reading bracketed
+// by two monotonic reads; a bracket a preemption widened is read again.
+func checkTracksMonotonic(t *testing.T, c *RealClock) {
+	t.Helper()
+	epoch := time.Now()
+	read := func() (clock, mono time.Duration) {
+		for i := 0; ; i++ {
+			a := time.Since(epoch)
+			clock = c.Now()
+			b := time.Since(epoch)
+			if b-a <= 10*time.Microsecond || i == 100 {
+				return clock, a + (b-a)/2
+			}
+		}
+	}
+	c0, m0 := read()
+	time.Sleep(200 * time.Millisecond)
+	c1, m1 := read()
+	got, want := c1-c0, m1-m0
+	if diff := math.Abs(float64(got - want)); diff > 0.001*float64(want) {
+		t.Errorf("over %v of monotonic time the clock advanced %v (%.4f %% off)", want, got, 100*diff/float64(want))
+	}
+}
+
+// checkNeverStepsBack passes readings back and forth between two
+// goroutines locked to their own OS threads; each reading must be at
+// least the one it was handed.
+func checkNeverStepsBack(t *testing.T, c *RealClock) {
+	t.Helper()
+	const rounds = 5_000
+	ping, pong := make(chan time.Duration), make(chan time.Duration)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		for prev := range ping {
+			if now := c.Now(); now < prev {
+				t.Errorf("reading %v after being handed %v", now, prev)
+			}
+			pong <- c.Now()
+		}
+		close(pong)
+	}()
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	for i := 0; i < rounds; i++ {
+		ping <- c.Now()
+		prev := <-pong
+		if now := c.Now(); now < prev {
+			t.Errorf("reading %v after being handed %v", now, prev)
+		}
+	}
+	close(ping)
+	wg.Wait()
+}
+
+func TestRealClockTracksMonotonic(t *testing.T) {
+	for name, c := range realClockPaths(t) {
+		t.Run(name, func(t *testing.T) { checkTracksMonotonic(t, c) })
+	}
+}
+
+func TestRealClockNeverStepsBackAcrossThreads(t *testing.T) {
+	for name, c := range realClockPaths(t) {
+		t.Run(name, func(t *testing.T) { checkNeverStepsBack(t, c) })
+	}
+}
+
+// A counter read that is never bracketed tightly — here every read
+// sleeps — makes calibration give up after its bounded tries, and the
+// clock it yields is the monotonic one and still tells time.
+func TestCalibrationGivesUpOnLooseBrackets(t *testing.T) {
+	var reads int64
+	slow := func() int64 {
+		reads++
+		time.Sleep(20 * time.Microsecond)
+		return reads
+	}
+	type result struct {
+		rate float64
+		ok   bool
+	}
+	done := make(chan result, 1)
+	go func() {
+		rate, ok := calibrate(slow)
+		done <- result{rate, ok}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("calibration did not give up")
+	}
+	if r.ok || r.rate != 0 {
+		t.Fatalf("calibrate over loose brackets = %v, %v; want 0, false", r.rate, r.ok)
+	}
+	if reads != bracketTries {
+		t.Errorf("calibration read the counter %d times, want one bracket's %d tries", reads, bracketTries)
+	}
+	c := newRealClock(r.rate)
+	if c.nsPerTick != 0 {
+		t.Fatal("a failed calibration left the clock on the counter")
+	}
+	checkTracksMonotonic(t, c)
+	checkNeverStepsBack(t, c)
+}
+
+// Where the counter is in use, calibrating it again lands near the rate
+// the process already uses.
+func TestCalibrationOnTheCounter(t *testing.T) {
+	if NewRealClock().nsPerTick == 0 {
+		t.Skip("no TSC clocksource here")
+	}
+	start := time.Now()
+	rate, ok := calibrate(cycles)
+	t.Logf("calibration took %v", time.Since(start))
+	if !ok || math.Abs(rate-counterRate()) > 0.001*counterRate() {
+		t.Errorf("calibrate = %v, %v; the process rate is %v", rate, ok, counterRate())
 	}
 }
 
