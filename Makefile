@@ -109,7 +109,8 @@ bench-smoke:
 # point), the durable store's crash/tamper recovery, and the
 # critical-path analyzer (never panics; stream==batch; agrees with the
 # Builder's stack discipline on accepted streams; one shared core == two
-# standalone folds).
+# standalone folds; its flat timeline tracks == the named reference at
+# caps 2, 3, 4 and 512).
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/parser/ ./internal/collect/ ./internal/store/ ./internal/critpath/ ./internal/analysis/costmodel/
 

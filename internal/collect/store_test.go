@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -157,22 +158,34 @@ func TestCollectorStoreRecovery(t *testing.T) {
 // shards recover side by side, one of them over a torn tail and one whose
 // directory will not open: the torn shard salvages, the blocked one
 // degrades alone, and every node on a healthy shard comes back byte-equal
-// to a collector that never restarted.
+// to a collector that never restarted: its profile, its critical path and
+// its timeline — one of them over a track that halved before the
+// restart.
 func TestRestartRecoversEveryShard(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{StoreDir: dir, Shards: 4, Logger: quietLogger()}
 	oracle, oracleAddr := startCollector(t, Options{Shards: 4, Logger: quietLogger()})
 	c1, addr := startCollector(t, opts)
+	// Shard 1's final segment will get a torn tail that holds nothing
+	// acked; shard 2's directory will become a regular file.
+	const torn, blocked = 1, 2
 
 	// Nodes 1..8 land on every shard; odd nodes ship, even ones upload.
+	// The first node on a healthy shard makes 2×critTrackCap+2
+	// transitions on its one lane, so its track halves more than twice.
 	onShard := map[uint32]int{}
 	covered := map[int]bool{}
 	var traces []*trace.Trace
+	long := uint32(0)
 	for node := uint32(1); node <= 8; node++ {
-		tr := buildTrace(t, node, []string{"compute", "exchange", "io"}, 30+5*int(node))
-		traces = append(traces, tr)
 		onShard[node] = c1.shardFor(node).id
 		covered[onShard[node]] = true
+		calls := 30 + 5*int(node)
+		if long == 0 && onShard[node] != blocked {
+			long, calls = node, critTrackCap+1
+		}
+		tr := buildTrace(t, node, []string{"compute", "exchange", "io"}, calls)
+		traces = append(traces, tr)
 		if node%2 == 1 {
 			if err := c1.IngestTrace(tr); err != nil {
 				t.Fatal(err)
@@ -199,9 +212,6 @@ func TestRestartRecoversEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shard 1's final segment gets a torn tail that holds nothing acked;
-	// shard 2's directory becomes a regular file.
-	const torn, blocked = 1, 2
 	segs, err := filepath.Glob(filepath.Join(dir, store.ShardDirName(torn), "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("shard %d segments: %v %v", torn, segs, err)
@@ -230,6 +240,9 @@ func TestRestartRecoversEveryShard(t *testing.T) {
 
 	c2 := New(opts)
 	defer c2.Close()
+	srv, oracleSrv := httptest.NewServer(c2.Handler()), httptest.NewServer(oracle.Handler())
+	defer srv.Close()
+	defer oracleSrv.Close()
 	if got := c2.DegradedStoreShards(); got != 1 {
 		t.Fatalf("DegradedStoreShards = %d, want 1", got)
 	}
@@ -262,6 +275,26 @@ func TestRestartRecoversEveryShard(t *testing.T) {
 			t.Errorf("node %d (shard %d) diverged across restart:\n--- recovered ---\n%s--- oracle ---\n%s",
 				tr.NodeID, onShard[tr.NodeID], g, w)
 		}
+		for _, api := range []string{"/api/critpath", "/api/timeline"} {
+			path := fmt.Sprintf("%s/%d", api, tr.NodeID)
+			gc, g, _ := get(t, srv, path)
+			wc, w, _ := get(t, oracleSrv, path)
+			if gc != 200 || wc != 200 || g != w {
+				t.Errorf("%s (status %d, oracle %d) diverged across restart:\n--- recovered ---\n%s--- oracle ---\n%s",
+					path, gc, wc, g, w)
+			}
+		}
+	}
+
+	// An unhalved segment of buildTrace's lane spans at most 4 ms (a
+	// call) and a once-halved one at most 5 ms (a call and the gap after
+	// it), so a longer first segment means the track halved twice.
+	_, tracks, _, err := oracle.CritPath(long)
+	if err != nil || len(tracks) != 1 || len(tracks[0].Segments) == 0 {
+		t.Fatalf("node %d: %d tracks, err %v", long, len(tracks), err)
+	}
+	if s := tracks[0].Segments[0]; s.End-s.Start <= 5*time.Millisecond {
+		t.Errorf("node %d's track did not halve twice: first segment spans %v", long, s.End-s.Start)
 	}
 }
 

@@ -42,10 +42,13 @@ func genEvents(n int) ([]trace.Event, *trace.SymTab) {
 }
 
 // BenchmarkCritPath1M is one full 1M-event analysis per iteration,
-// summary included; the numbers to compare are the _bench grid's
-// critpath.add_ns_per_event and critpath.summary_ms cells. allocs/op is the
-// memory pin — it counts analyzer state only (lanes, functions, ops),
-// not events, so it must stay in the hundreds however many events flow.
+// summary included, with the timeline off. That is what the _bench
+// grid's critpath.add_ns_per_event and critpath.summary_ms cells price
+// (the grid's probe builds critpath.New(critpath.Options{})); the
+// collector runs with the timeline on, which BenchmarkCritPathTimeline1M
+// prices. allocs/op is the memory pin — it counts analyzer state only
+// (lanes, functions, ops), not events, so it must stay in the hundreds
+// however many events flow.
 func BenchmarkCritPath1M(b *testing.B) {
 	const n = 1 << 20
 	evs, sym := genEvents(n)
@@ -64,7 +67,8 @@ func BenchmarkCritPath1M(b *testing.B) {
 }
 
 // BenchmarkCritPathTimeline1M is the same analysis with bounded
-// timeline tracks enabled — the collector's live configuration.
+// timeline tracks enabled — the collector's live configuration
+// (Timeline: true, MaxTrackSegments: 512). No grid cell prices it yet.
 func BenchmarkCritPathTimeline1M(b *testing.B) {
 	const n = 1 << 20
 	evs, sym := genEvents(n)
@@ -136,21 +140,44 @@ func TestStreamBatchIdentity1M(t *testing.T) {
 
 // TestSteadyStateAddAllocates pins the O(lanes) memory claim at the
 // allocation level: once every lane, function and op has been interned,
-// feeding more batches allocates nothing.
+// feeding more batches allocates nothing — with the timeline off, and
+// under the collector's options once every lane's track has filled and
+// halved (the warm-up gives each lane 4k transitions against a cap of
+// 512).
 func TestSteadyStateAddAllocates(t *testing.T) {
-	evs, sym := genEvents(1 << 16)
-	a := New(Options{})
-	warm := len(evs) / 2
-	if err := a.Add(1, sym, evs[:warm]); err != nil {
-		t.Fatal(err)
-	}
-	rest := evs[warm:]
-	avg := testing.AllocsPerRun(8, func() {
-		if err := a.Add(1, sym, rest); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 0.5 {
-		t.Errorf("steady-state Add allocates %.1f objects per 32k-event batch, want 0", avg)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"summary", Options{}},
+		{"collector", Options{Timeline: true, MaxTrackSegments: 512}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			evs, sym := genEvents(1 << 16)
+			a := New(opts)
+			warm := len(evs) / 2
+			if err := a.Add(1, sym, evs[:warm]); err != nil {
+				t.Fatal(err)
+			}
+			if opts.Timeline {
+				// A lane transitions every 8 µs, so a first segment
+				// any longer is a merged pair: the track has halved.
+				for _, tr := range a.Tracks() {
+					if s := tr.Segments[0]; s.End-s.Start <= 8*time.Microsecond {
+						t.Fatalf("lane %d has not halved its track after warm-up", tr.Lane)
+					}
+				}
+			}
+			rest := evs[warm:]
+			avg := testing.AllocsPerRun(8, func() {
+				if err := a.Add(1, sym, rest); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 0.5 {
+				t.Errorf("steady-state Add allocates %.1f objects per 32k-event batch, want 0", avg)
+			}
+		})
 	}
 }

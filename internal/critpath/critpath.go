@@ -97,7 +97,9 @@ type Options struct {
 	// MaxTrackSegments caps each lane's recorded track (minimum 2). When
 	// a track fills, adjacent segments are pairwise merged, halving its
 	// resolution — memory does not grow, and the amortized cost per
-	// transition stays O(1). Zero means DefaultMaxTrackSegments.
+	// transition stays O(1). A track Tracks returns may hold one segment
+	// more: the lane's open state, which is not recorded until it closes.
+	// Zero means DefaultMaxTrackSegments.
 	MaxTrackSegments int
 }
 
@@ -117,6 +119,7 @@ func (o Options) withDefaults() Options {
 // keyed by name, so the same code on different nodes folds together.
 type funcAcc struct {
 	name string
+	idx  int32 // dense, indexes Analyzer.fnList; what a track records
 	// op is the episode table of a wait-class function, nil for ordinary
 	// code.
 	op *opAcc
@@ -170,7 +173,16 @@ type lane struct {
 
 	waitByOp []opWait // by opAcc.idx, grown on demand
 
-	track []Segment // optional timeline, bounded
+	track []seg // optional timeline, bounded
+}
+
+// seg is how a lane's track stores a closed Segment: flat, with no
+// pointer for the GC to scan, the function by its funcAcc.idx (-1 while
+// Off). Tracks resolves names when it is read.
+type seg struct {
+	start, end time.Duration
+	fn         int32
+	state      State
 }
 
 // nodeFold is the analyzer's view of one node: the core whose facts it
@@ -212,10 +224,11 @@ type Track struct {
 type Analyzer struct {
 	opts Options
 
-	funcs map[string]*funcAcc
-	ops   []*opAcc // wait-class functions, by opAcc.idx
-	nodes map[uint32]*nodeFold
-	cur   *nodeFold // the node of the last event: streams arrive in per-node runs
+	funcs  map[string]*funcAcc
+	fnList []*funcAcc // every function, by funcAcc.idx
+	ops    []*opAcc   // wait-class functions, by opAcc.idx
+	nodes  map[uint32]*nodeFold
+	cur    *nodeFold // the node of the last event: streams arrive in per-node runs
 
 	now     time.Duration // sweep clock: max timestamp observed
 	events  uint64
@@ -267,7 +280,8 @@ func (a *Analyzer) OrderAnomalies() uint64 { return a.orderAnomalies }
 func (a *Analyzer) fn(name string) *funcAcc {
 	f, ok := a.funcs[name]
 	if !ok {
-		f = &funcAcc{name: name}
+		f = &funcAcc{name: name, idx: int32(len(a.fnList))}
+		a.fnList = append(a.fnList, f)
 		if a.opts.IsWait(name) {
 			f.op = &opAcc{name: name, idx: len(a.ops)}
 			a.ops = append(a.ops, f.op)
@@ -463,7 +477,7 @@ func (a *Analyzer) setState(l *lane, fn *funcAcc, ts time.Duration) {
 		a.waitCount--
 	}
 	if a.opts.Timeline && held >= 0 && (l.state != Off || len(l.track) > 0) {
-		a.recordSegment(l, Segment{Start: l.stateSince, End: ts, State: l.state, Func: l.segName()})
+		a.recordSegment(l, seg{start: l.stateSince, end: ts, fn: l.segFn(), state: l.state})
 	}
 	// A serialization window cannot outlive any state transition: either
 	// the solo lane changed function (re-open under the new name) or the
@@ -488,12 +502,13 @@ func (a *Analyzer) setState(l *lane, fn *funcAcc, ts time.Duration) {
 	a.reopenSerial(ts)
 }
 
-// segName names the closing segment for the timeline.
-func (l *lane) segName() string {
+// segFn is the function index a segment of the lane's current state
+// records: -1 while Off.
+func (l *lane) segFn() int32 {
 	if l.cur != nil {
-		return l.cur.name
+		return l.cur.idx
 	}
-	return ""
+	return -1
 }
 
 // closeSerial ends the open serialization window, charging its span.

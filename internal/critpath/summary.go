@@ -308,47 +308,60 @@ func (a *Analyzer) opCosts(sortedLanes []*lane) []OpCost {
 // merging equal neighbours. When the cap is reached the track is halved
 // (adjacent pairs merged), so resolution degrades while memory stays
 // bounded and the amortized cost per transition stays O(1).
-func (a *Analyzer) recordSegment(l *lane, seg Segment) {
-	if seg.End <= seg.Start {
+func (a *Analyzer) recordSegment(l *lane, s seg) {
+	if s.end <= s.start {
 		return
 	}
 	if n := len(l.track); n > 0 {
 		last := &l.track[n-1]
-		if last.State == seg.State && last.Func == seg.Func && last.End == seg.Start {
-			last.End = seg.End
+		if last.fn == s.fn && last.state == s.state && last.end == s.start {
+			last.end = s.end
 			return
 		}
 	}
 	if len(l.track) >= a.opts.MaxTrackSegments {
 		l.track = halveTrack(l.track)
 	}
-	l.track = append(l.track, seg)
+	l.track = append(l.track, s)
 }
 
 // halveTrack merges adjacent segment pairs in place, halving the
 // track's resolution while preserving contiguous coverage. Each merged
-// span takes the longer member's identity. Deterministic: it depends
-// only on the track contents, which are chunking-independent, so
-// streamed and batch analyses still render identical timelines.
-func halveTrack(track []Segment) []Segment {
-	out := track[:0]
-	for i := 0; i < len(track); i += 2 {
-		m := track[i]
-		if i+1 < len(track) {
-			n := track[i+1]
-			if n.End-n.Start > m.End-m.Start {
-				m.State, m.Func = n.State, n.Func
-			}
-			m.End = n.End
+// span takes the longer member's identity, the first member's on a tie;
+// the choice is two conditional moves, not a branch. Deterministic: it
+// depends only on the track contents, which are chunking-independent,
+// so streamed and batch analyses still render identical timelines.
+func halveTrack(track []seg) []seg {
+	n := len(track) / 2
+	for i := 0; i < n; i++ {
+		m, o := track[2*i], track[2*i+1]
+		// Widened: amd64 has no byte-wide conditional move.
+		fn, state := m.fn, uint32(m.state)
+		if o.end-o.start > m.end-m.start {
+			fn, state = o.fn, uint32(o.state)
 		}
-		out = append(out, m)
+		track[i] = seg{start: m.start, end: o.end, fn: fn, state: State(state)}
+	}
+	if len(track)%2 == 1 {
+		track[n] = track[len(track)-1]
+		n++
+	}
+	return track[:n]
+}
+
+// segment resolves a stored seg to the exported Segment.
+func (a *Analyzer) segment(s seg) Segment {
+	out := Segment{Start: s.start, End: s.end, State: s.state}
+	if s.fn >= 0 {
+		out.Func = a.fnList[s.fn].name
 	}
 	return out
 }
 
 // Tracks returns the recorded per-lane timelines (nil unless
 // Options.Timeline), ordered by (node, lane), each lane's open state
-// extended to the sweep clock. Non-destructive, like Summary.
+// extended to the sweep clock — so a track may hold
+// Options.MaxTrackSegments + 1 segments. Non-destructive, like Summary.
 func (a *Analyzer) Tracks() []Track {
 	if !a.opts.Timeline {
 		return nil
@@ -356,9 +369,15 @@ func (a *Analyzer) Tracks() []Track {
 	lanes := a.sortedLanes()
 	out := make([]Track, 0, len(lanes))
 	for _, l := range lanes {
-		t := Track{Node: l.node, Lane: l.id, Segments: append([]Segment(nil), l.track...)}
+		t := Track{Node: l.node, Lane: l.id}
+		if len(l.track) > 0 {
+			t.Segments = make([]Segment, len(l.track), len(l.track)+1)
+			for i, s := range l.track {
+				t.Segments[i] = a.segment(s)
+			}
+		}
 		if l.seen && a.now > l.stateSince && l.state != Off {
-			open := Segment{Start: l.stateSince, End: a.now, State: l.state, Func: l.segName()}
+			open := a.segment(seg{start: l.stateSince, end: a.now, fn: l.segFn(), state: l.state})
 			if n := len(t.Segments); n > 0 && t.Segments[n-1].State == open.State &&
 				t.Segments[n-1].Func == open.Func && t.Segments[n-1].End == open.Start {
 				t.Segments[n-1].End = open.End
