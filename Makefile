@@ -120,9 +120,12 @@ fuzz-smoke:
 collectd-smoke:
 	UPDATE_GOLDEN=$(UPDATE_GOLDEN) ./scripts/collectd_smoke.sh
 
-# Non-test .go lines per package (ROADMAP: every PR quotes this number).
+# Non-test .go lines per package, then the non-test and test totals
+# (ROADMAP: every PR quotes these numbers, parent → change).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './_bench/*' ! -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { sub(/^\.\//, "", $$2); d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1 } END { for (d in n) printf "%6d %s\n", n[d], d }' | sort -k2
+	@find . -name '*.go' ! -name '*_test.go' ! -path './_bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | awk '{ printf "%6d total non-test\n", $$1 }'
+	@find . -name '*_test.go' ! -path './_bench/*' ! -path '*/testdata/*' -exec cat {} + | wc -l | awk '{ printf "%6d total test\n", $$1 }'
 
 clean:
 	$(GO) clean ./...

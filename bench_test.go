@@ -204,10 +204,7 @@ func BenchmarkSec34_OverheadTempest(b *testing.B) {
 func BenchmarkSec34_OverheadGprof(b *testing.B) {
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		p, err := gprof.New(vclock.NewRealClock(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := gprof.New()
 		base, inst := measureOverhead(b, 5000, func(fn func()) {
 			p.Enter(0, "work")
 			fn()

@@ -87,8 +87,8 @@ func runChaosScenario(t *testing.T, seed int64) chaosOutcome {
 	}
 	diskDead := false
 	for round := 1; round <= 40; round++ {
-		clk.Advance(d.Interval())
-		_ = d.SampleOnce() // failures expected mid-dropout
+		clk.Advance(250 * time.Millisecond) // tempd.Config's default 4 Hz
+		_ = d.SampleOnce()                  // failures expected mid-dropout
 		if round%8 == 0 && !diskDead {
 			ev, sym := tr.Drain()
 			if err := tw.Flush(ev, sym); err != nil {

@@ -16,11 +16,7 @@
 //   - interface call sites are devirtualized when the loaded program
 //     contains a bounded number of implementing types (Options.MaxDevirt),
 //     producing one edge per concrete method with the fan-out recorded so
-//     cost models can split frequency between targets;
-//   - calls to configured instrumentation sinks (Options.Sinks, e.g.
-//     cluster.Rank.Enter) open named region spans in the per-function
-//     item tree, which is how the cost model maps static structure onto
-//     the function names a measured Tempest profile reports.
+//     cost models can split frequency between targets.
 //
 // Everything is stdlib-only and offline, riding the same go/types
 // information the analysis loader already produces.
@@ -44,9 +40,6 @@ type Options struct {
 	// program gets one edge per concrete method; busier interfaces stay
 	// unresolved (default 4).
 	MaxDevirt int
-	// Sinks are the instrumentation entry points that open named regions
-	// (see RegionSink). Optional.
-	Sinks []RegionSink
 	// ExternalParamDepth is the loop depth assumed when a func-typed
 	// argument is handed to a function outside the loaded set (sort.Slice
 	// and friends usually invoke their callbacks in a loop; default 1).
@@ -63,17 +56,6 @@ func (o Options) withDefaults() Options {
 		o.ExternalParamDepth = 1
 	}
 	return o
-}
-
-// RegionSink identifies an instrumentation entry call: invoking Enter
-// opens a region named by the call's Arg-th argument, closed again by a
-// block-level call to Exit. Both are path-qualified symbols in the
-// Node.ID scheme, e.g. "tempest/internal/cluster.(*Rank).Enter".
-type RegionSink struct {
-	Enter string
-	Exit  string
-	// Arg is the index of the region-name argument of Enter.
-	Arg int
 }
 
 // EdgeKind classifies how a call edge was resolved.
@@ -188,8 +170,6 @@ type Graph struct {
 	// concreteTypes are the named non-interface types of the loaded
 	// program, the devirtualization candidate set.
 	concreteTypes []types.Type
-	sinkEnter     map[string]int // Enter ID → arg index
-	sinkExit      map[string]bool
 }
 
 // Build constructs the call graph for the loaded packages.
@@ -198,16 +178,10 @@ func Build(pkgs []*analysis.Package, opts Options) (*Graph, error) {
 		return nil, fmt.Errorf("callgraph: no packages")
 	}
 	g := &Graph{
-		Nodes:     map[string]*Node{},
-		Opts:      opts.withDefaults(),
-		byObj:     map[*types.Func]*Node{},
-		litNodes:  map[litKey]*Node{},
-		sinkEnter: map[string]int{},
-		sinkExit:  map[string]bool{},
-	}
-	for _, s := range g.Opts.Sinks {
-		g.sinkEnter[s.Enter] = s.Arg
-		g.sinkExit[s.Exit] = true
+		Nodes:    map[string]*Node{},
+		Opts:     opts.withDefaults(),
+		byObj:    map[*types.Func]*Node{},
+		litNodes: map[litKey]*Node{},
 	}
 
 	// Pass 1: declared functions become nodes; named concrete types are

@@ -59,7 +59,7 @@ func TestMutualRecursionSharesSCC(t *testing.T) {
 	// Cost propagation over the cycle must converge to finite values
 	// (the intra-SCC cut charges callee Self, never chasing Total).
 	m := costmodel.Analyze(g, costmodel.Options{})
-	fc := m.Lookup("edge.Ping")
+	fc := m.Costs[g.Lookup("edge.Ping")]
 	if fc == nil {
 		t.Fatal("no cost for edge.Ping")
 	}
@@ -92,7 +92,7 @@ func TestGenericInstantiation(t *testing.T) {
 	// Apply invokes its parameter, so double/shout get bound edges.
 	m := costmodel.Analyze(g, costmodel.Options{Roots: []string{"edge.UseGenerics"}})
 	for _, leaf := range []string{"edge.double", "edge.shout"} {
-		fc := m.Lookup(leaf)
+		fc := m.Costs[g.Lookup(leaf)]
 		if fc == nil {
 			t.Fatalf("no cost entry for %s", leaf)
 		}
@@ -129,7 +129,7 @@ func TestInterfaceDevirtualization(t *testing.T) {
 		t.Errorf("no-implementer site grew edges: %v", orphan)
 	}
 	m := costmodel.Analyze(g, costmodel.Options{})
-	if fc := m.Lookup("edge.CallOrphan"); fc == nil || fc.Self <= 0 {
+	if fc := m.Costs[g.Lookup("edge.CallOrphan")]; fc == nil || fc.Self <= 0 {
 		t.Errorf("dynamic call site not charged as work: %+v", fc)
 	}
 }

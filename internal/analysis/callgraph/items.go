@@ -2,7 +2,6 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strconv"
@@ -20,34 +19,7 @@ const (
 	ItemWork
 	// ItemCall is one call site.
 	ItemCall
-	// ItemRegion is an instrumentation span opened by a sink Enter call:
-	// Children run under the region named by Name.
-	ItemRegion
 )
-
-// ArgKind discriminates StrArg resolution.
-type ArgKind uint8
-
-const (
-	// ArgUnknown is an argument the builder could not resolve.
-	ArgUnknown ArgKind = iota
-	// ArgConst is a compile-time string constant.
-	ArgConst
-	// ArgParam refers to the enclosing function's Param-th parameter;
-	// resolved per call site by the cost model.
-	ArgParam
-	// ArgList is a range variable over a constant string list: the site
-	// stands for one occurrence of each element.
-	ArgList
-)
-
-// StrArg is a resolved string-typed argument (region names).
-type StrArg struct {
-	Kind  ArgKind
-	Value string
-	Param int
-	List  []string
-}
 
 // FuncArg is a function-typed argument at a call site: either a known
 // node (literal, declared function, bound method) or a forwarding of the
@@ -74,15 +46,10 @@ type Item struct {
 	// captured it (the index is in the encloser's parameter space).
 	Captured bool
 	Targets  []*Node
-	StrArgs  map[int]StrArg
 	FuncArgs map[int]FuncArg
 	// Bound marks call items synthesized from func-typed arguments
-	// (EdgeBound). Context-free cost/frequency propagation uses them;
-	// the context-sensitive region walk resolves bindings itself and
-	// skips them to avoid double counting.
-	Bound bool
-	// Region fields.
-	Name     StrArg
+	// (EdgeBound).
+	Bound    bool
 	Children []*Item
 }
 
@@ -108,16 +75,12 @@ type bodyBuilder struct {
 	// tracked.
 	locals map[types.Object]*Node
 	killed map[types.Object]bool
-	// funcParamIdx / strParamIdx map parameters to their indices, by
+	// funcParamIdx maps function-typed parameters to their indices, by
 	// object. Literal builders inherit the enclosing function's entries
 	// (captures) and add their own; ownParams tells them apart.
 	funcParamIdx map[types.Object]int
-	strParamIdx  map[types.Object]int
 	ownParams    map[types.Object]bool
-	// rangeLists maps range variables iterating constant string lists to
-	// the element values.
-	rangeLists map[types.Object][]string
-	litCount   int
+	litCount     int
 }
 
 // bindParams indexes the function's own parameters, layered over any
@@ -126,13 +89,7 @@ func (b *bodyBuilder) bindParams(ft *ast.FuncType) {
 	if b.funcParamIdx == nil {
 		b.funcParamIdx = map[types.Object]int{}
 	}
-	if b.strParamIdx == nil {
-		b.strParamIdx = map[types.Object]int{}
-	}
 	b.ownParams = map[types.Object]bool{}
-	if b.rangeLists == nil {
-		b.rangeLists = map[types.Object][]string{}
-	}
 	if ft.Params == nil {
 		return
 	}
@@ -147,13 +104,8 @@ func (b *bodyBuilder) bindParams(ft *ast.FuncType) {
 			obj := b.pkg.TypesInfo.Defs[name]
 			if obj != nil {
 				b.ownParams[obj] = true
-				switch ut := obj.Type().Underlying().(type) {
-				case *types.Signature:
+				if _, ok := obj.Type().Underlying().(*types.Signature); ok {
 					b.funcParamIdx[obj] = idx
-				case *types.Basic:
-					if ut.Info()&types.IsString != 0 {
-						b.strParamIdx[obj] = idx
-					}
 				}
 			}
 			idx++
@@ -170,137 +122,13 @@ func (b *bodyBuilder) buildBlock(blk *ast.BlockStmt, depth int) *Item {
 	return root
 }
 
-// buildStmts compiles a statement list, folding sink Enter/Exit spans
-// into region items.
+// buildStmts compiles a statement list.
 func (b *bodyBuilder) buildStmts(stmts []ast.Stmt, depth int) []*Item {
 	var out []*Item
-	for i := 0; i < len(stmts); i++ {
-		s := stmts[i]
-		if name, pos, ok := b.sinkEnterStmt(s); ok {
-			region := &Item{Kind: ItemRegion, Depth: depth, Pos: pos, Name: name, ParamCallee: -1}
-			j := i + 1
-			for ; j < len(stmts); j++ {
-				if b.closesRegion(stmts[j]) {
-					break
-				}
-				region.Children = append(region.Children, b.buildStmt(stmts[j], depth)...)
-			}
-			out = append(out, region)
-			i = j // skip the closing statement (it is bookkeeping, not work)
-			continue
-		}
+	for _, s := range stmts {
 		out = append(out, b.buildStmt(s, depth)...)
 	}
 	return out
-}
-
-// sinkEnterStmt reports whether the statement is a bare call to a
-// configured region sink, resolving the region name argument.
-func (b *bodyBuilder) sinkEnterStmt(s ast.Stmt) (StrArg, token.Pos, bool) {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return StrArg{}, token.NoPos, false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return StrArg{}, token.NoPos, false
-	}
-	callee := b.calleeOf(call)
-	if callee == nil {
-		return StrArg{}, token.NoPos, false
-	}
-	argIdx, ok := b.g.sinkEnter[callee.ID]
-	if !ok || argIdx >= len(call.Args) {
-		return StrArg{}, token.NoPos, false
-	}
-	return b.resolveStrArg(call.Args[argIdx]), call.Pos(), true
-}
-
-// closesRegion reports whether the statement ends an open region: an
-// Exit call at the statement's own level (expression statement, return
-// value, assignment source, or if/for initializer) — Exit calls nested
-// inside the statement's sub-blocks are error paths and do not close.
-func (b *bodyBuilder) closesRegion(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		return b.exprHasExit(st.X)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			if b.exprHasExit(rhs) {
-				return true
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			if b.exprHasExit(r) {
-				return true
-			}
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			return b.closesRegion(st.Init)
-		}
-	}
-	return false
-}
-
-// exprHasExit reports whether the expression contains a sink Exit call
-// outside any nested function literal.
-func (b *bodyBuilder) exprHasExit(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if callee := b.calleeOf(call); callee != nil && b.g.sinkExit[callee.ID] {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// calleeOf resolves a call expression to a static callee node (declared
-// function, method, or external stub), nil when dynamic.
-func (b *bodyBuilder) calleeOf(call *ast.CallExpr) *Node {
-	fun := ast.Unparen(call.Fun)
-	for {
-		switch f := fun.(type) {
-		case *ast.IndexExpr:
-			fun = ast.Unparen(f.X)
-			continue
-		case *ast.IndexListExpr:
-			fun = ast.Unparen(f.X)
-			continue
-		}
-		break
-	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		if fn, ok := b.pkg.TypesInfo.Uses[f].(*types.Func); ok {
-			return b.g.nodeForObj(fn)
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := b.pkg.TypesInfo.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				if _, isIface := sel.Recv().Underlying().(*types.Interface); !isIface {
-					return b.g.nodeForObj(fn)
-				}
-				return nil // interface call: devirtualized separately
-			}
-			return nil
-		}
-		if fn, ok := b.pkg.TypesInfo.Uses[f.Sel].(*types.Func); ok {
-			return b.g.nodeForObj(fn)
-		}
-	}
-	return nil
 }
 
 // buildStmt compiles one statement into items.
@@ -327,7 +155,6 @@ func (b *bodyBuilder) buildStmt(s ast.Stmt, depth int) []*Item {
 		out = append(out, b.buildStmts(st.Body.List, depth+1)...)
 		return out
 	case *ast.RangeStmt:
-		b.noteRangeList(st)
 		out := b.exprItems(st.X, depth)
 		out = append(out, b.buildStmts(st.Body.List, depth+1)...)
 		return out
@@ -392,36 +219,6 @@ func (b *bodyBuilder) buildStmt(s ast.Stmt, depth int) []*Item {
 		return nil
 	default:
 		return b.leafItems(s, depth)
-	}
-}
-
-// noteRangeList records a range variable iterating a constant string
-// composite literal, so it can later resolve a region-name argument to
-// the element list.
-func (b *bodyBuilder) noteRangeList(st *ast.RangeStmt) {
-	id, ok := st.Value.(*ast.Ident)
-	if !ok {
-		if id, ok = st.Key.(*ast.Ident); !ok {
-			return
-		}
-	}
-	lit, ok := ast.Unparen(st.X).(*ast.CompositeLit)
-	if !ok {
-		return
-	}
-	var vals []string
-	for _, el := range lit.Elts {
-		tv, ok := b.pkg.TypesInfo.Types[el]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			return
-		}
-		vals = append(vals, constant.StringVal(tv.Value))
-	}
-	if len(vals) == 0 {
-		return
-	}
-	if obj := b.pkg.TypesInfo.Defs[id]; obj != nil {
-		b.rangeLists[obj] = vals
 	}
 }
 
@@ -563,11 +360,9 @@ func (b *bodyBuilder) litNode(lit *ast.FuncLit) *Node {
 	lb := &bodyBuilder{
 		g: b.g, pkg: b.pkg, node: n,
 		locals: b.locals, killed: b.killed,
-		rangeLists: b.rangeLists,
 		// Captures: the literal sees the enclosing builder's parameter
 		// index spaces; bindParams layers its own parameters on a copy.
 		funcParamIdx: copyIdx(b.funcParamIdx),
-		strParamIdx:  copyIdx(b.strParamIdx),
 	}
 	lb.bindParams(lit.Type)
 	n.Items = lb.buildBlock(lit.Body, 0)
@@ -631,19 +426,10 @@ func (b *bodyBuilder) callItem(call *ast.CallExpr, depth int) *Item {
 		it.Callee = b.litNode(f) // immediately-invoked literal
 	}
 
-	// Resolve string- and function-typed arguments.
+	// Resolve function-typed arguments.
 	for i, arg := range call.Args {
 		if tv, ok := b.pkg.TypesInfo.Types[arg]; ok {
-			switch tv.Type.Underlying().(type) {
-			case *types.Basic:
-				sa := b.resolveStrArg(arg)
-				if sa.Kind != ArgUnknown {
-					if it.StrArgs == nil {
-						it.StrArgs = map[int]StrArg{}
-					}
-					it.StrArgs[i] = sa
-				}
-			case *types.Signature:
+			if _, ok := tv.Type.Underlying().(*types.Signature); ok {
 				if fa, ok := b.resolveFuncArg(arg); ok {
 					if it.FuncArgs == nil {
 						it.FuncArgs = map[int]FuncArg{}
@@ -659,26 +445,6 @@ func (b *bodyBuilder) callItem(call *ast.CallExpr, depth int) *Item {
 		return &Item{Kind: ItemWork, Depth: depth, Pos: call.Pos(), Cost: 1, ParamCallee: -1}
 	}
 	return it
-}
-
-// resolveStrArg classifies a string argument: constant, own parameter,
-// or a range variable over a constant string list.
-func (b *bodyBuilder) resolveStrArg(arg ast.Expr) StrArg {
-	arg = ast.Unparen(arg)
-	if tv, ok := b.pkg.TypesInfo.Types[arg]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-		return StrArg{Kind: ArgConst, Value: constant.StringVal(tv.Value)}
-	}
-	if id, ok := arg.(*ast.Ident); ok {
-		if obj := b.pkg.TypesInfo.Uses[id]; obj != nil {
-			if idx, ok := b.strParamIdx[obj]; ok {
-				return StrArg{Kind: ArgParam, Param: idx}
-			}
-			if vals, ok := b.rangeLists[obj]; ok {
-				return StrArg{Kind: ArgList, List: vals}
-			}
-		}
-	}
-	return StrArg{Kind: ArgUnknown}
 }
 
 // resolveFuncArg classifies a function-typed argument.

@@ -15,12 +15,10 @@
 //   - Score = Freq × Self approximates exclusive (flat) profile weight —
 //     the quantity Tempest's measured profiles rank functions by.
 //
-// Two consumers sit directly on the model: RegionCosts replays the item
-// trees context-sensitively to attribute cost to named instrumentation
-// regions (validated against measured NAS profiles), and Plan converts
-// Freq into per-function hook-overhead estimates priced with the
-// measured instrument.Trace costs, demoting functions from detail to
-// coarse to skip until a target overhead fraction is met.
+// Plan sits directly on the model: it converts Freq into per-function
+// hook-overhead estimates priced with the measured instrument.Trace
+// costs, demoting functions from detail to coarse to skip until a target
+// overhead fraction is met.
 package costmodel
 
 import (
@@ -40,12 +38,6 @@ type Options struct {
 	// Roots are node IDs to propagate frequency from; empty means the
 	// graph's in-degree-zero functions.
 	Roots []string
-	// MaxWalkDepth caps the context-sensitive region walk's call depth
-	// (default 64).
-	MaxWalkDepth int
-	// MaxWalkSteps caps the total item visits of one region walk so
-	// pathological call DAGs cannot blow up (default 2M).
-	MaxWalkSteps int
 }
 
 func (o Options) withDefaults() Options {
@@ -54,12 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ExtCallCost <= 0 {
 		o.ExtCallCost = 12
-	}
-	if o.MaxWalkDepth <= 0 {
-		o.MaxWalkDepth = 64
-	}
-	if o.MaxWalkSteps <= 0 {
-		o.MaxWalkSteps = 2_000_000
 	}
 	return o
 }
@@ -213,15 +199,6 @@ func (m *Model) Ranked() []*FuncCost {
 		return out[i].Node.ID < out[j].Node.ID
 	})
 	return out
-}
-
-// Lookup returns the cost entry for a node ID, nil if absent.
-func (m *Model) Lookup(id string) *FuncCost {
-	n := m.Graph.Lookup(id)
-	if n == nil {
-		return nil
-	}
-	return m.Costs[n]
 }
 
 // String summarizes one entry for logs and plans.

@@ -4,10 +4,9 @@
 // runtime and surfaces far away, as ErrStackMismatch from some innocent
 // callee or as a function that never closes in the profile. This pass
 // moves the check to compile time: inside one function, every
-// Lane.Enter/EnterAt/EnterBlock must be paired with an
-// Exit/ExitAt/ExitSpan/ExitBlock carrying the same id expression on the same
-// lane, either directly or through defer. Lane.Instrument and
-// Lane.InstrumentBlock are self-balancing and always fine.
+// Lane.Enter/EnterAt must be paired with an Exit/ExitAt/ExitSpan carrying
+// the same id expression on the same lane, either directly or through
+// defer. Lane.Instrument is self-balancing and always fine.
 package enterexit
 
 import (
@@ -58,7 +57,6 @@ func run(pass *analysis.Pass) error {
 func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 	var enters, exits []site
 	folded := map[*ast.FuncLit]bool{}
-	handled := map[*ast.CallExpr]bool{}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -72,22 +70,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			checkScope(pass, v.Body)
 			return false
-		case *ast.AssignStmt:
-			// fid := lane.EnterBlock(name, block): the captured variable
-			// becomes the id expression Exit must use.
-			if len(v.Rhs) == 1 && len(v.Lhs) == 1 {
-				if call, ok := v.Rhs[0].(*ast.CallExpr); ok {
-					if s, ok := laneCall(pass, call); ok && s.call == "EnterBlock" {
-						s.arg = analysis.ExprString(v.Lhs[0])
-						enters = append(enters, s)
-						handled[call] = true
-					}
-				}
-			}
 		case *ast.CallExpr:
-			if handled[v] {
-				return true
-			}
 			s, ok := laneCall(pass, v)
 			if !ok {
 				return true
@@ -95,10 +78,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			switch s.call {
 			case "Enter", "EnterAt":
 				enters = append(enters, s)
-			case "EnterBlock":
-				// Result discarded: nothing can exit this block id.
-				pass.Reportf(s.pos, "result of Lane.EnterBlock is discarded; capture the id and Exit it, or use InstrumentBlock")
-			case "Exit", "ExitAt", "ExitSpan", "ExitBlock":
+			case "Exit", "ExitAt", "ExitSpan":
 				exits = append(exits, s)
 			}
 		}
@@ -115,7 +95,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 	for _, e := range enters {
 		if !exitKeys[e.key()] {
-			pass.Reportf(e.pos, "%s.%s(%s) is not matched by an Exit(%s) on %s in this function; defer the Exit or use InstrumentBlock",
+			pass.Reportf(e.pos, "%s.%s(%s) is not matched by an Exit(%s) on %s in this function; defer the Exit or use Instrument",
 				e.recv, e.call, e.arg, e.arg, e.recv)
 		}
 	}
@@ -144,7 +124,7 @@ func laneCall(pass *analysis.Pass, call *ast.CallExpr) (site, bool) {
 	}
 	name := obj.Name()
 	switch name {
-	case "Enter", "EnterAt", "EnterBlock", "Exit", "ExitAt", "ExitSpan", "ExitBlock":
+	case "Enter", "EnterAt", "Exit", "ExitAt", "ExitSpan":
 	default:
 		return site{}, false
 	}
@@ -152,11 +132,8 @@ func laneCall(pass *analysis.Pass, call *ast.CallExpr) (site, bool) {
 		return site{}, false
 	}
 	s := site{pos: call.Pos(), call: name, recv: analysis.ExprString(sel.X)}
-	switch name {
-	case "Enter", "EnterAt", "Exit", "ExitAt", "ExitSpan", "ExitBlock":
-		if len(call.Args) > 0 {
-			s.arg = analysis.ExprString(call.Args[0])
-		}
+	if len(call.Args) > 0 {
+		s.arg = analysis.ExprString(call.Args[0])
 	}
 	return s, true
 }

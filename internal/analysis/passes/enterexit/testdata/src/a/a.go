@@ -45,17 +45,6 @@ func mismatchedIDs(l *trace.Lane, a, b uint32) {
 	_ = l.Exit(b) // want `exits an id this function never entered`
 }
 
-func discardedBlock(l *trace.Lane) {
-	l.EnterBlock("f", 1) // want `result of Lane.EnterBlock is discarded`
-	work()
-}
-
-func blockPair(l *trace.Lane) {
-	fid := l.EnterBlock("f", 1)
-	defer l.ExitBlock(fid)
-	work()
-}
-
 // exitOnlyHelper closes a frame its caller opened: legal.
 func exitOnlyHelper(l *trace.Lane, fid uint32) {
 	work()
@@ -73,7 +62,6 @@ func goroutineScope(l *trace.Lane, fid uint32) {
 // selfBalancing APIs need no pairing.
 func selfBalancing(l *trace.Lane) {
 	_ = l.Instrument("f", work)
-	_ = l.InstrumentBlock("f", 2, work)
 }
 
 // suppressed demonstrates the escape hatch for intentional half-pairs.

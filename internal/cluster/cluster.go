@@ -216,14 +216,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the total rank count.
-func (c *Cluster) Size() int { return len(c.ranks) }
-
-// NodeParams returns the per-node (possibly perturbed) thermal parameters.
-func (c *Cluster) NodeParams() []thermal.Params {
-	return append([]thermal.Params(nil), c.params...)
-}
-
 // Result is everything a completed run hands to the parser.
 type Result struct {
 	// Traces holds one per-node trace, samples merged, index = node id.

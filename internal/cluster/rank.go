@@ -79,12 +79,6 @@ func (rc *Rank) Rank() int { return rc.comm.Rank() }
 // Size returns the world size.
 func (rc *Rank) Size() int { return rc.comm.Size() }
 
-// Node returns the node this rank is bound to.
-func (rc *Rank) Node() int { return rc.node }
-
-// Core returns the core (within the node) this rank is bound to.
-func (rc *Rank) Core() int { return rc.local }
-
 // Now returns the rank's logical time.
 func (rc *Rank) Now() time.Duration { return rc.now }
 
@@ -283,19 +277,6 @@ func (rc *Rank) collectiveCost(bytes int) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Bcast broadcasts root's xs to all ranks.
-func (rc *Rank) Bcast(root int, xs []float64) error {
-	if err := rc.comm.BcastFloat64s(root, xs); err != nil {
-		return err
-	}
-	t, err := rc.syncClocks()
-	if err != nil {
-		return err
-	}
-	rc.commWindow("MPI_Bcast", t+rc.collectiveCost(8*len(xs)))
-	return nil
-}
-
 // Allreduce combines in element-wise across ranks into out, advancing all
 // clocks together.
 func (rc *Rank) Allreduce(op mpi.Op, in, out []float64) error {
@@ -307,20 +288,6 @@ func (rc *Rank) Allreduce(op mpi.Op, in, out []float64) error {
 		return err
 	}
 	rc.commWindow("MPI_Allreduce", t+rc.collectiveCost(8*len(in)))
-	return nil
-}
-
-// Reduce combines to the root. All ranks advance to the synchronised time
-// (the semantics of our conservative clock: a reduce is a sync point).
-func (rc *Rank) Reduce(root int, op mpi.Op, in, out []float64) error {
-	if err := rc.comm.Reduce(root, op, in, out); err != nil {
-		return err
-	}
-	t, err := rc.syncClocks()
-	if err != nil {
-		return err
-	}
-	rc.commWindow("MPI_Reduce", t+rc.collectiveCost(8*len(in)))
 	return nil
 }
 

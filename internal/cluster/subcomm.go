@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"tempest/internal/mpi"
@@ -40,9 +39,6 @@ func (rc *Rank) Split(color, key int) (*SubComm, error) {
 	return &SubComm{rc: rc, comm: sub}, nil
 }
 
-// Rank returns this rank's position within the sub-communicator.
-func (sc *SubComm) Rank() int { return sc.comm.Rank() }
-
 // Size returns the sub-communicator's member count.
 func (sc *SubComm) Size() int { return sc.comm.Size() }
 
@@ -63,19 +59,6 @@ func (sc *SubComm) groupCost(bytes int) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Barrier synchronises the group's members.
-func (sc *SubComm) Barrier() error {
-	if err := sc.comm.Barrier(); err != nil {
-		return err
-	}
-	t, err := sc.syncSub()
-	if err != nil {
-		return err
-	}
-	sc.rc.commWindow("MPI_Barrier", t+time.Duration(sc.rc.cost.BarrierS*float64(time.Second)))
-	return nil
-}
-
 // Allreduce combines in element-wise across the group into out.
 func (sc *SubComm) Allreduce(op mpi.Op, in, out []float64) error {
 	if err := sc.comm.Allreduce(op, in, out); err != nil {
@@ -86,47 +69,5 @@ func (sc *SubComm) Allreduce(op mpi.Op, in, out []float64) error {
 		return err
 	}
 	sc.rc.commWindow("MPI_Allreduce", t+sc.groupCost(8*len(in)))
-	return nil
-}
-
-// Allgather concatenates every member's block into out on all members.
-func (sc *SubComm) Allgather(in, out []float64) error {
-	if len(out) != len(in)*sc.Size() {
-		return fmt.Errorf("cluster: allgather out length %d, want %d", len(out), len(in)*sc.Size())
-	}
-	if err := sc.comm.Allgather(in, out); err != nil {
-		return err
-	}
-	t, err := sc.syncSub()
-	if err != nil {
-		return err
-	}
-	sc.rc.commWindow("MPI_Allgather", t+sc.groupCost(8*len(out)))
-	return nil
-}
-
-// Bcast broadcasts root's xs within the group.
-func (sc *SubComm) Bcast(root int, xs []float64) error {
-	if err := sc.comm.BcastFloat64s(root, xs); err != nil {
-		return err
-	}
-	t, err := sc.syncSub()
-	if err != nil {
-		return err
-	}
-	sc.rc.commWindow("MPI_Bcast", t+sc.groupCost(8*len(xs)))
-	return nil
-}
-
-// Alltoall exchanges equal blocks among the group's members.
-func (sc *SubComm) Alltoall(in, out []float64) error {
-	if err := sc.comm.Alltoall(in, out); err != nil {
-		return err
-	}
-	t, err := sc.syncSub()
-	if err != nil {
-		return err
-	}
-	sc.rc.commWindow("MPI_Alltoall", t+sc.groupCost(8*len(in)))
 	return nil
 }

@@ -89,13 +89,13 @@ func checkNodeBodies(t *testing.T, c *Collector, node uint32, b *parser.Builder,
 	defer srv.Close()
 	wantProfile, wantCrit, wantTimeline := wantBodies(t, c, b, a)
 	code, body, _ := get(t, srv, fmt.Sprintf("/api/profile/%d?format=json", node))
-	if b.Err() != nil {
+	if berr := b.Add(nil); berr != nil { // a poisoned Builder returns its error from every Add
 		if code != 404 {
 			t.Errorf("/api/profile of a poisoned node: status %d, want 404", code)
 		}
 		for _, st := range c.Nodes() {
-			if st.NodeID == node && st.Err != b.Err().Error() {
-				t.Errorf("node error %q, want the standalone Builder's %q", st.Err, b.Err())
+			if st.NodeID == node && st.Err != berr.Error() {
+				t.Errorf("node error %q, want the standalone Builder's %q", st.Err, berr)
 			}
 		}
 	} else if code != 200 || body != wantProfile {
@@ -164,8 +164,8 @@ func TestOnePassMatchesStandaloneFolds(t *testing.T) {
 			t.Fatal("orphan exit did not poison the node")
 		}
 		b, a := standalone(t, c, 3, sym, evs, false)
-		if b.Err() == nil || int(b.Events()) != at {
-			t.Fatalf("standalone Builder took %d events (err %v), want %d and an error", b.Events(), b.Err(), at)
+		if berr := b.Add(nil); berr == nil || int(b.Events()) != at {
+			t.Fatalf("standalone Builder took %d events (err %v), want %d and an error", b.Events(), berr, at)
 		}
 		checkNodeBodies(t, c, 3, b, a)
 	})

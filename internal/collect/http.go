@@ -50,7 +50,7 @@ func (cw *countingResponseWriter) Write(p []byte) (int, error) {
 //	                          (JSON; ?format=text for the report layout)
 //	GET /api/timeline/{node}  one node's per-lane busy/wait timeline
 //	                          (JSON; ?format=text for a gantt, ?width=
-//	                          columns)
+//	                          columns, at most 4096)
 //	GET /api/policy           adaptive-sampling policy state per node
 //	                          (issued revisions, detail sets, budgets)
 //
@@ -185,7 +185,7 @@ func (c *Collector) Handler() http.Handler {
 			return
 		}
 		width, err := intParam(r.URL.Query().Get("width"), 0)
-		if err != nil || width < 0 {
+		if err != nil || width < 0 || width > maxTimelineWidth {
 			http.Error(w, "bad width parameter", http.StatusBadRequest)
 			return
 		}
@@ -371,6 +371,11 @@ func (c *Collector) nodeParam(w http.ResponseWriter, r *http.Request) (*parser.N
 	}
 	return np, true
 }
+
+// maxTimelineWidth bounds ?width= on a text timeline: the gantt costs
+// width bytes per lane, so an unchecked width lets one request allocate
+// gigabytes. No terminal is wider.
+const maxTimelineWidth = 4096
 
 func intParam(s string, def int) (int, error) {
 	if s == "" {

@@ -139,12 +139,13 @@ func TestHTTPCritPathGolden(t *testing.T) {
 	checkGolden(t, "timeline_stagger_text", body)
 
 	for path, want := range map[string]int{
-		"/api/critpath/99":         404,
-		"/api/critpath/bad":        400,
-		"/api/timeline/99":         404,
-		"/api/timeline/bad":        400,
-		"/api/timeline/1?width=-1": 400,
-		"/api/timeline/1?width=x":  400,
+		"/api/critpath/99":                             404,
+		"/api/critpath/bad":                            400,
+		"/api/timeline/99":                             404,
+		"/api/timeline/bad":                            400,
+		"/api/timeline/1?width=-1":                     400,
+		"/api/timeline/1?width=x":                      400,
+		"/api/timeline/1?format=text&width=2000000000": 400,
 	} {
 		if code, _, _ := get(t, srv, path); code != want {
 			t.Errorf("%s status = %d, want %d", path, code, want)

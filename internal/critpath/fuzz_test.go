@@ -157,9 +157,9 @@ func FuzzCritPath(f *testing.F) {
 			onePass.Apply(1, core, &evs[i], m)
 			took++
 		}
-		if uint64(took) != bld.Events() || (shared.Err() == nil) != (berr == nil) {
+		if uint64(took) != bld.Events() || (shared.Add(nil) == nil) != (berr == nil) {
 			t.Fatalf("one pass took %d events (err %v), standalone Builder %d (err %v)",
-				took, shared.Err(), bld.Events(), berr)
+				took, shared.Add(nil), bld.Events(), berr)
 		}
 		prefix := New(opts)
 		if err := prefix.Add(1, sym, evs[:took]); err != nil {

@@ -7,9 +7,8 @@
 // insufficient for thermal work: "gprof does not pinpoint which function
 // was executing at time X". This package provides
 //
-//   - Profiler: a live bucket profiler (mcount-like Enter/Exit plus a
-//     SampleTick playing the role of SIGPROF), used to measure baseline
-//     overhead; and
+//   - Profiler: the live call-counting hook (mcount-like Enter/Exit),
+//     used to measure baseline overhead; and
 //   - FromTrace: the exact flat profile computed from a Tempest trace, so
 //     tests can assert the two tools agree on per-function time the way
 //     the paper's validation does.
@@ -23,7 +22,6 @@ import (
 	"time"
 
 	"tempest/internal/trace"
-	"tempest/internal/vclock"
 )
 
 // Entry is one row of a flat profile.
@@ -38,44 +36,23 @@ type Entry struct {
 	SelfPercent float64
 }
 
-// Profiler is a live bucket profiler. Enter/Exit maintain a per-lane call
-// stack (the mcount role); SampleTick charges one sampling quantum to the
-// innermost open function on every lane (the SIGPROF role).
+// Profiler is the live mcount role: Enter/Exit maintain a per-lane call
+// stack and count calls.
 type Profiler struct {
-	clock    vclock.Clock
-	interval time.Duration
-
 	mu     sync.Mutex
 	stacks map[int][]string // lane → stack of function names
-	calls  map[string]int64
-	ticks  map[string]int64 // bucket counts, by innermost function
+	// calls is the count mcount keeps. Nothing here reads it, but its
+	// cost is part of the baseline §3.4's overhead comparison measures.
+	calls map[string]int64
 }
 
-// DefaultSampleInterval matches gprof's customary 100 Hz.
-const DefaultSampleInterval = 10 * time.Millisecond
-
-// New builds a profiler over clock; interval 0 defaults to 10 ms.
-func New(clock vclock.Clock, interval time.Duration) (*Profiler, error) {
-	if clock == nil {
-		return nil, errors.New("gprof: clock is required")
-	}
-	if interval < 0 {
-		return nil, fmt.Errorf("gprof: negative sample interval %v", interval)
-	}
-	if interval == 0 {
-		interval = DefaultSampleInterval
-	}
+// New builds an empty profiler.
+func New() *Profiler {
 	return &Profiler{
-		clock:    clock,
-		interval: interval,
-		stacks:   make(map[int][]string),
-		calls:    make(map[string]int64),
-		ticks:    make(map[string]int64),
-	}, nil
+		stacks: make(map[int][]string),
+		calls:  make(map[string]int64),
+	}
 }
-
-// Interval returns the sampling quantum.
-func (p *Profiler) Interval() time.Duration { return p.interval }
 
 // Enter records a call on the lane's stack.
 func (p *Profiler) Enter(lane int, name string) {
@@ -99,44 +76,6 @@ func (p *Profiler) Exit(lane int, name string) error {
 		return fmt.Errorf("gprof: exit %q but %q is open (lane %d)", name, top, lane)
 	}
 	return nil
-}
-
-// SampleTick charges one quantum to the innermost open function of every
-// lane — a virtual SIGPROF firing.
-func (p *Profiler) SampleTick() {
-	p.mu.Lock()
-	for _, st := range p.stacks {
-		if len(st) > 0 {
-			p.ticks[st[len(st)-1]]++
-		}
-	}
-	p.mu.Unlock()
-}
-
-// Flat renders the bucket counts as a flat profile sorted by self time
-// (descending), name-ordered among ties. Cumulative time is not observable
-// from buckets alone, matching real gprof's need for call-graph estimation;
-// here Cumulative is left equal to Self.
-func (p *Profiler) Flat() []Entry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total int64
-	for _, n := range p.ticks {
-		total += n
-	}
-	entries := make([]Entry, 0, len(p.calls))
-	for name, calls := range p.calls {
-		self := time.Duration(p.ticks[name]) * p.interval
-		pct := 0.0
-		if total > 0 {
-			pct = float64(p.ticks[name]) / float64(total) * 100
-		}
-		entries = append(entries, Entry{
-			Name: name, Calls: calls, Self: self, Cumulative: self, SelfPercent: pct,
-		})
-	}
-	sortEntries(entries)
-	return entries
 }
 
 func sortEntries(entries []Entry) {
@@ -231,20 +170,4 @@ func FromTrace(tr *trace.Trace) ([]Entry, error) {
 	}
 	sortEntries(entries)
 	return entries, nil
-}
-
-// Format renders entries in gprof's flat-profile style.
-func Format(entries []Entry) string {
-	out := "  %   cumulative   self              self\n time      seconds  seconds    calls  ms/call  name\n"
-	var cum time.Duration
-	for _, e := range entries {
-		cum += e.Self
-		msPerCall := 0.0
-		if e.Calls > 0 {
-			msPerCall = float64(e.Self.Milliseconds()) / float64(e.Calls)
-		}
-		out += fmt.Sprintf("%5.1f %12.2f %8.2f %8d %8.2f  %s\n",
-			e.SelfPercent, cum.Seconds(), e.Self.Seconds(), e.Calls, msPerCall, e.Name)
-	}
-	return out
 }

@@ -98,11 +98,6 @@ func jsonValue(regs []*Registry) map[string]any {
 	return out
 }
 
-// WriteJSON renders the registry as one expvar-style JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return writeJSONRegs(w, []*Registry{r})
-}
-
 func writeJSONRegs(w io.Writer, regs []*Registry) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -85,26 +85,6 @@ func (c *Counter) Value() uint64 {
 // funcs instead). The nil gauge is a valid no-op sink.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// SetMax raises the gauge to v if v is larger — high-water tracking.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) {
 	if g != nil {

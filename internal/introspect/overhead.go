@@ -85,15 +85,6 @@ func (a *Accountant) Fraction() float64 {
 	return a.SelfTime().Seconds() / wall.Seconds()
 }
 
-// FractionOf reports self-time as a fraction of an externally measured
-// workload wall clock (a finished run's makespan).
-func (a *Accountant) FractionOf(wall time.Duration) float64 {
-	if a == nil || wall <= 0 {
-		return 0
-	}
-	return a.SelfTime().Seconds() / wall.Seconds()
-}
-
 // Register exposes the accountant as a sampled gauge on r.
 func (a *Accountant) Register(r *Registry, name, help string) {
 	if a == nil {

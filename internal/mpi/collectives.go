@@ -34,43 +34,10 @@ func (o Op) apply(a, b float64) float64 {
 // Valid reports whether o is a defined operator.
 func (o Op) Valid() bool { return o >= OpSum && o <= OpProd }
 
-// Barrier blocks until every rank has entered it. Implementation: linear
-// gather to rank 0, then a release broadcast — two messages per rank, the
-// classic non-tree MPICH fallback.
-func (c *Comm) Barrier() error {
-	c.opStart("MPI_Barrier")
-	defer c.opEnd("MPI_Barrier")
-	if c.size == 1 {
-		return nil
-	}
-	if c.rank == 0 {
-		// Receive from each specific rank: with AnySource, a fast rank's
-		// message for the *next* barrier could be mistaken for this one.
-		for i := 1; i < c.size; i++ {
-			if _, _, _, err := c.trecv(i, tagBarrierGather); err != nil {
-				return err
-			}
-		}
-		for i := 1; i < c.size; i++ {
-			if err := c.tsend(i, tagBarrierRelease, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.tsend(0, tagBarrierGather, nil); err != nil {
-		return err
-	}
-	_, _, _, err := c.trecv(0, tagBarrierRelease)
-	return err
-}
-
 // Bcast distributes root's buf to every rank using a binomial tree. Every
 // rank passes a buffer of identical length; non-root buffers are
 // overwritten in place.
 func (c *Comm) Bcast(root int, buf []byte) error {
-	c.opStart("MPI_Bcast")
-	defer c.opEnd("MPI_Bcast")
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("mpi: bcast root %d out of range", root)
 	}
@@ -129,8 +96,6 @@ func (c *Comm) BcastFloat64s(root int, xs []float64) error {
 // arrives in `out` on the root only (out may be nil elsewhere). Reduction
 // order is fixed by rank, making results bit-deterministic.
 func (c *Comm) Reduce(root int, op Op, in, out []float64) error {
-	c.opStart("MPI_Reduce")
-	defer c.opEnd("MPI_Reduce")
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("mpi: reduce root %d out of range", root)
 	}
@@ -176,8 +141,6 @@ func (c *Comm) Reduce(root int, op Op, in, out []float64) error {
 // Allreduce is Reduce to rank 0 followed by Bcast; every rank's out
 // receives the combined result.
 func (c *Comm) Allreduce(op Op, in, out []float64) error {
-	c.opStart("MPI_Allreduce")
-	defer c.opEnd("MPI_Allreduce")
 	if len(out) != len(in) {
 		return fmt.Errorf("mpi: allreduce out length %d, in length %d", len(out), len(in))
 	}
@@ -190,8 +153,6 @@ func (c *Comm) Allreduce(op Op, in, out []float64) error {
 // Gather collects each rank's equal-sized `in` block on the root; out on
 // the root must hold size·len(in) elements (nil elsewhere).
 func (c *Comm) Gather(root int, in, out []float64) error {
-	c.opStart("MPI_Gather")
-	defer c.opEnd("MPI_Gather")
 	if root < 0 || root >= c.size {
 		return fmt.Errorf("mpi: gather root %d out of range", root)
 	}
@@ -224,8 +185,6 @@ func (c *Comm) Gather(root int, in, out []float64) error {
 
 // Allgather is Gather to rank 0 followed by a broadcast of the assembly.
 func (c *Comm) Allgather(in, out []float64) error {
-	c.opStart("MPI_Allgather")
-	defer c.opEnd("MPI_Allgather")
 	if len(out) != len(in)*c.size {
 		return fmt.Errorf("mpi: allgather out length %d, want %d", len(out), len(in)*c.size)
 	}
@@ -235,52 +194,11 @@ func (c *Comm) Allgather(in, out []float64) error {
 	return c.BcastFloat64s(0, out)
 }
 
-// Scatter splits root's `in` (size·blockLen elements) into equal blocks,
-// delivering block r to rank r's `out`.
-func (c *Comm) Scatter(root int, in, out []float64) error {
-	c.opStart("MPI_Scatter")
-	defer c.opEnd("MPI_Scatter")
-	if root < 0 || root >= c.size {
-		return fmt.Errorf("mpi: scatter root %d out of range", root)
-	}
-	if c.rank == root {
-		if len(in) != len(out)*c.size {
-			return fmt.Errorf("mpi: scatter in length %d, want %d", len(in), len(out)*c.size)
-		}
-		for r := 0; r < c.size; r++ {
-			block := in[r*len(out) : (r+1)*len(out)]
-			if r == c.rank {
-				copy(out, block)
-				continue
-			}
-			if err := c.tsend(r, tagScatter, Float64sToBytes(block)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, _, data, err := c.trecv(root, tagScatter)
-	if err != nil {
-		return err
-	}
-	xs, err := BytesToFloat64s(data)
-	if err != nil {
-		return err
-	}
-	if len(xs) != len(out) {
-		return fmt.Errorf("mpi: scatter block length %d, want %d", len(xs), len(out))
-	}
-	copy(out, xs)
-	return nil
-}
-
 // Alltoall performs the complete exchange at the heart of NAS FT's
 // transpose: rank r's block i lands in rank i's slot r. in and out hold
-// size equal blocks each. Implementation: cyclic pairwise Sendrecv, the
+// size equal blocks each. Implementation: cyclic pairwise send/receive, the
 // standard deadlock-free schedule.
 func (c *Comm) Alltoall(in, out []float64) error {
-	c.opStart("MPI_Alltoall")
-	defer c.opEnd("MPI_Alltoall")
 	if len(in) != len(out) {
 		return fmt.Errorf("mpi: alltoall buffers differ: %d vs %d", len(in), len(out))
 	}

@@ -5,50 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-func TestBarrierAllArrive(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 4, 8} {
-		var before, after atomic.Int64
-		err := Run(size, func(c *Comm) error {
-			before.Add(1)
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			// Every rank must have incremented before any rank passes.
-			if got := before.Load(); got != int64(size) {
-				return fmt.Errorf("rank %d passed barrier with only %d/%d arrived", c.Rank(), got, size)
-			}
-			after.Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if after.Load() != int64(size) {
-			t.Fatalf("size %d: %d ranks completed", size, after.Load())
-		}
-	}
-}
-
-func TestConsecutiveBarriersDoNotCrossTalk(t *testing.T) {
-	// Regression guard for the AnySource cross-talk bug: many barriers in
-	// a row with uneven per-rank delays.
-	err := Run(4, func(c *Comm) error {
-		for i := 0; i < 50; i++ {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBcastFromEachRoot(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 4, 7, 8} {
@@ -235,49 +194,6 @@ func TestGatherErrors(t *testing.T) {
 			return c.Gather(0, in, out)
 		}
 		return c.Gather(0, in, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	const size = 4
-	err := Run(size, func(c *Comm) error {
-		out := make([]float64, 2)
-		var in []float64
-		if c.Rank() == 1 {
-			in = make([]float64, 2*size)
-			for i := range in {
-				in[i] = float64(i)
-			}
-		}
-		if err := c.Scatter(1, in, out); err != nil {
-			return err
-		}
-		if out[0] != float64(2*c.Rank()) || out[1] != float64(2*c.Rank()+1) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterErrors(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		out := make([]float64, 1)
-		if c.Rank() == 0 {
-			if err := c.Scatter(9, nil, out); err == nil {
-				return errors.New("bad root accepted")
-			}
-			if err := c.Scatter(0, make([]float64, 5), out); err == nil {
-				return errors.New("ragged in accepted")
-			}
-			return c.Scatter(0, make([]float64, 2), out)
-		}
-		return c.Scatter(0, nil, out)
 	})
 	if err != nil {
 		t.Fatal(err)

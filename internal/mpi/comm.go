@@ -9,25 +9,11 @@ import (
 // internal tag space: user tags must be ≥ 0; collectives use negative tags
 // so they can never match user receives.
 const (
-	tagBarrierGather  = -2
-	tagBarrierRelease = -3
-	tagBcast          = -4
-	tagReduce         = -5
-	tagGather         = -6
-	tagScatter        = -7
-	tagAlltoall       = -8
+	tagBcast    = -4
+	tagReduce   = -5
+	tagGather   = -6
+	tagAlltoall = -8
 )
-
-// Hooks observe communication operations; the cluster package uses them to
-// lower simulated core utilisation during blocking MPI calls (communication
-// runs "cool", §4.3) and to put phase markers into the trace.
-type Hooks struct {
-	// OnOpStart fires when a blocking operation begins; op is the MPI
-	// operation name ("MPI_Barrier", "MPI_Alltoall", …).
-	OnOpStart func(op string)
-	// OnOpEnd fires when the operation completes.
-	OnOpEnd func(op string)
-}
 
 // Comm is one rank's endpoint in a world — the handle every MPI-style
 // call goes through, analogous to MPI_COMM_WORLD bound to a rank. Derived
@@ -38,7 +24,6 @@ type Comm struct {
 	rank  int
 	size  int
 	world *World
-	hooks Hooks
 	// ctx is the communicator context id (0 = world).
 	ctx int
 	// group maps this communicator's ranks to world ranks; nil is
@@ -86,29 +71,11 @@ func (c *Comm) trecv(from, tag int) (src, gotTag int, data []byte, err error) {
 	return c.localRank(wsrc), gotTag, data, nil
 }
 
-// Ctx returns the communicator's context id (0 for the world).
-func (c *Comm) Ctx() int { return c.ctx }
-
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.size }
-
-// SetHooks installs operation observers (nil funcs are allowed).
-func (c *Comm) SetHooks(h Hooks) { c.hooks = h }
-
-func (c *Comm) opStart(op string) {
-	if c.hooks.OnOpStart != nil {
-		c.hooks.OnOpStart(op)
-	}
-}
-
-func (c *Comm) opEnd(op string) {
-	if c.hooks.OnOpEnd != nil {
-		c.hooks.OnOpEnd(op)
-	}
-}
 
 // Send delivers data to rank `to` with a non-negative user tag. The
 // receiver owns data after the call; callers must not reuse the slice.
@@ -116,32 +83,13 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: user tag %d must be ≥0", tag)
 	}
-	c.opStart("MPI_Send")
-	defer c.opEnd("MPI_Send")
 	return c.tsend(to, tag, data)
 }
 
 // Recv blocks for a message matching (from, tag); from may be AnySource
 // and tag AnyTag. It returns source rank, tag and payload.
 func (c *Comm) Recv(from, tag int) (src, gotTag int, data []byte, err error) {
-	c.opStart("MPI_Recv")
-	defer c.opEnd("MPI_Recv")
 	return c.trecv(from, tag)
-}
-
-// Sendrecv sends to `to` and receives from `from` concurrently, the
-// deadlock-free exchange primitive pairwise collectives are built on.
-func (c *Comm) Sendrecv(to, sendTag int, sendData []byte, from, recvTag int) ([]byte, error) {
-	c.opStart("MPI_Sendrecv")
-	defer c.opEnd("MPI_Sendrecv")
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.tsend(to, sendTag, sendData) }()
-	_, _, data, rerr := c.trecv(from, recvTag)
-	serr := <-errCh
-	if serr != nil {
-		return nil, serr
-	}
-	return data, rerr
 }
 
 // --- typed helpers -------------------------------------------------------
@@ -164,27 +112,6 @@ func BytesToFloat64s(b []byte) ([]float64, error) {
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// Int64sToBytes encodes an int64 slice little-endian.
-func Int64sToBytes(xs []int64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
-	}
-	return out
-}
-
-// BytesToInt64s decodes a little-endian int64 slice.
-func BytesToInt64s(b []byte) ([]int64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mpi: %d bytes is not a whole number of int64s", len(b))
-	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package mpi is a message-passing runtime with MPI-1 style semantics:
 // ranks, tagged point-to-point messages with FIFO matching, wildcard
-// receives, and the collectives the NAS Parallel Benchmarks need (Barrier,
-// Bcast, Reduce, Allreduce, Gather, Allgather, Scatter, Alltoall).
+// receives, and the collectives the NAS Parallel Benchmarks need (Bcast,
+// Reduce, Allreduce, Gather, Allgather, Alltoall).
 //
 // The paper profiles MPI applications on a four-node Opteron cluster; Go
 // has no practical MPI binding, so this package is the substituted

@@ -33,8 +33,6 @@ const (
 // nil. The returned communicator shares the parent's world but uses a
 // fresh context id, so its traffic cannot be confused with the parent's.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	c.opStart("MPI_Comm_split")
-	defer c.opEnd("MPI_Comm_split")
 	if c.splitSeq >= maxSplitsPerComm {
 		return nil, fmt.Errorf("mpi: communicator exhausted its %d splits", maxSplitsPerComm)
 	}
@@ -99,7 +97,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	sub := &Comm{
 		size:     len(group),
 		world:    c.world,
-		hooks:    c.hooks,
 		ctx:      newCtx,
 		group:    make([]int, len(group)),
 		invGroup: make(map[int]int, len(group)),

@@ -28,7 +28,7 @@ func TestSplitEvenOdd(t *testing.T) {
 		if sub.Rank() != wantRank {
 			return fmt.Errorf("parent %d got sub rank %d, want %d", c.Rank(), sub.Rank(), wantRank)
 		}
-		if sub.Ctx() == c.Ctx() {
+		if sub.ctx == c.ctx {
 			return errors.New("sub communicator reused parent context")
 		}
 		// Group-local reduction: evens sum 0+2+4=6, odds 1+3+5=9.
@@ -151,7 +151,7 @@ func TestSplitNested(t *testing.T) {
 		if rowComm.Size() != 2 || colComm.Size() != 2 {
 			return fmt.Errorf("grid sizes %d×%d", rowComm.Size(), colComm.Size())
 		}
-		if rowComm.Ctx() == colComm.Ctx() {
+		if rowComm.ctx == colComm.ctx {
 			return errors.New("row and column communicators share a context")
 		}
 		// Row sum then column sum over the row results computes the grand
@@ -173,140 +173,6 @@ func TestSplitNested(t *testing.T) {
 			return err
 		}
 		return sub2.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitSendrecvWithinGroup(t *testing.T) {
-	// Sub-communicator rank translation applies to Sendrecv too.
-	const size = 4
-	err := Run(size, func(c *Comm) error {
-		sub, err := c.Split(c.Rank()%2, c.Rank())
-		if err != nil {
-			return err
-		}
-		partner := 1 - sub.Rank()
-		data, err := sub.Sendrecv(partner, 2, []byte{byte(sub.Rank())}, partner, 2)
-		if err != nil {
-			return err
-		}
-		if data[0] != byte(partner) {
-			return fmt.Errorf("sub sendrecv got %d", data[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendIrecv(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req, err := c.Isend(1, 3, []byte("async"))
-			if err != nil {
-				return err
-			}
-			_, _, _, err = req.Wait()
-			return err
-		}
-		req := c.Irecv(0, 3)
-		src, tag, data, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if src != 0 || tag != 3 || string(data) != "async" {
-			return fmt.Errorf("got src=%d tag=%d %q", src, tag, data)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvOverlapsCompute(t *testing.T) {
-	// Post the receive before the send exists; Test polls false, Wait
-	// completes after the sender fires.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			req := c.Irecv(0, 9)
-			// Not completed yet (sender hasn't run — barrier below orders it).
-			preDone := req.Test()
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			_, _, data, err := req.Wait()
-			if err != nil {
-				return err
-			}
-			if string(data) != "late" {
-				return fmt.Errorf("got %q", data)
-			}
-			_ = preDone // racy to assert strictly; Wait correctness is the contract
-			return nil
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		return c.Send(1, 9, []byte("late"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRequestDoubleWait(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		req, err := c.Isend(0, 1, []byte("x"))
-		if err != nil {
-			return err
-		}
-		if _, _, _, err := req.Wait(); err != nil {
-			return err
-		}
-		if _, _, _, err := req.Wait(); err == nil {
-			return errors.New("double wait should fail")
-		}
-		// Drain the self-send.
-		_, _, _, err = c.Recv(0, 1)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			r1, err := c.Isend(1, 1, []byte("a"))
-			if err != nil {
-				return err
-			}
-			r2, err := c.Isend(1, 2, []byte("b"))
-			if err != nil {
-				return err
-			}
-			return WaitAll(r1, nil, r2)
-		}
-		r1 := c.Irecv(0, 1)
-		r2 := c.Irecv(0, 2)
-		return WaitAll(r1, r2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendNegativeTag(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		if _, err := c.Isend(0, -2, nil); err == nil {
-			return errors.New("negative tag accepted")
-		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

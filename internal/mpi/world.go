@@ -25,9 +25,6 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.comms) }
-
 // Comm returns rank r's endpoint.
 func (w *World) Comm(r int) (*Comm, error) {
 	if err := w.checkRank(r); err != nil {
@@ -35,9 +32,6 @@ func (w *World) Comm(r int) (*Comm, error) {
 	}
 	return w.comms[r], nil
 }
-
-// Comms returns all endpoints in rank order.
-func (w *World) Comms() []*Comm { return append([]*Comm(nil), w.comms...) }
 
 // Close shuts every mailbox; pending and later receives fail with
 // ErrClosed. Closing twice is harmless.
@@ -84,18 +78,6 @@ func (w *World) checkRank(r int) error {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(w.boxes))
 	}
 	return nil
-}
-
-// Run executes body once per rank, each on its own goroutine, and waits
-// for all of them — the moral equivalent of mpirun for in-process worlds.
-// The returned error joins every rank's failure, annotated with its rank.
-func Run(size int, body func(c *Comm) error) error {
-	w, err := NewWorld(size)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	return w.Run(body)
 }
 
 // Run executes body on every rank of an existing world and waits.

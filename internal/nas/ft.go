@@ -3,7 +3,6 @@ package nas
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"time"
 
 	"tempest/internal/cluster"
@@ -395,44 +394,6 @@ func ftChecksum(rc *cluster.Rank, g *grid3, n, nzl int) (float64, float64, error
 		return 0, 0, err
 	}
 	return sum[0], sum[1], nil
-}
-
-// ftRoundTripError transforms a grid forward and back on one rank set and
-// returns the max absolute error vs the original — the correctness proof
-// of the distributed FFT, used by tests.
-func ftRoundTripError(rc *cluster.Rank, n int) (float64, error) {
-	P := rc.Size()
-	plan, err := NewFFTPlan(n)
-	if err != nil {
-		return 0, err
-	}
-	nzl := n / P
-	g := newGrid3(n, n, nzl)
-	seed := uint64(rc.Rank()) + 7
-	for i := range g.data {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		g.data[i] = complex(float64(seed>>11)/float64(1<<53), float64(seed>>40)/float64(1<<24))
-	}
-	orig := append([]complex128(nil), g.data...)
-	t, err := ftForward(rc, plan, g, P)
-	if err != nil {
-		return 0, err
-	}
-	back, err := ftInverse(rc, plan, t, P)
-	if err != nil {
-		return 0, err
-	}
-	var maxErr float64
-	for i := range back.data {
-		if d := cmplx.Abs(back.data[i] - orig[i]); d > maxErr {
-			maxErr = d
-		}
-	}
-	out := make([]float64, 1)
-	if err := rc.Allreduce(mpi.OpMax, []float64{maxErr}, out); err != nil {
-		return 0, err
-	}
-	return out[0], nil
 }
 
 // FTCost returns the communication cost model scaled to match

@@ -128,9 +128,6 @@ func (b *Builder) Events() uint64 { return b.events }
 // Duration reports the largest timestamp seen so far.
 func (b *Builder) Duration() time.Duration { return b.duration }
 
-// Err returns the structural error that poisoned the builder, if any.
-func (b *Builder) Err() error { return b.err }
-
 // Late counts the enters, exits and samples that arrived stamped before
 // the fold boundary of their moment. Their attribution is best effort;
 // with none, a folded builder's profile equals an unfolded one's.

@@ -226,17 +226,6 @@ func parseHealthMarker(name string) (id int, state string, ok bool) {
 	return id, rest[k+1:], true
 }
 
-// SensorHealthEvents filters HealthEvents to one sensor, in time order.
-func (np *NodeProfile) SensorHealthEvents(sensor int) []HealthEvent {
-	var out []HealthEvent
-	for _, h := range np.HealthEvents {
-		if h.SensorID == sensor {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
 // detectInterval estimates the sampling period as the median gap between
 // consecutive samples of the densest sensor; falls back to 250 ms. Gaps
 // overlapping one of that sensor's quarantine windows (bracketed by
@@ -326,29 +315,6 @@ func (np *NodeProfile) Function(name string) (*FuncProfile, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Blocks returns the basic-block profiles of a function (symbols named
-// "<fn>#bb<id>" by the explicit block API), ordered by block id. Empty if
-// the function was not block-instrumented.
-func (np *NodeProfile) Blocks(fn string) []FuncProfile {
-	type blk struct {
-		id int
-		fp FuncProfile
-	}
-	var blocks []blk
-	for _, f := range np.Functions {
-		owner, id, ok := trace.SplitBlockName(f.Name)
-		if ok && owner == fn {
-			blocks = append(blocks, blk{id: id, fp: f})
-		}
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].id < blocks[j].id })
-	out := make([]FuncProfile, len(blocks))
-	for i, b := range blocks {
-		out[i] = b.fp
-	}
-	return out
 }
 
 // Series returns the (times, values) of one sensor's full timeline — the

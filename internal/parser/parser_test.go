@@ -361,7 +361,7 @@ func TestHealthEventsInProfile(t *testing.T) {
 	if !np.Truncated {
 		t.Error("profile must surface the trace's Truncated flag")
 	}
-	hs := np.SensorHealthEvents(0)
+	hs := sensorHealth(np, 0)
 	if len(hs) != 3 {
 		t.Fatalf("health events = %+v, want 3", hs)
 	}
@@ -374,7 +374,7 @@ func TestHealthEventsInProfile(t *testing.T) {
 	if hs[0].TS != 500*time.Millisecond || hs[2].TS != 2*time.Second {
 		t.Errorf("health event timestamps wrong: %+v", hs)
 	}
-	if len(np.SensorHealthEvents(1)) != 0 {
+	if len(sensorHealth(np, 1)) != 0 {
 		t.Error("no events expected for sensor 1")
 	}
 }
@@ -511,4 +511,15 @@ func BenchmarkMergeIntervals(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MergeIntervals(ivs)
 	}
+}
+
+// sensorHealth filters np.HealthEvents to one sensor, in time order.
+func sensorHealth(np *NodeProfile, sensor int) []HealthEvent {
+	var out []HealthEvent
+	for _, h := range np.HealthEvents {
+		if h.SensorID == sensor {
+			out = append(out, h)
+		}
+	}
+	return out
 }

@@ -263,9 +263,6 @@ func TestHwmonResilientQuarantinesVanishedSensor(t *testing.T) {
 	if hs[0].State != StateHealthy || hs[1].State != StateHealthy {
 		t.Errorf("healthy sensors state = %v/%v", hs[0].State, hs[1].State)
 	}
-	if r.Trusted() != 2 {
-		t.Errorf("Trusted = %d, want 2", r.Trusted())
-	}
 }
 
 func TestHwmonWithRegistryAndQuantization(t *testing.T) {

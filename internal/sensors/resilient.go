@@ -137,8 +137,6 @@ type Resilient struct {
 	lastVal     float64
 	stuckRun    int
 	haveLast    bool
-	failures    uint64
-	quarantines uint64
 }
 
 // NewResilient wraps s with the given policy.
@@ -153,20 +151,6 @@ func (r *Resilient) Health() Health {
 	return r.state
 }
 
-// Failures reports reads that counted against the sensor (after retries).
-func (r *Resilient) Failures() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failures
-}
-
-// Quarantines reports how many times the sensor entered quarantine.
-func (r *Resilient) Quarantines() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.quarantines
-}
-
 // setState transitions with the lock held, notifying OnTransition.
 func (r *Resilient) setState(to Health) {
 	if r.state == to {
@@ -174,9 +158,6 @@ func (r *Resilient) setState(to Health) {
 	}
 	from := r.state
 	r.state = to
-	if to == StateQuarantined {
-		r.quarantines++
-	}
 	if r.cfg.OnTransition != nil {
 		r.cfg.OnTransition(r.Sensor.Name(), from, to)
 	}
@@ -208,7 +189,6 @@ func (r *Resilient) ReadC() (float64, error) {
 		err = r.vet(v)
 	}
 	if err != nil {
-		r.failures++
 		if probing {
 			// Failed probe: straight back to quarantine.
 			r.setState(StateQuarantined)
@@ -322,18 +302,4 @@ func (r *Registry) Health() []SensorHealth {
 		out[i] = SensorHealth{Index: i, Name: s.Name(), State: st}
 	}
 	return out
-}
-
-// Trusted counts sensors currently in a reading state (healthy, suspect or
-// recovered) — the paper's "3 sensors on x86, 7 on G5" becomes "however
-// many are currently trustworthy".
-func (r *Registry) Trusted() int {
-	n := 0
-	for _, h := range r.Health() {
-		switch h.State {
-		case StateHealthy, StateSuspect, StateRecovered:
-			n++
-		}
-	}
-	return n
 }

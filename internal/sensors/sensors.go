@@ -84,32 +84,6 @@ func (q *Quantized) ReadC() (float64, error) {
 	return math.Round(v/q.StepC) * q.StepC, nil
 }
 
-// Scaled applies a sensors.conf-style affine correction:
-// reported = raw·Scale + Offset.
-type Scaled struct {
-	Sensor
-	Scale  float64
-	Offset float64
-}
-
-// ReadC reads the wrapped sensor and applies the correction.
-func (s *Scaled) ReadC() (float64, error) {
-	v, err := s.Sensor.ReadC()
-	if err != nil {
-		return 0, err
-	}
-	return v*s.Scale + s.Offset, nil
-}
-
-// Relabeled overrides a sensor's label (sensors.conf `label` directive).
-type Relabeled struct {
-	Sensor
-	NewLabel string
-}
-
-// Label returns the overridden label.
-func (r *Relabeled) Label() string { return r.NewLabel }
-
 // Registry aggregates providers and serves a stable, name-sorted sensor
 // list — the fixed sensor ordering Tempest's reports index as sensor1,
 // sensor2, … It is safe for concurrent use after Discover.
@@ -122,13 +96,6 @@ type Registry struct {
 // NewRegistry returns a registry over the given providers.
 func NewRegistry(providers ...Provider) *Registry {
 	return &Registry{providers: providers}
-}
-
-// AddProvider registers another provider; call Discover afterwards.
-func (r *Registry) AddProvider(p Provider) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.providers = append(r.providers, p)
 }
 
 // Discover enumerates all providers, sorts sensors by name, and caches the

@@ -98,26 +98,6 @@ func TestQuantizedProperty(t *testing.T) {
 	}
 }
 
-func TestScaledAndRelabeled(t *testing.T) {
-	base := constSensor("a/t1", 40)
-	s := &Scaled{Sensor: base, Scale: 1.5, Offset: -2}
-	v, err := s.ReadC()
-	if err != nil || v != 58 {
-		t.Errorf("scaled = %v, want 58", v)
-	}
-	r := &Relabeled{Sensor: s, NewLabel: "CPU 0 Core"}
-	if r.Label() != "CPU 0 Core" {
-		t.Error("relabel failed")
-	}
-	if r.Name() != "a/t1" {
-		t.Error("relabel must not change name")
-	}
-	sf := &Scaled{Sensor: failingSensor("f/t1"), Scale: 1}
-	if _, err := sf.ReadC(); err == nil {
-		t.Error("error should propagate through Scaled")
-	}
-}
-
 func TestRegistryDiscoverSortsAndAggregates(t *testing.T) {
 	r := NewRegistry(
 		&sliceProvider{ss: []Sensor{constSensor("b/t2", 2), constSensor("a/t1", 1)}},
@@ -148,17 +128,6 @@ func TestRegistryDiscoverErrors(t *testing.T) {
 	r2 := NewRegistry(errProvider{})
 	if err := r2.Discover(); err == nil || errors.Is(err, ErrNoSensors) {
 		t.Errorf("provider failure should propagate, got %v", err)
-	}
-}
-
-func TestRegistryAddProvider(t *testing.T) {
-	r := NewRegistry()
-	r.AddProvider(&sliceProvider{ss: []Sensor{constSensor("x/t1", 5)}})
-	if err := r.Discover(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d", r.Len())
 	}
 }
 

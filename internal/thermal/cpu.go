@@ -97,27 +97,6 @@ func DefaultOpteronParams() Params {
 	}
 }
 
-// DefaultG5Params returns parameters shaped like the paper's other
-// testbed, the System X PowerPC 970 (G5) nodes: two single-core sockets
-// at 2.3 GHz with a larger power envelope and stronger cooling (System X
-// ran dense racks with aggressive airflow). With the exhaust sensor
-// enabled, a G5 node exposes the "up to 7 sensors" §3.4 reports.
-func DefaultG5Params() Params {
-	p := DefaultOpteronParams()
-	p.Sockets = 2
-	p.CoresPerSocket = 1
-	p.FreqHz = 2.3e9
-	p.IdleWPerCore = 9
-	p.MaxWPerCore = 55
-	p.UncoreWPerSocket = 10
-	p.DieCapJPerK = 35
-	p.DieToSinkKPerW = 0.20
-	p.SinkCapJPerK = 45
-	p.SinkToAmbKPerW = 0.20
-	p.AmbientC = 24
-	return p
-}
-
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
 	switch {
@@ -233,16 +212,6 @@ func NewCPU(p Params) (*CPU, error) {
 	return c, nil
 }
 
-// Params returns the construction parameters.
-func (c *CPU) Params() Params { return c.p }
-
-// Network exposes the underlying RC network (read-mostly: tests and the
-// external reference sensor read ground-truth state through it).
-func (c *CPU) Network() *Network { return c.net }
-
-// NumCores returns the modelled core count.
-func (c *CPU) NumCores() int { return len(c.coreUtil) }
-
 // SetCoreUtilization sets core's activity in [0,1]; 0 is idle, 1 is a full
 // CPU burn. Out-of-range core or utilisation is an error.
 func (c *CPU) SetCoreUtilization(core int, u float64) error {
@@ -257,20 +226,6 @@ func (c *CPU) SetCoreUtilization(core int, u float64) error {
 	return nil
 }
 
-// CoreUtilization returns core's current activity.
-func (c *CPU) CoreUtilization(core int) float64 { return c.coreUtil[core] }
-
-// SetAllIdle zeroes every core's utilisation.
-func (c *CPU) SetAllIdle() {
-	for i := range c.coreUtil {
-		c.coreUtil[i] = 0
-	}
-	c.applyPower()
-}
-
-// DVFSLevel reports the current ladder position.
-func (c *CPU) DVFSLevel() int { return c.dvfsLevel }
-
 // DVFSFreqFactor returns the current frequency fraction (1.0 when DVFS is
 // disabled, per the paper's experimental setup).
 func (c *CPU) DVFSFreqFactor() float64 {
@@ -279,33 +234,6 @@ func (c *CPU) DVFSFreqFactor() float64 {
 	}
 	return c.p.DVFSFractions[c.dvfsLevel]
 }
-
-// SetDVFSLevel selects a ladder entry; an error if DVFS is disabled or the
-// level is out of range.
-func (c *CPU) SetDVFSLevel(level int) error {
-	if !c.p.DVFSEnabled {
-		return fmt.Errorf("thermal: DVFS is disabled")
-	}
-	if level < 0 || level >= len(c.p.DVFSFractions) {
-		return fmt.Errorf("thermal: DVFS level %d out of range [0,%d)", level, len(c.p.DVFSFractions))
-	}
-	c.dvfsLevel = level
-	c.applyPower()
-	return nil
-}
-
-// SetFanRPM sets a fixed fan speed; an error if non-positive.
-func (c *CPU) SetFanRPM(rpm float64) error {
-	if rpm <= 0 {
-		return fmt.Errorf("thermal: fan speed %v must be positive", rpm)
-	}
-	c.p.FanRPM = rpm
-	c.applyFan()
-	return nil
-}
-
-// FanRPM returns the current fan speed.
-func (c *CPU) FanRPM() float64 { return c.p.FanRPM }
 
 // applyFan maps fan speed to the sink→ambient resistance:
 // R = R_ref · (ref/rpm)^exp, clamped to [R_ref/4, 4·R_ref].

@@ -95,7 +95,7 @@ func TestCoolDownAfterBurn(t *testing.T) {
 		_ = c.Step(250 * time.Millisecond)
 	}
 	hot, _ := c.DieTempC(0)
-	c.SetAllIdle()
+	_ = c.SetCoreUtilization(0, 0)
 	for i := 0; i < 1200; i++ {
 		_ = c.Step(250 * time.Millisecond)
 	}
@@ -113,7 +113,7 @@ func TestSetCoreUtilizationErrors(t *testing.T) {
 	if err := c.SetCoreUtilization(-1, 0.5); err == nil {
 		t.Error("negative core should fail")
 	}
-	if err := c.SetCoreUtilization(c.NumCores(), 0.5); err == nil {
+	if err := c.SetCoreUtilization(len(c.coreUtil), 0.5); err == nil {
 		t.Error("out-of-range core should fail")
 	}
 	if err := c.SetCoreUtilization(0, 1.5); err == nil {
@@ -125,7 +125,7 @@ func TestSetCoreUtilizationErrors(t *testing.T) {
 	if err := c.SetCoreUtilization(1, 0.5); err != nil {
 		t.Errorf("valid call failed: %v", err)
 	}
-	if got := c.CoreUtilization(1); got != 0.5 {
+	if got := c.coreUtil[1]; got != 0.5 {
 		t.Errorf("CoreUtilization = %v", got)
 	}
 }
@@ -134,9 +134,6 @@ func TestDVFSDisabledByDefault(t *testing.T) {
 	c := newTestCPU(t)
 	if f := c.DVFSFreqFactor(); f != 1.0 {
 		t.Errorf("disabled DVFS factor = %v, want 1.0", f)
-	}
-	if err := c.SetDVFSLevel(1); err == nil {
-		t.Error("SetDVFSLevel with DVFS disabled should fail")
 	}
 }
 
@@ -148,46 +145,35 @@ func TestDVFSReducesPowerAndHeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range make([]struct{}, c.NumCores()) {
+	for i := range make([]struct{}, len(c.coreUtil)) {
 		_ = c.SetCoreUtilization(i, 1)
 	}
-	fullSS := c.Network().SteadyState()
-	if err := c.SetDVFSLevel(len(p.DVFSFractions) - 1); err != nil {
-		t.Fatal(err)
-	}
+	fullSS := c.net.SteadyState()
+	c.dvfsLevel = len(p.DVFSFractions) - 1
+	c.applyPower()
 	if c.DVFSFreqFactor() >= 1.0 {
 		t.Errorf("lowest DVFS factor = %v", c.DVFSFreqFactor())
 	}
-	slowSS := c.Network().SteadyState()
+	slowSS := c.net.SteadyState()
 	dieIdx := c.dieIdx[0]
 	if !(slowSS[dieIdx] < fullSS[dieIdx]-3) {
 		t.Errorf("DVFS barely cooled die: %.2f vs %.2f", slowSS[dieIdx], fullSS[dieIdx])
-	}
-	if err := c.SetDVFSLevel(99); err == nil {
-		t.Error("out-of-range DVFS level should fail")
 	}
 }
 
 func TestFasterFanCoolsSteadyState(t *testing.T) {
 	c := newTestCPU(t)
-	for i := 0; i < c.NumCores(); i++ {
+	for i := 0; i < len(c.coreUtil); i++ {
 		_ = c.SetCoreUtilization(i, 1)
 	}
 	slow := func(rpm float64) float64 {
-		if err := c.SetFanRPM(rpm); err != nil {
-			t.Fatal(err)
-		}
-		return c.Network().SteadyState()[c.dieIdx[0]]
+		c.p.FanRPM = rpm
+		c.applyFan()
+		return c.net.SteadyState()[c.dieIdx[0]]
 	}
 	t1500, t3000, t6000 := slow(1500), slow(3000), slow(6000)
 	if !(t6000 < t3000 && t3000 < t1500) {
 		t.Errorf("fan speed not monotone: 1500→%.2f 3000→%.2f 6000→%.2f", t1500, t3000, t6000)
-	}
-	if err := c.SetFanRPM(0); err == nil {
-		t.Error("zero fan speed should fail")
-	}
-	if c.FanRPM() != 6000 {
-		t.Errorf("FanRPM = %v, want last valid 6000", c.FanRPM())
 	}
 }
 
@@ -199,14 +185,14 @@ func TestAutoFanRespondsToHeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.NumCores(); i++ {
+	for i := 0; i < len(c.coreUtil); i++ {
 		_ = c.SetCoreUtilization(i, 1)
 	}
 	for i := 0; i < 400; i++ {
 		_ = c.Step(250 * time.Millisecond)
 	}
-	if c.FanRPM() <= p.FanRefRPM*0.5 {
-		t.Errorf("auto fan did not spin up: %v RPM", c.FanRPM())
+	if c.p.FanRPM <= p.FanRefRPM*0.5 {
+		t.Errorf("auto fan did not spin up: %v RPM", c.p.FanRPM)
 	}
 }
 
@@ -239,8 +225,8 @@ func TestSensorAccessorsRange(t *testing.T) {
 	if _, err := c.SinkTempC(5); err == nil {
 		t.Error("out-of-range sink should fail")
 	}
-	if c.Sockets() != 2 || c.NumCores() != 4 {
-		t.Errorf("Sockets/NumCores = %d/%d", c.Sockets(), c.NumCores())
+	if c.Sockets() != 2 || len(c.coreUtil) != 4 {
+		t.Errorf("Sockets/NumCores = %d/%d", c.Sockets(), len(c.coreUtil))
 	}
 }
 
@@ -269,7 +255,7 @@ func TestPerturbDeterministicAndVaried(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			_ = c.SetCoreUtilization(i, 1)
 		}
-		ss := c.Network().SteadyState()[c.dieIdx[0]]
+		ss := c.net.SteadyState()[c.dieIdx[0]]
 		if ss < lo {
 			lo = ss
 		}
@@ -327,12 +313,8 @@ func TestOUProcessStationary(t *testing.T) {
 	if sd < 0.8 || sd > 1.2 {
 		t.Errorf("OU std = %v, want ≈1", sd)
 	}
-	if o.Step(0) != o.Value() {
+	if o.Step(0) != o.x {
 		t.Error("zero-dt step should not advance")
-	}
-	o.Reset(3)
-	if o.Value() != 0 {
-		t.Error("Reset should zero the process")
 	}
 }
 

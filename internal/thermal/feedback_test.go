@@ -23,7 +23,7 @@ func TestAutoDVFSCapsTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < c.NumCores(); i++ {
+		for i := 0; i < len(c.coreUtil); i++ {
 			_ = c.SetCoreUtilization(i, 1)
 		}
 		for i := 0; i < 1200; i++ { // 5 minutes at 250 ms
@@ -31,8 +31,8 @@ func TestAutoDVFSCapsTemperature(t *testing.T) {
 			if d, _ := c.DieTempC(0); d > peakC {
 				peakC = d
 			}
-			if c.DVFSLevel() > levelSeen {
-				levelSeen = c.DVFSLevel()
+			if c.dvfsLevel > levelSeen {
+				levelSeen = c.dvfsLevel
 			}
 		}
 		return peakC, levelSeen
@@ -65,21 +65,23 @@ func TestAutoDVFSRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.NumCores(); i++ {
+	for i := 0; i < len(c.coreUtil); i++ {
 		_ = c.SetCoreUtilization(i, 1)
 	}
 	for i := 0; i < 1200; i++ {
 		_ = c.Step(250 * time.Millisecond)
 	}
-	if c.DVFSLevel() == 0 {
+	if c.dvfsLevel == 0 {
 		t.Fatal("governor never stepped down under load")
 	}
-	c.SetAllIdle()
+	for i := range c.coreUtil {
+		_ = c.SetCoreUtilization(i, 0)
+	}
 	for i := 0; i < 2400; i++ {
 		_ = c.Step(250 * time.Millisecond)
 	}
-	if c.DVFSLevel() != 0 {
-		t.Errorf("governor stuck at level %d after cooldown", c.DVFSLevel())
+	if c.dvfsLevel != 0 {
+		t.Errorf("governor stuck at level %d after cooldown", c.dvfsLevel)
 	}
 }
 
@@ -92,7 +94,7 @@ func TestAutoDVFSDefaultTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.NumCores(); i++ {
+	for i := 0; i < len(c.coreUtil); i++ {
 		_ = c.SetCoreUtilization(i, 1)
 	}
 	var peak float64

@@ -22,9 +22,6 @@ import (
 // CToF converts Celsius to Fahrenheit.
 func CToF(c float64) float64 { return c*9/5 + 32 }
 
-// FToC converts Fahrenheit to Celsius.
-func FToC(f float64) float64 { return (f - 32) * 5 / 9 }
-
 // Node is one lump in the RC network: either a dynamic node with thermal
 // capacitance, or a boundary node pinned at a fixed temperature (ambient).
 type Node struct {
@@ -65,8 +62,6 @@ type Network struct {
 	// maxStable is the largest Euler step (seconds) stable for every
 	// dynamic node: min over nodes of C_i / Σ_j g_ij, halved for margin.
 	maxStable float64
-
-	elapsed time.Duration
 }
 
 type adjEntry struct {
@@ -174,37 +169,8 @@ func (n *Network) recomputeStability() {
 	}
 }
 
-// NumNodes reports the node count.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// NumEdges reports the edge count.
-func (n *Network) NumEdges() int { return len(n.edges) }
-
-// NodeIndex returns the index of the named node, or an error.
-func (n *Network) NodeIndex(name string) (int, error) {
-	for i, nd := range n.nodes {
-		if nd.Name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("thermal: no node named %q", name)
-}
-
-// NodeName returns the name of node i ("" if out of range).
-func (n *Network) NodeName(i int) string {
-	if i < 0 || i >= len(n.nodes) {
-		return ""
-	}
-	return n.nodes[i].Name
-}
-
 // Temperature returns the current temperature of node i in °C.
 func (n *Network) Temperature(i int) float64 { return n.temps[i] }
-
-// Temperatures returns a copy of all node temperatures in °C.
-func (n *Network) Temperatures() []float64 {
-	return append([]float64(nil), n.temps...)
-}
 
 // SetPower sets the power injected into node i, in watts. Injecting into a
 // boundary node is allowed but has no effect (ambient is an infinite sink).
@@ -218,9 +184,6 @@ func (n *Network) SetPower(i int, watts float64) error {
 	n.power[i] = watts
 	return nil
 }
-
-// Power returns the power currently injected into node i, in watts.
-func (n *Network) Power(i int) float64 { return n.power[i] }
 
 // SetBoundary changes the pinned temperature of boundary node i (ambient
 // drift, room air conditioning cycles). It is an error on a dynamic node.
@@ -250,12 +213,6 @@ func (n *Network) SetEdgeResistance(k int, rKPerW float64) error {
 	return nil
 }
 
-// EdgeResistance returns edge k's current thermal resistance.
-func (n *Network) EdgeResistance(k int) float64 { return n.edges[k].ResistKPerW }
-
-// Elapsed reports total simulated time integrated so far.
-func (n *Network) Elapsed() time.Duration { return n.elapsed }
-
 // Step integrates the network forward by dt with the current power
 // injection, sub-stepping as needed for stability. Negative dt is an
 // error; zero dt is a no-op.
@@ -272,7 +229,6 @@ func (n *Network) Step(dt time.Duration) error {
 		n.rk2Step(h)
 		remaining -= h
 	}
-	n.elapsed += dt
 	return nil
 }
 
@@ -336,34 +292,4 @@ func (n *Network) SteadyState() []float64 {
 		}
 	}
 	return t
-}
-
-// Reset returns every node to its initial temperature, clears injected
-// power and rewinds elapsed time.
-func (n *Network) Reset() {
-	for i, nd := range n.nodes {
-		n.temps[i] = nd.InitialC
-		n.power[i] = 0
-	}
-	n.elapsed = 0
-}
-
-// TimeConstant estimates the dominant RC time constant (seconds) of
-// dynamic node i: C_i divided by the sum of its edge conductances. This is
-// the e-folding time of its exponential approach to equilibrium.
-func (n *Network) TimeConstant(i int) (float64, error) {
-	if i < 0 || i >= len(n.nodes) {
-		return 0, fmt.Errorf("thermal: node %d out of range", i)
-	}
-	if n.nodes[i].Boundary() {
-		return 0, fmt.Errorf("thermal: node %d is a boundary node", i)
-	}
-	var gsum float64
-	for _, a := range n.adj[i] {
-		gsum += n.gs[a.edge]
-	}
-	if gsum == 0 {
-		return math.Inf(1), nil
-	}
-	return n.nodes[i].CapacitanceJPerK / gsum, nil
 }

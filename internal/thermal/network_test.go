@@ -29,22 +29,6 @@ func TestUnitConversions(t *testing.T) {
 		if got := CToF(cse.c); math.Abs(got-cse.f) > 1e-9 {
 			t.Errorf("CToF(%v) = %v, want %v", cse.c, got, cse.f)
 		}
-		if got := FToC(cse.f); math.Abs(got-cse.c) > 1e-9 {
-			t.Errorf("FToC(%v) = %v, want %v", cse.f, got, cse.c)
-		}
-	}
-}
-
-func TestConversionRoundTripProperty(t *testing.T) {
-	f := func(c float64) bool {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return true
-		}
-		c = math.Mod(c, 1e6)
-		return math.Abs(FToC(CToF(c))-c) < 1e-6*(1+math.Abs(c))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -79,7 +63,7 @@ func TestFirstOrderStepMatchesAnalytic(t *testing.T) {
 	}
 	const R, C, P, Tamb = 0.5, 100.0, 40.0, 20.0
 	for _, secs := range []float64{10, 50, 200} {
-		n.Reset()
+		n = simpleRC(t)
 		_ = n.SetPower(1, P)
 		if err := n.Step(time.Duration(secs * float64(time.Second))); err != nil {
 			t.Fatal(err)
@@ -180,7 +164,7 @@ func TestSetEdgeResistance(t *testing.T) {
 	if err := n.SetEdgeResistance(0, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.EdgeResistance(0); got != 0.25 {
+	if got := 1 / n.gs[0]; got != 0.25 {
 		t.Errorf("EdgeResistance = %v", got)
 	}
 	ss := n.SteadyState()[1]
@@ -192,53 +176,6 @@ func TestSetEdgeResistance(t *testing.T) {
 	}
 	if err := n.SetEdgeResistance(3, 1); err == nil {
 		t.Error("out-of-range edge should fail")
-	}
-}
-
-func TestNodeLookup(t *testing.T) {
-	n := simpleRC(t)
-	i, err := n.NodeIndex("die")
-	if err != nil || i != 1 {
-		t.Errorf("NodeIndex(die) = %d, %v", i, err)
-	}
-	if _, err := n.NodeIndex("nope"); err == nil {
-		t.Error("unknown node should fail")
-	}
-	if n.NodeName(0) != "ambient" || n.NodeName(9) != "" {
-		t.Error("NodeName wrong")
-	}
-	if n.NumNodes() != 2 || n.NumEdges() != 1 {
-		t.Errorf("counts = %d nodes %d edges", n.NumNodes(), n.NumEdges())
-	}
-}
-
-func TestTimeConstant(t *testing.T) {
-	n := simpleRC(t)
-	tc, err := n.TimeConstant(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tc-50) > 1e-9 { // RC = 0.5·100
-		t.Errorf("time constant = %v, want 50", tc)
-	}
-	if _, err := n.TimeConstant(0); err == nil {
-		t.Error("boundary time constant should fail")
-	}
-	if _, err := n.TimeConstant(7); err == nil {
-		t.Error("out-of-range time constant should fail")
-	}
-}
-
-func TestResetAndElapsed(t *testing.T) {
-	n := simpleRC(t)
-	_ = n.SetPower(1, 40)
-	_ = n.Step(10 * time.Second)
-	if n.Elapsed() != 10*time.Second {
-		t.Errorf("Elapsed = %v", n.Elapsed())
-	}
-	n.Reset()
-	if n.Elapsed() != 0 || n.Temperature(1) != 20 || n.Power(1) != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 

@@ -34,12 +34,3 @@ func (o *OUProcess) Step(dt float64) float64 {
 	o.x = o.x*decay + o.amp*math.Sqrt(1-decay*decay)*o.rng.NormFloat64()
 	return o.x
 }
-
-// Value returns the current value without advancing.
-func (o *OUProcess) Value() float64 { return o.x }
-
-// Reset returns the process to zero with a fresh seed.
-func (o *OUProcess) Reset(seed int64) {
-	o.x = 0
-	o.rng = rand.New(rand.NewSource(seed))
-}

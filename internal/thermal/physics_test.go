@@ -113,7 +113,7 @@ func TestSuperpositionProperty(t *testing.T) {
 		_ = n.SetPower(2, pa)
 		_ = n.SetPower(3, pb)
 		_ = n.Step(37 * time.Second)
-		return n.Temperatures()
+		return n.temps
 	}
 	onlyA := run(40, 0)
 	onlyB := run(0, 25)
@@ -143,7 +143,6 @@ func TestCoolingIsHeatingMirrored(t *testing.T) {
 	_ = n.Step(25 * time.Second) // heat partway
 	up := n.Temperature(1) - 20
 	// Now cool from full equilibrium for the same duration.
-	n.Reset()
 	n.temps[1] = 20 + p*0.5
 	_ = n.SetPower(1, 0)
 	_ = n.Step(25 * time.Second)

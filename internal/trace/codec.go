@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,43 +34,32 @@ const (
 // ErrBadFormat reports a malformed or foreign trace stream.
 var ErrBadFormat = errors.New("trace: bad trace format")
 
+// writeChunk is how many encoded bytes Write gathers before handing them
+// to w, so its buffer does not grow with the trace.
+const writeChunk = 4096
+
 // Write serialises the trace to w in the TPST format.
 func (tr *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	putUvarint := func(v uint64) error { return writeUvarint(bw, v) }
-	putVarint := func(v int64) error { return writeVarint(bw, v) }
-
-	if err := binary.Write(bw, binary.LittleEndian, uint32(formatMagic)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(formatVersion)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(tr.NodeID)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(tr.Rank)); err != nil {
-		return err
-	}
+	b := make([]byte, 0, writeChunk+64) // room for one more event past the threshold
+	b = binary.LittleEndian.AppendUint32(b, formatMagic)
+	b = binary.LittleEndian.AppendUint16(b, formatVersion)
+	b = binary.AppendUvarint(b, uint64(tr.NodeID))
+	b = binary.AppendUvarint(b, uint64(tr.Rank))
 
 	sym := tr.Sym
 	if sym == nil {
 		sym = NewSymTab()
 	}
 	// The whole table as one symbol section: the layout v2 kept.
-	syms, _, err := AppendSymbols(nil, sym, 0)
+	b, _, err := AppendSymbols(b, sym, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := bw.Write(syms); err != nil {
-		return err
-	}
 
-	if err := putUvarint(uint64(len(tr.Events))); err != nil {
-		return err
-	}
+	b = binary.AppendUvarint(b, uint64(len(tr.Events)))
 	var prevTS int64
-	for i, e := range tr.Events {
+	for i := range tr.Events {
+		e := &tr.Events[i]
 		if err := e.Valid(); err != nil {
 			return fmt.Errorf("trace: event %d: %w", i, err)
 		}
@@ -79,36 +67,28 @@ func (tr *Trace) Write(w io.Writer) error {
 		if ts < prevTS {
 			return fmt.Errorf("trace: event %d timestamp %v regresses (events must be time-sorted)", i, e.TS)
 		}
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.Lane)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(ts - prevTS)); err != nil {
-			return err
-		}
+		b = append(b, byte(e.Kind))
+		b = binary.AppendUvarint(b, uint64(e.Lane))
+		b = binary.AppendUvarint(b, uint64(ts-prevTS))
 		prevTS = ts
 		switch e.Kind {
 		case KindEnter, KindExit, KindMarker:
-			if err := putUvarint(uint64(e.FuncID)); err != nil {
-				return err
-			}
+			b = binary.AppendUvarint(b, uint64(e.FuncID))
 		case KindSample:
-			if err := putUvarint(uint64(e.SensorID)); err != nil {
-				return err
-			}
-			milli := int64(math.Round(e.ValueC * 1000))
-			if err := putVarint(milli); err != nil {
-				return err
-			}
+			b = binary.AppendUvarint(b, uint64(e.SensorID))
+			b = binary.AppendVarint(b, int64(math.Round(e.ValueC*1000)))
 		case KindDrop:
-			if err := putUvarint(e.Aux); err != nil {
+			b = binary.AppendUvarint(b, e.Aux)
+		}
+		if len(b) >= writeChunk {
+			if _, err := w.Write(b); err != nil {
 				return err
 			}
+			b = b[:0]
 		}
 	}
-	return bw.Flush()
+	_, err = w.Write(b)
+	return err
 }
 
 // ReadTrace parses a TPST stream back into a Trace by accumulating a
@@ -144,4 +124,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		sortEvents(tr.Events)
 	}
 	return tr, nil
+}
+
+// eventCap bounds a preallocation hint derived from an untrusted declared
+// count, so a hostile header cannot force a huge allocation up front.
+func eventCap(declared uint64) int {
+	return int(min(declared, 1<<20))
 }

@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -229,33 +232,6 @@ func TestCompactness(t *testing.T) {
 	}
 }
 
-func TestSymTabResolveAddr(t *testing.T) {
-	s := NewSymTab()
-	a := s.Register("alpha")
-	b := s.Register("beta")
-	addrA, _ := s.Addr(a)
-	addrB, _ := s.Addr(b)
-	if addrB <= addrA {
-		t.Fatalf("addresses not ascending: %#x %#x", addrA, addrB)
-	}
-	if name, err := s.ResolveAddr(addrA); err != nil || name != "alpha" {
-		t.Errorf("ResolveAddr(base) = %q, %v", name, err)
-	}
-	// Mid-function address resolves to the containing function.
-	if name, err := s.ResolveAddr(addrA + 8); err != nil || name != "alpha" {
-		t.Errorf("ResolveAddr(mid) = %q, %v", name, err)
-	}
-	if name, err := s.ResolveAddr(addrB + 100); err != nil || name != "beta" {
-		t.Errorf("ResolveAddr(past last) = %q, %v", name, err)
-	}
-	if _, err := s.ResolveAddr(0); err == nil {
-		t.Error("address below text segment should fail")
-	}
-	if _, err := NewSymTab().ResolveAddr(symBase); err == nil {
-		t.Error("empty symtab resolution should fail")
-	}
-}
-
 func TestSymTabErrors(t *testing.T) {
 	s := NewSymTab()
 	if _, err := s.Name(0); err == nil {
@@ -263,13 +239,6 @@ func TestSymTabErrors(t *testing.T) {
 	}
 	if _, err := s.Addr(0); err == nil {
 		t.Error("unknown id should fail")
-	}
-	if _, ok := s.Lookup("ghost"); ok {
-		t.Error("ghost lookup should miss")
-	}
-	id := s.Register("real")
-	if got, ok := s.Lookup("real"); !ok || got != id {
-		t.Error("lookup after register failed")
 	}
 }
 
@@ -316,5 +285,57 @@ func BenchmarkTraceRead(b *testing.B) {
 		if _, err := ReadTrace(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/v1.tpst")
+
+// v1GoldenTrace has every event kind, lane and sensor ids past one varint
+// byte, a negative sample, a large drop count and a long Δts, followed by
+// a run long enough to cross the writer's flush threshold several times.
+func v1GoldenTrace() *Trace {
+	sym := NewSymTab()
+	f, g := sym.Register("main"), sym.Register("solve")
+	evs := []Event{
+		{Kind: KindEnter, Lane: 0, TS: 0, FuncID: f},
+		{Kind: KindSample, SensorID: 1, ValueC: 39.25, TS: time.Millisecond},
+		{Kind: KindEnter, Lane: 700, TS: time.Millisecond, FuncID: g},
+		{Kind: KindSample, SensorID: 200, ValueC: -12.3456, TS: 250 * time.Millisecond},
+		{Kind: KindMarker, Lane: 0, TS: time.Second, FuncID: f},
+		{Kind: KindDrop, Lane: 700, TS: time.Second, Aux: 1 << 40},
+		{Kind: KindExit, Lane: 700, TS: 90 * time.Minute, FuncID: g},
+	}
+	ts := 90 * time.Minute
+	for i := 0; i < 2000; i++ {
+		ts += time.Duration(i%977) * time.Microsecond
+		evs = append(evs, Event{Kind: KindEnter + EventKind(i%2), Lane: uint32(i % 3), TS: ts, FuncID: g})
+	}
+	evs = append(evs, Event{Kind: KindExit, Lane: 0, TS: ts + 1, FuncID: f})
+	return &Trace{NodeID: 300, Rank: 2, Sym: sym, Events: evs}
+}
+
+// TestWriteV1Golden pins the bytes Trace.Write emits: the v1 format
+// cmd/tempest -trace-dir writes. Regenerate with -update only when the
+// format itself changes.
+func TestWriteV1Golden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := v1GoldenTrace().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "v1.tpst")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Trace.Write emitted %d bytes that differ from the %d in %s", buf.Len(), len(want), path)
 	}
 }

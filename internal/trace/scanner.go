@@ -202,9 +202,6 @@ func (s *Scanner) DeclaredEvents() uint64 {
 	return 0
 }
 
-// Events reports how many events have been decoded so far.
-func (s *Scanner) Events() uint64 { return s.decoded }
-
 // Truncated reports whether a version-2 stream ended in a torn or
 // corrupt tail and only the intact prefix was decoded. It is final once
 // Next has returned io.EOF.

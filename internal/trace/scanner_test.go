@@ -53,8 +53,8 @@ func TestScannerV1MatchesReadTrace(t *testing.T) {
 	if sc.Truncated() {
 		t.Error("clean v1 stream reported truncated")
 	}
-	if sc.Events() != uint64(len(orig.Events)) {
-		t.Errorf("Events() = %d", sc.Events())
+	if sc.decoded != uint64(len(orig.Events)) {
+		t.Errorf("Events() = %d", sc.decoded)
 	}
 }
 
@@ -260,8 +260,8 @@ func TestScannerResetRescansNewStream(t *testing.T) {
 	if sc.Version() != 2 {
 		t.Errorf("after Reset onto v2 stream, Version() = %d", sc.Version())
 	}
-	if sc.Events() != 0 {
-		t.Errorf("Events() = %d after Reset, want 0", sc.Events())
+	if sc.decoded != 0 {
+		t.Errorf("Events() = %d after Reset, want 0", sc.decoded)
 	}
 	second := drainScanner(t, sc)
 	sortEvents(second)

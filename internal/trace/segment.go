@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -60,15 +59,14 @@ type Writer struct {
 // NewWriter writes the stream header immediately and returns the
 // incremental writer.
 func NewWriter(w io.Writer, nodeID, rank uint32) (*Writer, error) {
-	var hdr bytes.Buffer
-	binary.Write(&hdr, binary.LittleEndian, uint32(formatMagic))
-	binary.Write(&hdr, binary.LittleEndian, uint16(formatVersionSeg))
-	writeUvarint(&hdr, uint64(nodeID))
-	writeUvarint(&hdr, uint64(rank))
-	if _, err := w.Write(hdr.Bytes()); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(nil, formatMagic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, formatVersionSeg)
+	hdr = binary.AppendUvarint(hdr, uint64(nodeID))
+	hdr = binary.AppendUvarint(hdr, uint64(rank))
+	if _, err := w.Write(hdr); err != nil {
 		return nil, fmt.Errorf("trace: segmented header: %w", err)
 	}
-	return &Writer{w: w, bytes: uint64(hdr.Len())}, nil
+	return &Writer{w: w, bytes: uint64(len(hdr))}, nil
 }
 
 // Flush appends the new tail of the trace: any symbols registered since
@@ -127,9 +125,6 @@ func (sw *Writer) Segments() int { return sw.segments }
 
 // Bytes reports how many bytes the writer has emitted, header included.
 func (sw *Writer) Bytes() uint64 { return sw.bytes }
-
-// Err returns the poisoning error, if any.
-func (sw *Writer) Err() error { return sw.err }
 
 // WriteSegmented serialises the whole trace in the crash-safe segmented
 // format in batches of batch events per segment (0 = one segment). It is

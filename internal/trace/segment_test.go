@@ -296,7 +296,7 @@ func TestWriterPoisonedAfterError(t *testing.T) {
 	if err := w.Flush(nil, nil); err == nil {
 		t.Fatal("poisoned writer must keep failing")
 	}
-	if w.Err() == nil {
+	if w.err == nil {
 		t.Fatal("Err should report the poison")
 	}
 }

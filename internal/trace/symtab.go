@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -66,28 +65,6 @@ func (s *SymTab) Addr(id uint32) (uint64, error) {
 		return 0, fmt.Errorf("trace: unknown function id %d", id)
 	}
 	return s.addrs[id], nil
-}
-
-// Lookup returns the FuncID registered for name.
-func (s *SymTab) Lookup(name string) (uint32, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.byName[name]
-	return id, ok
-}
-
-// ResolveAddr maps a synthetic address back to the function containing it,
-// the way the paper's parser maps sampled addresses through the ELF symbol
-// table: the function with the greatest address ≤ addr wins.
-func (s *SymTab) ResolveAddr(addr uint64) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.addrs) == 0 || addr < s.addrs[0] {
-		return "", fmt.Errorf("trace: address %#x below text segment", addr)
-	}
-	// addrs are ascending by construction.
-	i := sort.Search(len(s.addrs), func(i int) bool { return s.addrs[i] > addr })
-	return s.names[i-1], nil
 }
 
 // Len reports the number of registered functions.

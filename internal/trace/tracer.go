@@ -243,9 +243,6 @@ func (l *Lane) exitLocked(fid uint32, ts time.Duration) (time.Duration, error) {
 	return top.ts, nil
 }
 
-// Depth reports the current shadow-stack depth.
-func (l *Lane) Depth() int { return len(l.stack) }
-
 // Instrument wraps fn with Enter/Exit — the Go equivalent of compiling
 // one function with -finstrument-functions.
 func (l *Lane) Instrument(name string, fn func()) error {
@@ -261,12 +258,6 @@ func (l *Lane) Instrument(name string, fn func()) error {
 	}()
 	fn()
 	return l.Exit(fid)
-}
-
-// Marker records an annotation event on the lane.
-func (l *Lane) Marker(name string) {
-	fid := l.tracer.RegisterFunc(name)
-	l.record(Event{TS: l.tracer.now(), Lane: l.id, Kind: KindMarker, FuncID: fid})
 }
 
 // Sample records a temperature reading (°C) for sensor sid on lane 0; the

@@ -75,8 +75,8 @@ func TestExitValidation(t *testing.T) {
 	if err := lane.Exit(bar); !errors.Is(err, ErrStackMismatch) {
 		t.Errorf("mismatched exit err = %v", err)
 	}
-	if lane.Depth() != 0 {
-		t.Errorf("depth after pop = %d", lane.Depth())
+	if len(lane.stack) != 0 {
+		t.Errorf("depth after pop = %d", len(lane.stack))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestRecursionDepth(t *testing.T) {
 	if len(evs) != 22 {
 		t.Fatalf("events = %d, want 22", len(evs))
 	}
-	if lane.Depth() != 0 {
-		t.Errorf("depth = %d after balanced recursion", lane.Depth())
+	if len(lane.stack) != 0 {
+		t.Errorf("depth = %d after balanced recursion", len(lane.stack))
 	}
 }
 
@@ -349,14 +349,18 @@ func TestClockedEnterExitClamp(t *testing.T) {
 	lane.Enter(f)
 	tr.Drain()
 	clk.now = 95
-	lane.Marker("m")
+	g := tr.RegisterFunc("g")
+	lane.Enter(g)
 	clk.now = 90
+	if err := lane.Exit(g); err != nil {
+		t.Fatal(err)
+	}
 	if err := lane.Exit(f); err != nil {
 		t.Fatal(err)
 	}
 	ev, _ := tr.Drain()
-	if len(ev) != 2 {
-		t.Fatalf("drained %d events, want marker and exit", len(ev))
+	if len(ev) != 3 {
+		t.Fatalf("drained %d events, want enter, exit and exit", len(ev))
 	}
 	for _, e := range ev {
 		if e.TS != 100 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // CoreSpec describes one simulated core's timestamp counter.
@@ -43,15 +42,6 @@ func NewTSC(clock Clock, cores []CoreSpec) (*TSC, error) {
 	return &TSC{clock: clock, cores: append([]CoreSpec(nil), cores...)}, nil
 }
 
-// UniformCores returns n identical core specs at freqHz with no skew.
-func UniformCores(n int, freqHz float64) []CoreSpec {
-	cores := make([]CoreSpec, n)
-	for i := range cores {
-		cores[i] = CoreSpec{FreqHz: freqHz}
-	}
-	return cores
-}
-
 // SkewedCores returns n core specs at freqHz whose skew and drift are
 // drawn deterministically from seed: skew uniform in ±maxSkewCycles and
 // drift uniform in ±maxDriftPPM. Core 0 is the reference (zero skew).
@@ -80,13 +70,6 @@ func (t *TSC) Read(core int) int64 {
 	c := t.cores[core]
 	elapsed := t.clock.Now().Seconds()
 	return c.SkewCycles + int64(elapsed*c.FreqHz*(1+c.DriftPPM/1e6))
-}
-
-// CyclesToDuration converts a cycle delta on core to wall time using the
-// core's nominal frequency (drift is not observable without calibration,
-// exactly as on real hardware).
-func (t *TSC) CyclesToDuration(core int, cycles int64) time.Duration {
-	return time.Duration(float64(cycles) / t.cores[core].FreqHz * float64(time.Second))
 }
 
 // Reader timestamps events by reading a TSC. A bound reader always reads
@@ -131,13 +114,6 @@ func (r *Reader) Read() (int64, int) {
 	return c, core
 }
 
-// Bound reports the pinned core, or -1 if the reader is unbound.
-func (r *Reader) Bound() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bound
-}
-
 // Calibrate measures each core's offset relative to core 0 by reading all
 // counters at (virtually) the same instant and installs compensation
 // offsets, the alternative to binding that the paper leaves to future
@@ -152,22 +128,4 @@ func (r *Reader) Calibrate() {
 		comp[core] = r.tsc.Read(core) - ref
 	}
 	r.comp = comp
-}
-
-// ClearCalibration removes installed compensation offsets.
-func (r *Reader) ClearCalibration() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.comp = nil
-}
-
-// MeasureSkew reports the instantaneous counter offset of every core
-// relative to core 0, in cycles. Useful for diagnostics and tests.
-func (t *TSC) MeasureSkew() []int64 {
-	ref := t.Read(0)
-	out := make([]int64, len(t.cores))
-	for i := range t.cores {
-		out[i] = t.Read(i) - ref
-	}
-	return out
 }

@@ -19,7 +19,6 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -55,61 +54,4 @@ func (c *VirtualClock) Advance(d time.Duration) time.Duration {
 		panic(fmt.Sprintf("vclock: negative advance %v", d))
 	}
 	return time.Duration(c.now.Add(int64(d)))
-}
-
-// Set jumps the clock to t, which must not be before the current time.
-func (c *VirtualClock) Set(t time.Duration) {
-	for {
-		cur := c.now.Load()
-		if int64(t) < cur {
-			panic(fmt.Sprintf("vclock: Set(%v) would move time backward from %v", t, time.Duration(cur)))
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
-
-// OffsetClock presents a base clock shifted by a constant offset; the
-// cluster package uses it to give each node an independent boot origin.
-type OffsetClock struct {
-	Base   Clock
-	Offset time.Duration
-}
-
-// Now returns the base time plus the offset.
-func (c *OffsetClock) Now() time.Duration { return c.Base.Now() + c.Offset }
-
-// ScaledClock presents a base clock running at a rate multiplier. Tempest
-// uses it to replay scaled-down workloads on the paper's original time
-// scale (a class-S NAS run finishing in milliseconds is stretched so phase
-// boundaries land at the seconds the paper's figures show).
-type ScaledClock struct {
-	Base Clock
-	// Rate multiplies elapsed base time; Rate 2 means this clock runs
-	// twice as fast as Base. Must be positive.
-	Rate float64
-
-	mu     sync.Mutex
-	last   time.Duration // guarded by mu; last Base reading
-	scaled time.Duration // guarded by mu; accumulated scaled time
-}
-
-// NewScaledClock returns a scaled view of base. It returns an error for a
-// non-positive rate.
-func NewScaledClock(base Clock, rate float64) (*ScaledClock, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("vclock: scale rate must be positive, got %v", rate)
-	}
-	return &ScaledClock{Base: base, Rate: rate, last: base.Now()}, nil
-}
-
-// Now returns the scaled elapsed time.
-func (c *ScaledClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.Base.Now()
-	c.scaled += time.Duration(float64(now-c.last) * c.Rate)
-	c.last = now
-	return c.scaled
 }
