@@ -33,7 +33,7 @@ tempest-vet:
 	$(GO) run ./cmd/tempest-vet ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # Race-detector pass over the whole module. Everything here runs real
 # concurrency somewhere (tracer lanes, tempd, MPI ranks, parser pool,

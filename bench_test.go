@@ -283,7 +283,7 @@ func BenchmarkSec32_SensorValidation(b *testing.B) {
 		}
 		var virt time.Duration
 		ext := &sensors.ExternalSensor{
-			CPU: cpu, Mu: &mu, Socket: 0, LagS: 0.5, NoiseC: 0.05, Seed: 9,
+			CPU: cpu, Mu: &mu, LagS: 0.5, NoiseC: 0.05, Seed: 9,
 			ClockNow: func() time.Duration { return virt },
 		}
 		if _, err := ext.ReadC(); err != nil {

@@ -81,7 +81,7 @@ func runChaosScenario(t *testing.T, seed int64) chaosOutcome {
 	// the prefix that made it out — a SIGKILLed tempd's trace file.
 	var disk bytes.Buffer
 	fw := faultinject.NewFaultyWriter(&disk, plan, faultinject.WriterFaults{FailAfterBytes: 600})
-	tw, err := trace.NewWriter(fw, tr.NodeID(), tr.Rank())
+	tw, err := trace.NewWriter(fw, tr.NodeID(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

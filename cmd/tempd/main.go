@@ -91,7 +91,7 @@ func run(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	tw, err := trace.NewWriter(w, tracer.NodeID(), tracer.Rank())
+	tw, err := trace.NewWriter(w, tracer.NodeID(), 0)
 	if err != nil {
 		return err
 	}

@@ -189,7 +189,7 @@ func startDaemonProc(t *testing.T, bin, ingest, httpAddr, dir string) *exec.Cmd 
 func buildChaosTrace(t *testing.T, node uint32, funcs []string, calls int) *trace.Trace {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node, Rank: node, LaneBufferCap: 1 << 20})
+	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node, LaneBufferCap: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,9 @@ func buildChaosTrace(t *testing.T, node uint32, funcs []string, calls int) *trac
 			t.Fatal(err)
 		}
 	}
-	return tr.Finish()
+	trc := tr.Finish()
+	trc.Rank = node
+	return trc
 }
 
 // TestDaemonStoreChaosSIGKILL is the acceptance property from the issue:

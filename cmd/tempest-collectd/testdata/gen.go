@@ -25,7 +25,7 @@ import (
 
 func main() {
 	clk := vclock.NewVirtualClock()
-	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: 1, Rank: 0, LaneBufferCap: 1 << 20})
+	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: 1, LaneBufferCap: 1 << 20})
 	if err != nil {
 		panic(err)
 	}

@@ -169,11 +169,11 @@ func buildPlan(dir string, budget float64) (*costmodel.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := callgraph.Build(pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pkgs)
 	if err != nil {
 		return nil, err
 	}
-	return costmodel.Analyze(g, costmodel.Options{}).BuildPlan(budget), nil
+	return costmodel.Analyze(g).BuildPlan(budget), nil
 }
 
 // writePlan renders the plan to path, stdout for "-".

@@ -224,11 +224,11 @@ func TestBudgetPlanKeepsOverheadUnderPaperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := callgraph.Build(pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := costmodel.Analyze(g, costmodel.Options{})
+	model := costmodel.Analyze(g)
 	plan := model.BuildPlan(budget)
 	if plan.EstimatedOverhead > budget {
 		t.Fatalf("planned overhead %.4f exceeds budget %.2f", plan.EstimatedOverhead, budget)

@@ -14,7 +14,7 @@
 //     actually invokes the parameter — including through forwarding
 //     chains (f passes its callback to g, g to h, h calls it);
 //   - interface call sites are devirtualized when the loaded program
-//     contains a bounded number of implementing types (Options.MaxDevirt),
+//     contains a bounded number of implementing types (maxDevirt),
 //     producing one edge per concrete method with the fan-out recorded so
 //     cost models can split frequency between targets.
 //
@@ -33,30 +33,17 @@ import (
 	"tempest/internal/analysis"
 )
 
-// Options tunes graph construction.
-type Options struct {
-	// MaxDevirt bounds interface-call devirtualization: a call through an
+const (
+	// maxDevirt bounds interface-call devirtualization: a call through an
 	// interface with at most this many implementing types in the loaded
 	// program gets one edge per concrete method; busier interfaces stay
-	// unresolved (default 4).
-	MaxDevirt int
-	// ExternalParamDepth is the loop depth assumed when a func-typed
+	// unresolved.
+	maxDevirt = 4
+	// externalParamDepth is the loop depth assumed when a func-typed
 	// argument is handed to a function outside the loaded set (sort.Slice
-	// and friends usually invoke their callbacks in a loop; default 1).
-	ExternalParamDepth int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxDevirt <= 0 {
-		o.MaxDevirt = 4
-	}
-	if o.ExternalParamDepth < 0 {
-		o.ExternalParamDepth = 0
-	} else if o.ExternalParamDepth == 0 {
-		o.ExternalParamDepth = 1
-	}
-	return o
-}
+	// and friends usually invoke their callbacks in a loop).
+	externalParamDepth = 1
+)
 
 // EdgeKind classifies how a call edge was resolved.
 type EdgeKind uint8
@@ -161,7 +148,6 @@ type Graph struct {
 	// callees appear before their callers, so a bottom-up cost
 	// propagation is a single forward sweep.
 	SCCs [][]*Node
-	Opts Options
 
 	byObj map[*types.Func]*Node
 	// litNodes memoizes function-literal nodes so the argument resolver
@@ -173,13 +159,12 @@ type Graph struct {
 }
 
 // Build constructs the call graph for the loaded packages.
-func Build(pkgs []*analysis.Package, opts Options) (*Graph, error) {
+func Build(pkgs []*analysis.Package) (*Graph, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("callgraph: no packages")
 	}
 	g := &Graph{
 		Nodes:    map[string]*Node{},
-		Opts:     opts.withDefaults(),
 		byObj:    map[*types.Func]*Node{},
 		litNodes: map[litKey]*Node{},
 	}
@@ -357,9 +342,6 @@ func funcParamSet(obj *types.Func) map[int]bool {
 	return out
 }
 
-// Lookup returns the node with the given ID, nil if absent.
-func (g *Graph) Lookup(id string) *Node { return g.Nodes[id] }
-
 // NodeByObj returns the node for a function object already in the graph
 // (declared functions after Build), nil if absent. Unlike the internal
 // resolver it never creates external stubs.
@@ -441,7 +423,7 @@ func (g *Graph) solveParamCalls() {
 					// Forwarding: n passes its own parameter p as the j-th
 					// argument of callee c, and c invokes parameter j.
 					if fa.Param >= 0 && it.Callee != nil {
-						if d, ok := it.Callee.paramDepth(j, g.Opts.ExternalParamDepth); ok {
+						if d, ok := it.Callee.paramDepth(j, externalParamDepth); ok {
 							if merge(n.paramCalls, fa.Param, it.Depth+d) {
 								changed = true
 							}
@@ -451,9 +433,9 @@ func (g *Graph) solveParamCalls() {
 					// invokes it, the literal's captured-parameter calls
 					// land back on n.
 					if fa.Node != nil && fa.Node.owner == n {
-						d, ok := g.Opts.ExternalParamDepth, true
+						d, ok := externalParamDepth, true
 						if it.Callee != nil {
-							d, ok = it.Callee.paramDepth(j, g.Opts.ExternalParamDepth)
+							d, ok = it.Callee.paramDepth(j, externalParamDepth)
 						} else if it.ParamCallee >= 0 {
 							ok = false // routed through our own parameter: opaque
 						}
@@ -530,7 +512,7 @@ func (g *Graph) elaborateBindings() {
 				var ok bool
 				switch {
 				case it.Callee != nil:
-					d, ok = it.Callee.paramDepth(j, g.Opts.ExternalParamDepth)
+					d, ok = it.Callee.paramDepth(j, externalParamDepth)
 					callee = fa.Node
 				case it.ParamCallee >= 0:
 					// Passing a func to a call through one of our own
@@ -538,7 +520,7 @@ func (g *Graph) elaborateBindings() {
 				default:
 					// Unresolved call target holding a func arg: assume it
 					// invokes the callback at the external default depth.
-					d, ok = g.Opts.ExternalParamDepth, true
+					d, ok = externalParamDepth, true
 					callee = fa.Node
 				}
 				if !ok || callee == nil {

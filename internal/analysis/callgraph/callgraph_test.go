@@ -19,7 +19,7 @@ func loadEdge(t *testing.T) *callgraph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := callgraph.Build(pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func loadEdge(t *testing.T) *callgraph.Graph {
 // edges returns the IDs of n's resolved callees, with edge kinds.
 func edges(t *testing.T, g *callgraph.Graph, id string) map[string]callgraph.EdgeKind {
 	t.Helper()
-	n := g.Lookup(id)
+	n := g.Nodes[id]
 	if n == nil {
 		t.Fatalf("node %q not in graph", id)
 	}
@@ -42,7 +42,7 @@ func edges(t *testing.T, g *callgraph.Graph, id string) map[string]callgraph.Edg
 
 func TestMutualRecursionSharesSCC(t *testing.T) {
 	g := loadEdge(t)
-	ping, pong := g.Lookup("edge.Ping"), g.Lookup("edge.Pong")
+	ping, pong := g.Nodes["edge.Ping"], g.Nodes["edge.Pong"]
 	if ping == nil || pong == nil {
 		t.Fatal("Ping/Pong nodes missing")
 	}
@@ -58,8 +58,8 @@ func TestMutualRecursionSharesSCC(t *testing.T) {
 
 	// Cost propagation over the cycle must converge to finite values
 	// (the intra-SCC cut charges callee Self, never chasing Total).
-	m := costmodel.Analyze(g, costmodel.Options{})
-	fc := m.Costs[g.Lookup("edge.Ping")]
+	m := costmodel.Analyze(g)
+	fc := m.Costs[g.Nodes["edge.Ping"]]
 	if fc == nil {
 		t.Fatal("no cost for edge.Ping")
 	}
@@ -90,9 +90,9 @@ func TestGenericInstantiation(t *testing.T) {
 	}
 	// The function arguments passed into Apply must reach their callees:
 	// Apply invokes its parameter, so double/shout get bound edges.
-	m := costmodel.Analyze(g, costmodel.Options{Roots: []string{"edge.UseGenerics"}})
+	m := costmodel.Analyze(g)
 	for _, leaf := range []string{"edge.double", "edge.shout"} {
-		fc := m.Costs[g.Lookup(leaf)]
+		fc := m.Costs[g.Nodes[leaf]]
 		if fc == nil {
 			t.Fatalf("no cost entry for %s", leaf)
 		}
@@ -114,7 +114,7 @@ func TestInterfaceDevirtualization(t *testing.T) {
 		t.Errorf("single-implementer site has %d edges: %v", len(lone), lone)
 	}
 
-	// Many implementers (3 <= MaxDevirt): fan out to all of them.
+	// Many implementers (3 <= maxDevirt): fan out to all of them.
 	crowd := edges(t, g, "edge.CallCrowded")
 	for _, want := range []string{"edge.implA.Pick", "edge.implB.Pick", "edge.implC.Pick"} {
 		if kind, ok := crowd[want]; !ok || kind != callgraph.EdgeDevirt {
@@ -128,8 +128,8 @@ func TestInterfaceDevirtualization(t *testing.T) {
 	if len(orphan) != 0 {
 		t.Errorf("no-implementer site grew edges: %v", orphan)
 	}
-	m := costmodel.Analyze(g, costmodel.Options{})
-	if fc := m.Costs[g.Lookup("edge.CallOrphan")]; fc == nil || fc.Self <= 0 {
+	m := costmodel.Analyze(g)
+	if fc := m.Costs[g.Nodes["edge.CallOrphan"]]; fc == nil || fc.Self <= 0 {
 		t.Errorf("dynamic call site not charged as work: %+v", fc)
 	}
 }

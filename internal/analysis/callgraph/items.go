@@ -479,7 +479,7 @@ func (b *bodyBuilder) resolveFuncArg(arg ast.Expr) (FuncArg, bool) {
 }
 
 // devirtualize finds the concrete methods implementing an interface
-// call, bounded by Options.MaxDevirt. nil means the site stays dynamic.
+// call, bounded by maxDevirt. nil means the site stays dynamic.
 func (g *Graph) devirtualize(iface *types.Interface, method string) []*Node {
 	if iface.Empty() {
 		return nil
@@ -510,7 +510,7 @@ func (g *Graph) devirtualize(iface *types.Interface, method string) []*Node {
 		}
 		seen[n] = true
 		targets = append(targets, n)
-		if len(targets) > g.Opts.MaxDevirt {
+		if len(targets) > maxDevirt {
 			return nil // too hot to expand: keep the site dynamic
 		}
 	}

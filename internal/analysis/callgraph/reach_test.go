@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tempest/internal/analysis"
@@ -70,16 +72,10 @@ var allowed = map[string]string{
 // reached or listed in allowed, and every entry in allowed must still
 // name a declaration that exists and is not reached.
 func TestEveryDeclarationIsReached(t *testing.T) {
-	pkgs, err := analysis.Load(analysis.LoadConfig{Dir: ".", IncludeTests: true}, "./...", "./_bench")
+	r, err := loaded()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newReach(pkgs)
-	if err := r.taggedOut(); err != nil {
-		t.Fatal(err)
-	}
-	r.close()
-
 	used := map[string]bool{}
 	var unreached []*declInfo
 	lines := 0
@@ -109,6 +105,21 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 }
 
+// loaded is the module plus the pipeline benchmark driver, with its
+// reach closure: built once for both gates.
+var loaded = sync.OnceValues(func() (*reach, error) {
+	pkgs, err := analysis.Load(analysis.LoadConfig{Dir: ".", IncludeTests: true}, "./...", "./_bench")
+	if err != nil {
+		return nil, err
+	}
+	r := newReach(pkgs)
+	if err := r.taggedOut(); err != nil {
+		return nil, err
+	}
+	r.close()
+	return r, nil
+})
+
 // allowKey returns the allowed entry covering d, or "".
 func allowKey(d *declInfo) string {
 	if _, ok := allowed[d.key]; ok {
@@ -120,6 +131,218 @@ func allowKey(d *declInfo) string {
 	return ""
 }
 
+// Why an exported field that no reached code sets may stay. There are
+// three reasons and no others: a field that only selects a path no
+// binary takes goes, and one nobody sets becomes a constant.
+const (
+	seam      = "test seam: a clock, sleep, dialer, writer wrapper or fixture root a test substitutes"
+	shrunk    = "a wait, count or size a test shrinks so it runs fast"
+	safetyOff = "safety check, off by default: turning it on or deleting it changes behaviour"
+)
+
+// allowedFields lists every exported option field that reached code
+// reads but never sets, keyed "pkgpath.Type.Field".
+var allowedFields = map[string]string{
+	"tempest/internal/analysis.LoadConfig.ExtraRoot":           seam,
+	"tempest/internal/collect.Options.Now":                     seam,
+	"tempest/internal/collect.ShipperOptions.Sleep":            seam,
+	"tempest/internal/sensors.ResilientConfig.Sleep":           seam,
+	"tempest/internal/store.Options.WrapWriter":                seam,
+	"tempest/internal/collect.ShipperOptions.DialBackoffBase":  shrunk,
+	"tempest/internal/collect.ShipperOptions.DialBackoffMax":   shrunk,
+	"tempest/internal/collect.ShipperOptions.QueueLen":         shrunk,
+	"tempest/internal/sensors.ResilientConfig.BackoffBase":     shrunk,
+	"tempest/internal/sensors.ResilientConfig.BackoffMax":      shrunk,
+	"tempest/internal/sensors.ResilientConfig.MaxRetries":      shrunk,
+	"tempest/internal/sensors.ResilientConfig.ProbeEvery":      shrunk,
+	"tempest/internal/sensors.ResilientConfig.QuarantineAfter": shrunk,
+	"tempest/internal/report.PlotOptions.Width":                shrunk,
+	"tempest/internal/report.PlotOptions.Height":               shrunk,
+	"tempest/internal/sensors.ResilientConfig.StuckLimit":      safetyOff,
+}
+
+// TestEveryOptionIsSet is the field-level gate. It checks every exported
+// field of a struct declared in a non-test file of a module package,
+// other than the public API's and the test-support packages': if reached
+// code reads the field, reached code must also set it to something
+// other than a zero literal (false, 0, "", nil). A write by the type's
+// own withDefaults does not count. A write is an assignment, op=, ++ or
+// --, a composite-literal element, &x.F, a pointer-method call on x.F or
+// an index or slice of x.F. Any other such field must be listed in
+// allowedFields, and every entry there must still name one.
+func TestEveryOptionIsSet(t *testing.T) {
+	r, err := loaded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// owner maps each checked field to the named type declaring it.
+	owner := map[*types.Var]*types.Named{}
+	for _, d := range r.decls {
+		tn, ok := d.obj.(*types.TypeName)
+		if !ok || d.test || d.pkg == "tempest" || d.pkg == "tempest/instrument" || d.pkg == "tempest/_bench" || allowed[d.pkg+"/"] == testSupport {
+			continue
+		}
+		named, _ := tn.Type().(*types.Named)
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok && named != nil {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = named
+				}
+			}
+		}
+	}
+	read, set := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, d := range r.decls {
+		if r.reached[d.obj] {
+			fieldUses(d, owner, read, set)
+		}
+	}
+
+	used := map[string]bool{}
+	var unset []string
+	for f, named := range owner {
+		if !read[f] || set[f] {
+			continue
+		}
+		key := fmt.Sprintf("%s.%s.%s", named.Obj().Pkg().Path(), named.Obj().Name(), f.Name())
+		if _, ok := allowedFields[key]; ok {
+			used[key] = true
+		} else {
+			unset = append(unset, fmt.Sprintf("%s: %s is read but no binary, paper benchmark or public API sets it", r.pkgs[0].Fset.Position(f.Pos()), key))
+		}
+	}
+	sort.Strings(unset)
+	for _, msg := range unset {
+		t.Error(msg)
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d of %d exported fields are never set: make each a constant, or delete it with the path it selects", len(unset), len(owner))
+	}
+	for key, why := range allowedFields {
+		if !used[key] {
+			t.Errorf("allowedFields[%q] (%s) is stale: the field is set, unread or gone", key, why)
+		}
+	}
+}
+
+// fieldUses records which checked fields d's syntax reads and sets.
+func fieldUses(d *declInfo, owner map[*types.Var]*types.Named, read, set map[*types.Var]bool) {
+	info := d.info
+	// withDefaults fills in its own type's zero fields: not a setting.
+	var defaults *types.Named
+	if fn, ok := d.obj.(*types.Func); ok && fn.Name() == "withDefaults" {
+		defaults = recvNamed(fn.Type().(*types.Signature).Recv().Type())
+	}
+	write := func(f *types.Var, val ast.Expr) {
+		if named, ok := owner[f]; ok && named != defaults && (val == nil || !zeroLiteral(info, val)) {
+			set[f] = true
+		}
+	}
+	var stack []ast.Node
+	ast.Inspect(d.node, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						write(f.Origin(), kv.Value)
+					}
+				} else {
+					write(st.Field(i).Origin(), el)
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				break
+			}
+			f := sel.Obj().(*types.Var).Origin()
+			r, w, val := fieldAccess(info, stack)
+			if r {
+				read[f] = true
+			}
+			if w {
+				write(f, val)
+			}
+		}
+		return true
+	})
+}
+
+// fieldAccess classifies the field selector on top of stack: whether
+// the expression reads the field, writes it, and the value a plain
+// assignment stores.
+func fieldAccess(info *types.Info, stack []ast.Node) (read, write bool, val ast.Expr) {
+	e := stack[len(stack)-1]
+	through := false // the write lands in an element or field of the field
+	for i := len(stack) - 2; i >= 0; e, i = stack[i], i-1 {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+		case *ast.IndexExpr:
+			if p.X != e {
+				return true, false, nil
+			}
+			through = true
+		case *ast.SliceExpr:
+			return true, p.X == e, nil
+		case *ast.SelectorExpr:
+			sel := info.Selections[p]
+			if sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrField := info.TypeOf(e.(ast.Expr)).Underlying().(*types.Pointer)
+				return true, ptrRecv && !ptrField, nil
+			}
+			through = true
+		case *ast.UnaryExpr:
+			return true, p.Op == token.AND, nil
+		case *ast.IncDecStmt:
+			return true, true, nil
+		case *ast.AssignStmt:
+			for j, lhs := range p.Lhs {
+				if lhs != e {
+					continue
+				}
+				if p.Tok != token.ASSIGN || through {
+					return true, true, nil
+				}
+				if len(p.Rhs) == len(p.Lhs) {
+					val = p.Rhs[j]
+				}
+				return false, true, val
+			}
+			return true, false, nil
+		default:
+			return true, false, nil
+		}
+	}
+	return true, false, nil
+}
+
+// zeroLiteral reports whether e is written false, nil, "" or a zero
+// number.
+func zeroLiteral(info *types.Info, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return (e.Name == "false" || e.Name == "nil") && info.Uses[e] == types.Universe.Lookup(e.Name)
+	case *ast.BasicLit:
+		v := info.Types[e].Value
+		if v.Kind() == constant.String {
+			return constant.StringVal(v) == ""
+		}
+		return constant.Sign(v) == 0
+	}
+	return false
+}
+
 // declInfo is one package-level declaration or method of a loaded
 // module package.
 type declInfo struct {
@@ -129,6 +352,8 @@ type declInfo struct {
 	pos   token.Position
 	lines int
 	test  bool // declared in a _test.go file
+	node  ast.Node
+	info  *types.Info
 	// refs are the objects the declaration's syntax refers to.
 	refs []types.Object
 	// block are the constants of the declaration's iota block.
@@ -174,6 +399,8 @@ func (r *reach) addDecl(pkg *analysis.Package, decl ast.Decl, test bool) {
 			pos:   pkg.Fset.Position(name.Pos()),
 			lines: pkg.Fset.Position(node.End()).Line - pkg.Fset.Position(start).Line + 1,
 			test:  test,
+			node:  node,
+			info:  pkg.TypesInfo,
 			refs:  refsOf(pkg.TypesInfo, node),
 		}
 		r.decls = append(r.decls, d)

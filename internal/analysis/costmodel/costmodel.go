@@ -5,7 +5,7 @@
 // The model is deliberately simple and fully static:
 //
 //   - every loop level multiplies expected executions by a constant
-//     weight (Options.LoopWeight), so a statement in a triple nest
+//     weight (loopWeight), so a statement in a triple nest
 //     counts W³ against one at function entry;
 //   - costs propagate bottom-up over the call graph's SCC condensation
 //     (recursive cycles are cut by charging a member's self cost once),
@@ -28,27 +28,13 @@ import (
 	"tempest/internal/analysis/callgraph"
 )
 
-// Options tunes the model.
-type Options struct {
-	// LoopWeight is the assumed iteration count per loop level (default 8).
-	LoopWeight float64
-	// ExtCallCost is the work charged for a call that leaves the loaded
-	// program or cannot be resolved (default 12).
-	ExtCallCost float64
-	// Roots are node IDs to propagate frequency from; empty means the
-	// graph's in-degree-zero functions.
-	Roots []string
-}
-
-func (o Options) withDefaults() Options {
-	if o.LoopWeight <= 0 {
-		o.LoopWeight = 8
-	}
-	if o.ExtCallCost <= 0 {
-		o.ExtCallCost = 12
-	}
-	return o
-}
+const (
+	// loopWeight is the assumed iteration count per loop level.
+	loopWeight = 8
+	// extCallCost is the work charged for a call that leaves the loaded
+	// program or cannot be resolved.
+	extCallCost = 12
+)
 
 // FuncCost is one function's model outcome.
 type FuncCost struct {
@@ -68,15 +54,14 @@ type FuncCost struct {
 // Model is the analyzed cost model.
 type Model struct {
 	Graph *callgraph.Graph
-	Opts  Options
 	// Costs maps every graph node (externals included, at zero Self) to
 	// its outcome.
 	Costs map[*callgraph.Node]*FuncCost
 }
 
 // Analyze computes the model for a built graph.
-func Analyze(g *callgraph.Graph, opts Options) *Model {
-	m := &Model{Graph: g, Opts: opts.withDefaults(), Costs: map[*callgraph.Node]*FuncCost{}}
+func Analyze(g *callgraph.Graph) *Model {
+	m := &Model{Graph: g, Costs: map[*callgraph.Node]*FuncCost{}}
 	for _, n := range g.Nodes {
 		m.Costs[n] = &FuncCost{Node: n}
 	}
@@ -88,11 +73,11 @@ func Analyze(g *callgraph.Graph, opts Options) *Model {
 	return m
 }
 
-// weight is LoopWeight^depth.
-func (m *Model) weight(depth int) float64 {
+// weight is loopWeight^depth.
+func weight(depth int) float64 {
 	w := 1.0
 	for i := 0; i < depth; i++ {
-		w *= m.Opts.LoopWeight
+		w *= loopWeight
 	}
 	return w
 }
@@ -106,7 +91,7 @@ func (m *Model) propagateCosts() {
 		for _, n := range scc {
 			fc := m.Costs[n]
 			n.VisitItems(func(it *callgraph.Item) {
-				w := m.weight(it.Depth)
+				w := weight(it.Depth)
 				switch it.Kind {
 				case callgraph.ItemWork:
 					fc.Self += it.Cost * w
@@ -124,7 +109,7 @@ func (m *Model) propagateCosts() {
 							tc := m.Costs[t]
 							share := w / float64(len(it.Targets))
 							if t.External {
-								fc.Total += share * m.Opts.ExtCallCost
+								fc.Total += share * extCallCost
 							} else if t.SCC == n.SCC {
 								fc.Total += share * tc.Self
 							} else {
@@ -133,7 +118,7 @@ func (m *Model) propagateCosts() {
 						}
 					default:
 						// External, parameter or unresolved call: flat charge.
-						fc.Self += m.Opts.ExtCallCost * w
+						fc.Self += extCallCost * w
 					}
 				}
 			})
@@ -146,16 +131,7 @@ func (m *Model) propagateCosts() {
 // (callers before callees: the SCC order reversed). Intra-SCC edges are
 // skipped — recursive amplification is unbounded statically.
 func (m *Model) propagateFreq() {
-	roots := m.Graph.Roots()
-	if len(m.Opts.Roots) > 0 {
-		roots = roots[:0]
-		for _, id := range m.Opts.Roots {
-			if n := m.Graph.Lookup(id); n != nil {
-				roots = append(roots, n)
-			}
-		}
-	}
-	for _, r := range roots {
+	for _, r := range m.Graph.Roots() {
 		m.Costs[r].Freq = 1
 	}
 	for i := len(m.Graph.SCCs) - 1; i >= 0; i-- {
@@ -168,7 +144,7 @@ func (m *Model) propagateFreq() {
 				if it.Kind != callgraph.ItemCall {
 					return
 				}
-				w := m.weight(it.Depth) * fc.Freq
+				w := weight(it.Depth) * fc.Freq
 				if it.Callee != nil && it.Callee.SCC != n.SCC {
 					m.Costs[it.Callee].Freq += w
 				}

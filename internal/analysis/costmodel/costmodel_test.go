@@ -25,11 +25,11 @@ func loadRepo(t *testing.T) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := callgraph.Build(pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Analyze(g, Options{})
+	return Analyze(g)
 }
 
 // TestRepoStaticTop20Golden pins the static hot-spot ranking of a small
@@ -47,12 +47,12 @@ func TestRepoStaticTop20Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := callgraph.Build(pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pkgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for i, fc := range Analyze(g, Options{}).Ranked() {
+	for i, fc := range Analyze(g).Ranked() {
 		if i >= 20 {
 			break
 		}
@@ -157,11 +157,11 @@ func BenchmarkRepoAnalysis(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := callgraph.Build(pkgs, callgraph.Options{})
+		g, err := callgraph.Build(pkgs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := Analyze(g, Options{})
+		m := Analyze(g)
 		if len(m.Costs) == 0 {
 			b.Fatal("empty model")
 		}

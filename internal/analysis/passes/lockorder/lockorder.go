@@ -69,7 +69,7 @@ type heldCall struct {
 }
 
 func runProgram(pass *analysis.ProgramPass) error {
-	g, err := callgraph.Build(pass.Prog.Pkgs, callgraph.Options{})
+	g, err := callgraph.Build(pass.Prog.Pkgs)
 	if err != nil {
 		return err
 	}

@@ -99,16 +99,6 @@ type Config struct {
 	// SensorQuantC is the sensor reporting step in °C; 0 → 1 °C,
 	// negative → no quantisation.
 	SensorQuantC float64
-	// WarmupIdle lets each node's thermal state settle at idle for this
-	// long before t=0 of the workload (the paper lets systems return to
-	// steady state between tests).
-	WarmupIdle time.Duration
-	// NodeMap assigns each logical node (workload placement) a physical
-	// node identity (thermal build). nil is the identity mapping. With
-	// Heterogeneous set, re-running the same workload under a different
-	// NodeMap is the paper's §5 migration what-if: the same ranks on
-	// differently-cooled hardware.
-	NodeMap []int
 }
 
 // Cluster is a constructed simulated testbed. Build one per run.
@@ -144,8 +134,9 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SampleRateHz < 0 {
-		return nil, fmt.Errorf("cluster: negative sample rate %v", cfg.SampleRateHz)
+	// Above 1 GHz the sampling interval truncates to 0 ns.
+	if !(cfg.SampleRateHz >= 0 && cfg.SampleRateHz <= 1e9) {
+		return nil, fmt.Errorf("cluster: sample rate %v Hz outside [0, 1e9]", cfg.SampleRateHz)
 	}
 	if cfg.SampleRateHz == 0 {
 		cfg.SampleRateHz = 4
@@ -154,24 +145,13 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.SensorQuantC = 1
 	}
 
-	if cfg.NodeMap != nil && len(cfg.NodeMap) != cfg.Nodes {
-		return nil, fmt.Errorf("cluster: NodeMap has %d entries for %d nodes", len(cfg.NodeMap), cfg.Nodes)
-	}
-
 	c := &Cluster{cfg: cfg}
 	for n := 0; n < cfg.Nodes; n++ {
-		physical := n
-		if cfg.NodeMap != nil {
-			physical = cfg.NodeMap[n]
-			if physical < 0 {
-				return nil, fmt.Errorf("cluster: NodeMap[%d] = %d is negative", n, physical)
-			}
-		}
 		p := cfg.Params
 		if cfg.Heterogeneous {
-			p = thermal.Perturb(p, physical, cfg.Seed)
+			p = thermal.Perturb(p, n, cfg.Seed)
 		} else {
-			p.Seed = cfg.Seed + int64(physical)*104729
+			p.Seed = cfg.Seed + int64(n)*104729
 		}
 		c.params = append(c.params, p)
 		tr, err := trace.NewTracer(trace.Config{

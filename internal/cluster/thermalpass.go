@@ -43,12 +43,6 @@ func (c *Cluster) thermalPostPass(makespan time.Duration) ([]string, error) {
 			labels = nodeLabels
 		}
 
-		if c.cfg.WarmupIdle > 0 {
-			if err := cpu.Step(c.cfg.WarmupIdle); err != nil {
-				return nil, err
-			}
-		}
-
 		// Per-core segment streams for this node.
 		coreSegs := make([][]Segment, c.cfg.RanksPerNode)
 		for local := 0; local < c.cfg.RanksPerNode; local++ {

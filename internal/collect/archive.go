@@ -438,9 +438,11 @@ func foldFunctionHeat(a, b []hotspot.FunctionHeat) []hotspot.FunctionHeat {
 // sensor — and the per-window rankings appended to the previous archive.
 // An invocation open across a bucket boundary is charged to each bucket
 // for its clipped length. granule <= 0 folds the whole pass into a single
-// window spanning its batches. Deterministic; retains nothing; captures
-// only its arguments, so every shard's store may run it at once.
-func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store.Compactor {
+// window spanning its batches. Every window detects the tempd period
+// from its own samples, as the parser does; the second argument is
+// ignored. Deterministic; retains nothing; captures only its arguments,
+// so every shard's store may run it at once.
+func NewCompactor(unit parser.Unit, _, granule time.Duration) store.Compactor {
 	gran := granule.Nanoseconds()
 	return func(prevArchive []byte, batches []store.Batch) ([]byte, error) {
 		arch, err := decodeArchive(prevArchive)
@@ -525,7 +527,7 @@ func NewCompactor(unit parser.Unit, sampleInterval, granule time.Duration) store
 			}
 			switch cur := len(buckets) - 1; {
 			case nf.b == nil:
-				nf.b = newBuilder(trace.NewFold(nf.sym), wb.Node, unit, sampleInterval, true)
+				nf.b = newBuilder(trace.NewFold(nf.sym), wb.Node, unit, true)
 				nf.open.bucket = cur
 			case nf.open.bucket != cur:
 				nf.open.m = nf.b.Mark()

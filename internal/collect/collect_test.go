@@ -24,7 +24,7 @@ import (
 func buildTrace(t testing.TB, node uint32, funcs []string, calls int) *trace.Trace {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node, Rank: node, LaneBufferCap: 1 << 20})
+	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node, LaneBufferCap: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,9 @@ func buildTrace(t testing.TB, node uint32, funcs []string, calls int) *trace.Tra
 			t.Fatal(err)
 		}
 	}
-	return tr.Finish()
+	trc := tr.Finish()
+	trc.Rank = node
+	return trc
 }
 
 // offlineNodeProfile parses a trace exactly like tempest-parse does:

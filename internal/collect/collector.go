@@ -32,9 +32,6 @@ const critTrackCap = 512
 type Options struct {
 	// Unit of aggregated statistics (default Fahrenheit, like the paper).
 	Unit parser.Unit
-	// SampleInterval overrides tempd-period auto-detection in per-node
-	// profiles (0 = auto-detect, the offline parser's behaviour).
-	SampleInterval time.Duration
 	// Shards is the number of ingest shards (default 4). Nodes are
 	// hashed across shards by node ID; each shard's lock guards its
 	// nodes' Builders, so ingest and query serialise per shard and never
@@ -253,7 +250,7 @@ func (c *Collector) openStores() {
 	so.Logger = c.opts.Logger
 	so.Now = c.opts.Now
 	if so.Compact == nil {
-		so.Compact = NewCompactor(c.opts.Unit, c.opts.SampleInterval, c.opts.ArchiveGranule)
+		so.Compact = NewCompactor(c.opts.Unit, 0, c.opts.ArchiveGranule)
 	}
 	var wg sync.WaitGroup
 	for _, sh := range c.shards {

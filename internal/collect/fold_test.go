@@ -44,7 +44,7 @@ func shipChunks(t testing.TB, c *Collector, node uint32, sym *trace.SymTab, symC
 // collector's options, the Analyzer fed only what the Builder consumed.
 func standalone(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, evs []trace.Event, midStream bool) (*parser.Builder, *critpath.Analyzer) {
 	t.Helper()
-	b := parser.NewBuilder(node, sym, parser.Options{Unit: c.opts.Unit, SampleInterval: c.opts.SampleInterval, MidStream: midStream})
+	b := parser.NewBuilder(node, sym, parser.Options{Unit: c.opts.Unit, MidStream: midStream})
 	berr := b.Add(evs)
 	a := critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap})
 	if err := a.Add(node, sym, evs[:b.Events()]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -386,16 +387,25 @@ func intParam(s string, def int) (int, error) {
 
 // parseTimeParam reads a range bound as RFC 3339 (nanosecond precision
 // allowed) or a unix timestamp in seconds (fractional allowed), returning
-// wall-clock nanoseconds.
+// wall-clock nanoseconds. A bound int64 nanoseconds cannot hold (NaN,
+// ±Inf, beyond ±292 years of 1970) is an error.
 func parseTimeParam(s string) (int64, error) {
 	if t, err := time.Parse(time.RFC3339Nano, s); err == nil {
+		if t.Before(time.Unix(0, math.MinInt64)) || t.After(time.Unix(0, math.MaxInt64)) {
+			return 0, fmt.Errorf("collect: time %q out of range", s)
+		}
 		return t.UnixNano(), nil
 	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, fmt.Errorf("collect: bad time %q", s)
 	}
-	return int64(f * 1e9), nil
+	// float64(math.MaxInt64) is 2⁶³, one past the largest int64.
+	ns := f * 1e9
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("collect: time %q out of range", s)
+	}
+	return int64(ns), nil
 }
 
 // archivedMarker is the truncation comment a series response carries when

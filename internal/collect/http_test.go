@@ -79,7 +79,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 func staggerTrace(t *testing.T, node uint32) *trace.Trace {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node, Rank: node})
+	tr, err := trace.NewTracer(trace.Config{Clock: clk, NodeID: node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,9 @@ func staggerTrace(t *testing.T, node uint32) *trace.Trace {
 	slow.EnterAt(barrier, 7*sec)
 	_ = fast.ExitAt(barrier, 8*sec)
 	_ = slow.ExitAt(barrier, 8*sec)
-	return tr.Finish()
+	trc := tr.Finish()
+	trc.Rank = node
+	return trc
 }
 
 func TestHTTPCritPathGolden(t *testing.T) {

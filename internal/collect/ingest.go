@@ -199,7 +199,7 @@ func (sh *shard) newNode(id, rank uint32, sym *trace.SymTab, midStream bool) *no
 		rank:    rank,
 		sym:     sym,
 		core:    core,
-		builder: newBuilder(core, id, sh.c.opts.Unit, sh.c.opts.SampleInterval, midStream),
+		builder: newBuilder(core, id, sh.c.opts.Unit, midStream),
 		crit:    critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap}),
 	}
 	sh.nodes[id] = ns
@@ -211,8 +211,8 @@ func (sh *shard) newNode(id, rank uint32, sym *trace.SymTab, midStream bool) *no
 // midStream marks a builder whose stream starts after the node's first
 // event — behind compacted history, or at the edge of a replayed window —
 // so exits of invocations opened earlier are expected, not errors.
-func newBuilder(core *trace.Fold, node uint32, unit parser.Unit, sampleInterval time.Duration, midStream bool) *parser.Builder {
-	return parser.NewBuilderOn(core, node, parser.Options{Unit: unit, SampleInterval: sampleInterval, MidStream: midStream})
+func newBuilder(core *trace.Fold, node uint32, unit parser.Unit, midStream bool) *parser.Builder {
+	return parser.NewBuilderOn(core, node, parser.Options{Unit: unit, MidStream: midStream})
 }
 
 // decode decodes one chunk against a node's symbol table into the shard's

@@ -26,11 +26,6 @@ type PolicyOptions struct {
 	// one node (default 2s). Rounds are evaluated lazily on ingest: a
 	// silent node holds its policy.
 	Interval time.Duration
-	// HysteresisRounds is how many consecutive rounds a detail-mode
-	// function must rank outside the top K before the engine demotes it
-	// back to coarse (default 2) — the anti-flapping guard for
-	// functions hovering around the cut line.
-	HysteresisRounds int
 	// EventBudget is the per-round overhead budget, expressed as the
 	// detail event volume (enter/exit pairs are the dominant
 	// instrumentation cost) one node may ship per evaluation round
@@ -49,15 +44,18 @@ type PolicyOptions struct {
 	StaticPriors map[string]float64
 }
 
+// hysteresisRounds is how many consecutive rounds a detail-mode function
+// must rank outside the top K before the engine demotes it back to
+// coarse: the anti-flapping guard for functions hovering around the cut
+// line.
+const hysteresisRounds = 2
+
 func (p PolicyOptions) withDefaults() PolicyOptions {
 	if p.TopK <= 0 {
 		p.TopK = 5
 	}
 	if p.Interval <= 0 {
 		p.Interval = 2 * time.Second
-	}
-	if p.HysteresisRounds <= 0 {
-		p.HysteresisRounds = 2
 	}
 	if p.EventBudget == 0 {
 		p.EventBudget = 100000
@@ -249,7 +247,7 @@ func (sh *shard) evalPolicy(ns *nodeState) *ctlFrame {
 			continue
 		}
 		np.outRounds[name]++
-		if np.outRounds[name] >= po.HysteresisRounds {
+		if np.outRounds[name] >= hysteresisRounds {
 			delete(np.detail, name)
 			delete(np.outRounds, name)
 		}

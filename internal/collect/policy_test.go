@@ -177,7 +177,7 @@ func (pd *policyDriver) coarse(stats []instrument.CoarseStat) *ctlFrame {
 func TestPolicyNominatesTopKAndConverges(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Options{Shards: 1, Now: clk.Now, Policy: PolicyOptions{
-		Enabled: true, TopK: 1, Interval: 100 * time.Millisecond, HysteresisRounds: 2,
+		Enabled: true, TopK: 1, Interval: 100 * time.Millisecond,
 	}})
 	defer c.Close()
 	const node = 7
@@ -542,7 +542,7 @@ func TestShipperCorruptControlRedialsWithoutLosingFrames(t *testing.T) {
 func TestPolicyStaticPriorSeeding(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Options{Shards: 1, Now: clk.Now, Policy: PolicyOptions{
-		Enabled: true, TopK: 2, Interval: 100 * time.Millisecond, HysteresisRounds: 1,
+		Enabled: true, TopK: 2, Interval: 100 * time.Millisecond,
 		StaticPriors: map[string]float64{
 			"predictedHot":  9.5e8,
 			"predictedWarm": 3.2e8,

@@ -20,6 +20,13 @@ var ErrQueueFull = errors.New("collect: ship queue full, batch dropped")
 // ErrShipperClosed reports a Ship call after Close.
 var ErrShipperClosed = errors.New("collect: shipper closed")
 
+const (
+	// dialTimeout bounds one dial attempt.
+	dialTimeout = 2 * time.Second
+	// writeTimeout is the per-frame write deadline.
+	writeTimeout = 10 * time.Second
+)
+
 // ShipperOptions tunes the node-side shipping client. The zero value
 // selects the defaults noted per field.
 type ShipperOptions struct {
@@ -29,15 +36,11 @@ type ShipperOptions struct {
 	// instrumented program — backpressure never propagates into the
 	// profiled code path.
 	QueueLen int
-	// DialTimeout bounds one dial attempt (default 2s).
-	DialTimeout time.Duration
 	// DialBackoffBase/DialBackoffMax shape the jitterless reconnect
 	// backoff: the delay starts at base and doubles up to max (defaults
 	// 20ms / 1s). The shipper redials forever; only Close stops it.
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s).
-	WriteTimeout time.Duration
 	// FlushTimeout bounds how long Close waits for the queue to drain
 	// (default 5s).
 	FlushTimeout time.Duration
@@ -64,17 +67,11 @@ func (o ShipperOptions) withDefaults() ShipperOptions {
 	if o.QueueLen == 0 {
 		o.QueueLen = 256
 	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.DialBackoffBase == 0 {
 		o.DialBackoffBase = 20 * time.Millisecond
 	}
 	if o.DialBackoffMax == 0 {
 		o.DialBackoffMax = time.Second
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.FlushTimeout == 0 {
 		o.FlushTimeout = 5 * time.Second
@@ -447,7 +444,7 @@ func (s *Shipper) connect() net.Conn {
 				backoff = s.opts.DialBackoffMax
 			}
 		}
-		conn, err := s.opts.Dial("tcp", s.addr, s.opts.DialTimeout)
+		conn, err := s.opts.Dial("tcp", s.addr, dialTimeout)
 		if err != nil {
 			s.mu.Lock()
 			s.stats.DialFailures++
@@ -506,9 +503,7 @@ func (s *Shipper) sendLoop(conn net.Conn) {
 		}
 		s.mu.Unlock()
 
-		if s.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeFrame(conn, c.seq, c.kind, c.payload); err != nil {
 			return
 		}

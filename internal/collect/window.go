@@ -233,7 +233,7 @@ func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser
 			ev, err := sh.decode(sb.Payload, sym)
 			if err == nil {
 				if b == nil {
-					b = newBuilder(trace.NewFold(sym), id, sh.c.opts.Unit, sh.c.opts.SampleInterval, true)
+					b = newBuilder(trace.NewFold(sym), id, sh.c.opts.Unit, true)
 				}
 				if sb.Flags&store.FlagTruncated != 0 {
 					b.SetTruncated(true)

@@ -134,6 +134,11 @@ func TestHTTPWindowEndpointsGolden(t *testing.T) {
 		"/api/series/99?from=0&to=1":                                                        404, // unknown node, well-formed range
 		"/api/windows/99":                                                                   404,
 		"/api/windows/bad":                                                                  400,
+		// Bounds int64 nanoseconds cannot hold are bad parameters.
+		"/api/series/99?from=NaN&to=NaN":                400,
+		"/api/series/99?from=-1e300&to=0":               400,
+		"/api/series/99?from=0&to=+Inf":                 400,
+		"/api/series/99?from=0&to=3000-01-01T00:00:00Z": 400,
 	} {
 		if code, _, _ := get(t, srv, path); code != want {
 			t.Errorf("%s status = %d, want %d", path, code, want)
@@ -260,8 +265,7 @@ func TestWindowHotspotsClipsAcrossGranules(t *testing.T) {
 	t0 := clk.now()
 	opts := Options{
 		StoreDir: t.TempDir(), Shards: 1, Logger: quietLogger(), Now: clk.now,
-		SampleInterval: 10 * time.Millisecond,
-		StoreOptions:   store.Options{Window: time.Minute, Retention: 10 * time.Minute},
+		StoreOptions: store.Options{Window: time.Minute, Retention: 10 * time.Minute},
 	}
 	c := New(opts)
 	defer func() { c.Close() }()
@@ -276,10 +280,14 @@ func TestWindowHotspotsClipsAcrossGranules(t *testing.T) {
 		if k == 0 {
 			evs = append(evs, trace.Event{Kind: trace.KindEnter, FuncID: outer, TS: at(0)})
 		}
+		// Samples 10 ms apart: the significance rule's interval, which
+		// inner's 20 ms clears.
 		evs = append(evs,
 			trace.Event{Kind: trace.KindEnter, FuncID: inner, TS: at(10)},
 			trace.Event{Kind: trace.KindSample, ValueC: 50 + float64(k), TS: at(20)},
 			trace.Event{Kind: trace.KindExit, FuncID: inner, TS: at(30)},
+			trace.Event{Kind: trace.KindSample, ValueC: 45 + float64(k), TS: at(30)},
+			trace.Event{Kind: trace.KindSample, ValueC: 42 + float64(k), TS: at(40)},
 			trace.Event{Kind: trace.KindSample, ValueC: 40 + float64(k), TS: at(50)},
 		)
 		if k == chunks-1 {

@@ -86,10 +86,6 @@ const DefaultMaxTrackSegments = 4096
 
 // Options configures an Analyzer.
 type Options struct {
-	// IsWait classifies a function name as wait-class (time inside it is
-	// waiting/communication, not compute). Default: names with the
-	// "MPI_" prefix.
-	IsWait func(name string) bool
 	// Timeline records per-lane state tracks for gantt rendering. Off by
 	// default: tracks cost O(state transitions) up to MaxTrackSegments
 	// per lane, where the summary alone is O(lanes + functions).
@@ -104,9 +100,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.IsWait == nil {
-		o.IsWait = func(name string) bool { return strings.HasPrefix(name, "MPI_") }
-	}
 	if o.MaxTrackSegments <= 0 {
 		o.MaxTrackSegments = DefaultMaxTrackSegments
 	} else if o.MaxTrackSegments < 2 {
@@ -282,7 +275,9 @@ func (a *Analyzer) fn(name string) *funcAcc {
 	if !ok {
 		f = &funcAcc{name: name, idx: int32(len(a.fnList))}
 		a.fnList = append(a.fnList, f)
-		if a.opts.IsWait(name) {
+		// MPI_ calls are wait-class: time inside them is communication,
+		// not compute.
+		if strings.HasPrefix(name, "MPI_") {
 			f.op = &opAcc{name: name, idx: len(a.ops)}
 			a.ops = append(a.ops, f.op)
 		}

@@ -471,24 +471,6 @@ func TestAnalyzeTraceErrors(t *testing.T) {
 	}
 }
 
-func TestCustomWaitClassifier(t *testing.T) {
-	s := newScript()
-	sec := time.Second
-	s.enter(0, 0, "lock_acquire")
-	s.exit(2*sec, 0, "lock_acquire")
-	a, err := AnalyzeTrace(s.trace(), Options{
-		IsWait: func(name string) bool { return name == "lock_acquire" },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := a.Summary()
-	near(t, "lane wait", sum.Lanes[0].WaitS, 2)
-	if _, ok := sum.Op("lock_acquire"); !ok {
-		t.Error("custom wait op missing from Ops")
-	}
-}
-
 func TestUnknownSymbolSynthesizesName(t *testing.T) {
 	sym := trace.NewSymTab()
 	a := New(Options{})

@@ -68,10 +68,6 @@ type Options struct {
 	OutDir string
 	// BuildTag overrides DefaultBuildTag in in-place mode.
 	BuildTag string
-	// PkgPath overrides the registration label (defaults to the
-	// package's module-derived import path, falling back to the
-	// directory base name).
-	PkgPath string
 	// Plan, when non-nil, lets the static cost model drive per-function
 	// decisions: symbols the plan marks "skip" get no prologue at all,
 	// and "coarse" symbols are instrumented but registered with a
@@ -133,7 +129,7 @@ func Instrument(dir string, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("instrumenter: no Go files in %s", dir)
 	}
 
-	res := &Result{PkgPath: pkgPath(dir, opts)}
+	res := &Result{PkgPath: pkgPath(dir)}
 	fset := token.NewFileSet()
 	slot := 0
 	skippedOwn := 0
@@ -477,11 +473,9 @@ func registrationFile(res *Result, opts Options) ([]byte, error) {
 	return format.Source([]byte(b.String()))
 }
 
-// pkgPath derives the registration label for dir.
-func pkgPath(dir string, opts Options) string {
-	if opts.PkgPath != "" {
-		return opts.PkgPath
-	}
+// pkgPath derives the registration label for dir: the package's
+// module-derived import path, falling back to the directory base name.
+func pkgPath(dir string) string {
 	abs, err := filepath.Abs(dir)
 	if err == nil {
 		if modDir, modPath, merr := analysis.FindModule(abs); merr == nil {

@@ -696,10 +696,7 @@ func (b *Builder) finish(lo, hi *Mark) (*NodeProfile, error) {
 			np.Samples[sid] = s[upTo(s, from):upTo(s, to)]
 		}
 	}
-	np.SampleInterval = b.opts.SampleInterval
-	if np.SampleInterval == 0 {
-		np.SampleInterval = detectInterval(np.Samples, np.HealthEvents)
-	}
+	np.SampleInterval = detectInterval(np.Samples, np.HealthEvents)
 	for i := range np.Functions {
 		f := &np.Functions[i]
 		f.Significant = f.Significant && f.TotalTime >= np.SampleInterval

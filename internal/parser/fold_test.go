@@ -505,7 +505,7 @@ func TestSnapshotRangeClipsOpenInvocation(t *testing.T) {
 	sym := trace.NewSymTab()
 	sym.Register("f")
 	sym.Register("tick")
-	b := parser.NewBuilder(1, sym, parser.Options{SampleInterval: 10})
+	var b *parser.Builder
 	feed := func(evs ...trace.Event) {
 		t.Helper()
 		if err := b.Add(evs); err != nil {
@@ -527,12 +527,16 @@ func TestSnapshotRangeClipsOpenInvocation(t *testing.T) {
 			t.Errorf("%s: series %+v, want the one sample of %v", when, np.Samples[0], value)
 		}
 	}
-	opts := parser.Options{Unit: parser.Celsius, SampleInterval: 10}
-	b = parser.NewBuilder(1, sym, opts)
-	feed(enter(1, f, 0), sample(40, 40), enter(tickLane, tick, 50), exit(tickLane, tick, 50))
+	// A second sensor, read every 10 ns on each side of the mark, is
+	// what the significance rule takes the sampling interval from.
+	probe := func(ts time.Duration) trace.Event {
+		return trace.Event{Kind: trace.KindSample, TS: ts, SensorID: 1, ValueC: 30}
+	}
+	b = parser.NewBuilder(1, sym, parser.Options{Unit: parser.Celsius})
+	feed(enter(1, f, 0), probe(30), sample(40, 40), probe(40), enter(tickLane, tick, 50), exit(tickLane, tick, 50))
 	m := b.Mark()
 	check("head, unsealed", nil, m, 1, 40)
-	feed(sample(60, 60), exit(1, f, 100))
+	feed(sample(60, 60), probe(60), probe(70), exit(1, f, 100))
 	check("before the mark, unsealed", nil, m, 1, 40)
 	check("after the mark, unsealed", m, nil, 0, 60)
 	for ts := time.Duration(110); ts <= 140; ts += 10 {

@@ -44,9 +44,6 @@ func (u Unit) String() string {
 type Options struct {
 	// Unit of reported statistics; default Fahrenheit.
 	Unit Unit
-	// SampleInterval is the tempd sampling period used for the
-	// significance rule; 0 auto-detects from sample spacing.
-	SampleInterval time.Duration
 	// MidStream tolerates attaching to an event stream already in
 	// progress: an Exit without a matching Enter on its lane (the
 	// invocation began before this stream's first event) is dropped

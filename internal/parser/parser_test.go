@@ -443,19 +443,6 @@ func TestDetectIntervalIgnoresQuarantineGaps(t *testing.T) {
 	}
 }
 
-func TestExplicitSampleInterval(t *testing.T) {
-	np, err := Parse(microDTrace(t), Options{SampleInterval: 2 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing is significant under a 2-minute rule except... nothing.
-	for _, f := range np.Functions {
-		if f.Significant {
-			t.Errorf("%s significant under a 2-minute interval", f.Name)
-		}
-	}
-}
-
 func TestSignificanceRequiresSamples(t *testing.T) {
 	clk := vclock.NewVirtualClock()
 	tr, _ := trace.NewTracer(trace.Config{Clock: clk})

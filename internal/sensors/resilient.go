@@ -66,6 +66,13 @@ var ErrImplausible = errors.New("sensors: implausible reading")
 // ErrStuck reports a sensor returning the same value too many times.
 var ErrStuck = errors.New("sensors: stuck reading")
 
+// minPlausibleC and maxPlausibleC bound plausible die temperatures: the
+// industrial silicon range. Readings outside count as failures.
+const (
+	minPlausibleC = -40
+	maxPlausibleC = 125
+)
+
 // ResilientConfig tunes the Resilient wrapper. Zero fields take defaults.
 type ResilientConfig struct {
 	// MaxRetries is how many times a failing read is retried before the
@@ -87,16 +94,9 @@ type ResilientConfig struct {
 	// this many consecutive times; 0 disables (quantised chips repeat
 	// legitimately, so this is opt-in).
 	StuckLimit int
-	// MinC/MaxC bound plausible die temperatures (defaults -40/125 °C,
-	// the industrial silicon range). Readings outside count as failures.
-	MinC, MaxC float64
 	// Sleep is the backoff hook (default time.Sleep); virtual-time runs
 	// and tests pass a no-op or clock-advancing closure.
 	Sleep func(time.Duration)
-	// OnTransition, when set, observes every state change. It is called
-	// with the wrapper's lock held — keep it cheap (tempd uses it to
-	// drop a marker into the trace).
-	OnTransition func(sensor string, from, to Health)
 }
 
 func (c ResilientConfig) withDefaults() ResilientConfig {
@@ -114,9 +114,6 @@ func (c ResilientConfig) withDefaults() ResilientConfig {
 	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = 16
-	}
-	if c.MinC == 0 && c.MaxC == 0 {
-		c.MinC, c.MaxC = -40, 125
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -151,18 +148,6 @@ func (r *Resilient) Health() Health {
 	return r.state
 }
 
-// setState transitions with the lock held, notifying OnTransition.
-func (r *Resilient) setState(to Health) {
-	if r.state == to {
-		return
-	}
-	from := r.state
-	r.state = to
-	if r.cfg.OnTransition != nil {
-		r.cfg.OnTransition(r.Sensor.Name(), from, to)
-	}
-}
-
 // ReadC implements Sensor. Quarantined sensors fail fast with
 // ErrQuarantined (no hardware touch) except on probe attempts; otherwise
 // the wrapped sensor is read with bounded retry + exponential backoff, and
@@ -176,7 +161,7 @@ func (r *Resilient) ReadC() (float64, error) {
 			return 0, fmt.Errorf("%w: %s", ErrQuarantined, r.Sensor.Name())
 		}
 		r.sinceProbe = 0
-		r.setState(StateProbing)
+		r.state = StateProbing
 	}
 	probing := r.state == StateProbing
 	r.mu.Unlock()
@@ -191,25 +176,25 @@ func (r *Resilient) ReadC() (float64, error) {
 	if err != nil {
 		if probing {
 			// Failed probe: straight back to quarantine.
-			r.setState(StateQuarantined)
+			r.state = StateQuarantined
 			return 0, fmt.Errorf("%w: %s: probe failed: %v", ErrQuarantined, r.Sensor.Name(), err)
 		}
 		r.consecFails++
 		switch {
 		case r.consecFails >= r.cfg.QuarantineAfter:
-			r.setState(StateQuarantined)
+			r.state = StateQuarantined
 			r.sinceProbe = 0
 		case r.state == StateHealthy || r.state == StateRecovered:
-			r.setState(StateSuspect)
+			r.state = StateSuspect
 		}
 		return 0, err
 	}
 	r.consecFails = 0
 	switch r.state {
 	case StateProbing:
-		r.setState(StateRecovered)
+		r.state = StateRecovered
 	case StateRecovered, StateSuspect:
-		r.setState(StateHealthy)
+		r.state = StateHealthy
 	}
 	return v, nil
 }
@@ -242,9 +227,9 @@ func (r *Resilient) readWithRetry(probing bool) (float64, error) {
 // vet checks a successful reading for plausibility and stuck values.
 // Called with the lock held.
 func (r *Resilient) vet(v float64) error {
-	if math.IsNaN(v) || v < r.cfg.MinC || v > r.cfg.MaxC {
-		return fmt.Errorf("%w: %s reported %.2f °C (plausible range [%.0f, %.0f])",
-			ErrImplausible, r.Sensor.Name(), v, r.cfg.MinC, r.cfg.MaxC)
+	if math.IsNaN(v) || v < minPlausibleC || v > maxPlausibleC {
+		return fmt.Errorf("%w: %s reported %.2f °C (plausible range [%d, %d])",
+			ErrImplausible, r.Sensor.Name(), v, minPlausibleC, maxPlausibleC)
 	}
 	if r.haveLast && v == r.lastVal {
 		r.stuckRun++

@@ -28,13 +28,6 @@ type SimProvider struct {
 	QuantC float64
 	// Prefix namespaces sensor names, e.g. "node3". Defaults to "sim".
 	Prefix string
-	// IncludeExhaust adds a chassis exhaust-air sensor, the seventh
-	// sensor the paper observed on PowerPC G5 systems (§3.4).
-	IncludeExhaust bool
-	// Compact exposes only the die sensors plus motherboard and ambient
-	// (no per-sink channels) — the "as few as 3 sensors" x86 boards of
-	// §3.4 when combined with a single-socket model.
-	Compact bool
 }
 
 // NewSimProvider wraps cpu with the default 1 °C quantisation.
@@ -99,33 +92,26 @@ func (p *SimProvider) Sensors() ([]Sensor, error) {
 		add(next(), fmt.Sprintf("CPU %d Core", s),
 			func() (float64, error) { return p.CPU.DieTempC(s) })
 	}
-	if !p.Compact {
-		for s := 0; s < p.CPU.Sockets(); s++ {
-			s := s
-			add(next(), fmt.Sprintf("CPU %d Heatsink", s),
-				func() (float64, error) { return p.CPU.SinkTempC(s) })
-		}
+	for s := 0; s < p.CPU.Sockets(); s++ {
+		s := s
+		add(next(), fmt.Sprintf("CPU %d Heatsink", s),
+			func() (float64, error) { return p.CPU.SinkTempC(s) })
 	}
 	add(next(), "M/B Temp",
 		func() (float64, error) { return p.CPU.MoboTempC(), nil })
 	add(next(), "Ambient",
 		func() (float64, error) { return p.CPU.AmbientTempC(), nil })
-	if p.IncludeExhaust {
-		add(next(), "Exhaust",
-			func() (float64, error) { return p.CPU.ExhaustTempC(), nil })
-	}
 	return out, nil
 }
 
 // ExternalSensor models the physically attached reference thermometer the
-// paper validates against (§3.2): it tracks the true die temperature
-// through a first-order lag (thermal mass of the probe) plus small
+// paper validates against (§3.2): it tracks the true temperature of
+// socket 0's die through a first-order lag (thermal mass of the probe) plus small
 // Gaussian noise, and is NOT quantised — an independent measurement
 // channel rather than another motherboard chip.
 type ExternalSensor struct {
-	CPU    *thermal.CPU
-	Mu     *sync.Mutex
-	Socket int
+	CPU *thermal.CPU
+	Mu  *sync.Mutex
 	// LagS is the probe's time constant in seconds (default 1 s).
 	LagS float64
 	// NoiseC is the 1-sigma measurement noise in °C (default 0.1).
@@ -144,10 +130,10 @@ type ExternalSensor struct {
 }
 
 // Name implements Sensor.
-func (e *ExternalSensor) Name() string { return fmt.Sprintf("external/probe%d", e.Socket) }
+func (e *ExternalSensor) Name() string { return "external/probe0" }
 
 // Label implements Sensor.
-func (e *ExternalSensor) Label() string { return fmt.Sprintf("External probe CPU %d", e.Socket) }
+func (e *ExternalSensor) Label() string { return "External probe CPU 0" }
 
 // ReadC implements Sensor with lag + noise against the model ground truth.
 func (e *ExternalSensor) ReadC() (float64, error) {
@@ -168,7 +154,7 @@ func (e *ExternalSensor) ReadC() (float64, error) {
 	if e.Mu != nil {
 		e.Mu.Lock()
 	}
-	truth, err := e.CPU.DieTempC(e.Socket)
+	truth, err := e.CPU.DieTempC(0)
 	if e.Mu != nil {
 		e.Mu.Unlock()
 	}

@@ -96,7 +96,7 @@ func TestExternalSensorTracksWithLag(t *testing.T) {
 	cpu, mu := newSimCPU(t)
 	var virt time.Duration
 	ext := &ExternalSensor{
-		CPU: cpu, Mu: mu, Socket: 0,
+		CPU: cpu, Mu: mu,
 		LagS: 2, NoiseC: 0.001, Seed: 5,
 		ClockNow: func() time.Duration { return virt },
 	}
@@ -139,7 +139,7 @@ func TestExternalSensorLagsStep(t *testing.T) {
 	cpu, mu := newSimCPU(t)
 	var virt time.Duration
 	ext := &ExternalSensor{
-		CPU: cpu, Mu: mu, Socket: 0,
+		CPU: cpu, Mu: mu,
 		LagS: 10, NoiseC: 0.0001, Seed: 5,
 		ClockNow: func() time.Duration { return virt },
 	}
@@ -168,7 +168,7 @@ func TestExternalSensorValidatesSimSensors(t *testing.T) {
 	ss, _ := sim.Sensors()
 	die0 := ss[0]
 	ext := &ExternalSensor{
-		CPU: cpu, Mu: mu, Socket: 0, LagS: 0.5, NoiseC: 0.05, Seed: 9,
+		CPU: cpu, Mu: mu, LagS: 0.5, NoiseC: 0.05, Seed: 9,
 		ClockNow: func() time.Duration { return virt },
 	}
 	_, _ = ext.ReadC()

@@ -84,8 +84,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Tracer == nil {
 		return nil, errors.New("tempd: Config.Tracer is required")
 	}
-	if cfg.RateHz < 0 {
-		return nil, fmt.Errorf("tempd: negative sample rate %v", cfg.RateHz)
+	// Above 1 GHz the sampling interval truncates to 0 ns.
+	if !(cfg.RateHz >= 0 && cfg.RateHz <= 1e9) {
+		return nil, fmt.Errorf("tempd: sample rate %v Hz outside [0, 1e9]", cfg.RateHz)
 	}
 	rate := cfg.RateHz
 	if rate == 0 {

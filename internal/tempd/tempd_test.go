@@ -2,6 +2,7 @@ package tempd
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +62,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Registry: reg}); err == nil {
 		t.Error("missing tracer should fail")
 	}
-	if _, err := New(Config{Registry: reg, Tracer: tr, RateHz: -4}); err == nil {
-		t.Error("negative rate should fail")
+	for _, rate := range []float64{-4, math.NaN(), math.Inf(1), math.Inf(-1), 1e12} { // 1e12 Hz: 0 ns interval
+		if _, err := New(Config{Registry: reg, Tracer: tr, RateHz: rate}); err == nil {
+			t.Errorf("rate %v should fail", rate)
+		}
 	}
 	empty := sensors.NewRegistry()
 	if _, err := New(Config{Registry: empty, Tracer: tr}); err == nil {

@@ -38,24 +38,12 @@ type Params struct {
 	MoboToAmbKPerW  float64
 
 	// Fan. Experiments run with a constant high speed (paper: ~3000 RPM)
-	// and regulation disabled.
+	// and regulation disabled; the model has no fan governor.
 	FanRefRPM float64 // speed at which SinkToAmbKPerW is specified
 	FanRPM    float64 // operating speed
-	FanAuto   bool    // temperature-controlled regulation (off in paper)
 	// FanExponent shapes how resistance falls with speed:
 	// R = R_ref · (ref/rpm)^FanExponent.
 	FanExponent float64
-
-	// DVFS ladder as frequency fractions of FreqHz, highest first. The
-	// paper disables DVFS; Enabled=false pins level 0 (full speed).
-	DVFSFractions []float64
-	DVFSEnabled   bool
-	// DVFSAuto engages a thermal governor: when any die exceeds
-	// DVFSTripC the ladder steps down; when all dies fall below
-	// DVFSTripC − 5 °C it steps back up. The paper disables exactly this
-	// kind of feedback so profiles reflect the application (§4.1).
-	DVFSAuto  bool
-	DVFSTripC float64
 
 	// Ambient noise: an Ornstein–Uhlenbeck perturbation of room air,
 	// giving nodes the "volatile behaviour around an average" the paper
@@ -87,10 +75,7 @@ func DefaultOpteronParams() Params {
 		MoboToAmbKPerW:   0.55,
 		FanRefRPM:        3000,
 		FanRPM:           3000,
-		FanAuto:          false,
 		FanExponent:      0.8,
-		DVFSFractions:    []float64{1.0, 0.9, 0.8, 0.67},
-		DVFSEnabled:      false,
 		NoiseAmpC:        0.25,
 		NoiseTauS:        8,
 		Seed:             1,
@@ -114,13 +99,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("thermal: resistances must be positive")
 	case p.FanRefRPM <= 0 || p.FanRPM <= 0:
 		return fmt.Errorf("thermal: fan speeds must be positive")
-	case len(p.DVFSFractions) == 0:
-		return fmt.Errorf("thermal: need at least one DVFS level")
-	}
-	for i, f := range p.DVFSFractions {
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("thermal: DVFS fraction %d = %v outside (0,1]", i, f)
-		}
 	}
 	return nil
 }
@@ -146,8 +124,9 @@ func Perturb(p Params, nodeID int, seed int64) Params {
 	return p
 }
 
-// CPU is the live thermal model of one node: the RC network plus fan,
-// DVFS and core-activity state. Not safe for concurrent use.
+// CPU is the live thermal model of one node: the RC network plus fan
+// and core-activity state. Cores always run at full frequency: the
+// paper disables DVFS (§4.1). Not safe for concurrent use.
 type CPU struct {
 	p   Params
 	net *Network
@@ -159,9 +138,8 @@ type CPU struct {
 	sinkAmbEdge  []int // per socket, edge index of the fan-cooled path
 	baseSinkAmbR float64
 
-	coreUtil  []float64 // per core, 0..1
-	dvfsLevel int
-	noise     *OUProcess
+	coreUtil []float64 // per core, 0..1
+	noise    *OUProcess
 }
 
 // NewCPU builds the node model and settles it at its idle steady state, so
@@ -226,15 +204,6 @@ func (c *CPU) SetCoreUtilization(core int, u float64) error {
 	return nil
 }
 
-// DVFSFreqFactor returns the current frequency fraction (1.0 when DVFS is
-// disabled, per the paper's experimental setup).
-func (c *CPU) DVFSFreqFactor() float64 {
-	if !c.p.DVFSEnabled {
-		return c.p.DVFSFractions[0]
-	}
-	return c.p.DVFSFractions[c.dvfsLevel]
-}
-
 // applyFan maps fan speed to the sink→ambient resistance:
 // R = R_ref · (ref/rpm)^exp, clamped to [R_ref/4, 4·R_ref].
 func (c *CPU) applyFan() {
@@ -251,11 +220,9 @@ func (c *CPU) applyFan() {
 	}
 }
 
-// corePowerW returns the electrical power of one core at utilisation u,
-// scaled by the cubic DVFS law P ∝ f·V² with V ∝ f.
+// corePowerW returns the electrical power of one core at utilisation u.
 func (c *CPU) corePowerW(u float64) float64 {
-	f := c.DVFSFreqFactor()
-	return (c.p.IdleWPerCore + u*(c.p.MaxWPerCore-c.p.IdleWPerCore)) * f * f * f
+	return c.p.IdleWPerCore + u*(c.p.MaxWPerCore-c.p.IdleWPerCore)
 }
 
 // applyPower folds per-core utilisation into per-die injected power.
@@ -270,57 +237,8 @@ func (c *CPU) applyPower() {
 	_ = c.net.SetPower(c.moboIdx, c.p.MoboW)
 }
 
-// autoFan implements temperature-feedback regulation (disabled in the
-// paper's runs): speed rises linearly from ref/2 at 45 °C die to 1.5·ref
-// at 70 °C.
-func (c *CPU) autoFan() {
-	hottest := math.Inf(-1)
-	for _, d := range c.dieIdx {
-		if t := c.net.Temperature(d); t > hottest {
-			hottest = t
-		}
-	}
-	frac := (hottest - 45) / 25
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	c.p.FanRPM = c.p.FanRefRPM * (0.5 + frac)
-	c.applyFan()
-}
-
-// autoDVFS implements the thermal trip governor.
-func (c *CPU) autoDVFS() {
-	trip := c.p.DVFSTripC
-	if trip == 0 {
-		trip = 55
-	}
-	hottest := math.Inf(-1)
-	for _, d := range c.dieIdx {
-		if t := c.net.Temperature(d); t > hottest {
-			hottest = t
-		}
-	}
-	switch {
-	case hottest > trip && c.dvfsLevel < len(c.p.DVFSFractions)-1:
-		c.dvfsLevel++
-		c.applyPower()
-	case hottest < trip-5 && c.dvfsLevel > 0:
-		c.dvfsLevel--
-		c.applyPower()
-	}
-}
-
 // Step advances the node's thermal state by dt.
 func (c *CPU) Step(dt time.Duration) error {
-	if c.p.FanAuto {
-		c.autoFan()
-	}
-	if c.p.DVFSEnabled && c.p.DVFSAuto {
-		c.autoDVFS()
-	}
 	if c.noise != nil {
 		offset := c.noise.Step(dt.Seconds())
 		if err := c.net.SetBoundary(c.ambIdx, c.p.AmbientC+offset); err != nil {
@@ -352,19 +270,6 @@ func (c *CPU) MoboTempC() float64 { return c.net.Temperature(c.moboIdx) }
 
 // AmbientTempC returns the (possibly noise-perturbed) room air temperature.
 func (c *CPU) AmbientTempC() float64 { return c.net.Temperature(c.ambIdx) }
-
-// ExhaustTempC estimates the chassis exhaust-air temperature: ambient
-// plus a fraction of the mean heatsink excess (air picks up heat crossing
-// the sinks). G5 chassis expose this as a seventh sensor.
-func (c *CPU) ExhaustTempC() float64 {
-	amb := c.AmbientTempC()
-	var sum float64
-	for s := range c.sinkIdx {
-		t, _ := c.SinkTempC(s)
-		sum += t - amb
-	}
-	return amb + 0.45*sum/float64(len(c.sinkIdx))
-}
 
 // Sockets returns the socket count.
 func (c *CPU) Sockets() int { return c.p.Sockets }

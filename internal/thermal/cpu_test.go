@@ -34,9 +34,6 @@ func TestParamsValidation(t *testing.T) {
 		func(p *Params) { p.DieCapJPerK = 0 },
 		func(p *Params) { p.DieToSinkKPerW = 0 },
 		func(p *Params) { p.FanRPM = 0 },
-		func(p *Params) { p.DVFSFractions = nil },
-		func(p *Params) { p.DVFSFractions = []float64{1.5} },
-		func(p *Params) { p.DVFSFractions = []float64{0} },
 	}
 	for i, m := range mutations {
 		p := DefaultOpteronParams()
@@ -130,37 +127,6 @@ func TestSetCoreUtilizationErrors(t *testing.T) {
 	}
 }
 
-func TestDVFSDisabledByDefault(t *testing.T) {
-	c := newTestCPU(t)
-	if f := c.DVFSFreqFactor(); f != 1.0 {
-		t.Errorf("disabled DVFS factor = %v, want 1.0", f)
-	}
-}
-
-func TestDVFSReducesPowerAndHeat(t *testing.T) {
-	p := DefaultOpteronParams()
-	p.NoiseAmpC = 0
-	p.DVFSEnabled = true
-	c, err := NewCPU(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range make([]struct{}, len(c.coreUtil)) {
-		_ = c.SetCoreUtilization(i, 1)
-	}
-	fullSS := c.net.SteadyState()
-	c.dvfsLevel = len(p.DVFSFractions) - 1
-	c.applyPower()
-	if c.DVFSFreqFactor() >= 1.0 {
-		t.Errorf("lowest DVFS factor = %v", c.DVFSFreqFactor())
-	}
-	slowSS := c.net.SteadyState()
-	dieIdx := c.dieIdx[0]
-	if !(slowSS[dieIdx] < fullSS[dieIdx]-3) {
-		t.Errorf("DVFS barely cooled die: %.2f vs %.2f", slowSS[dieIdx], fullSS[dieIdx])
-	}
-}
-
 func TestFasterFanCoolsSteadyState(t *testing.T) {
 	c := newTestCPU(t)
 	for i := 0; i < len(c.coreUtil); i++ {
@@ -174,25 +140,6 @@ func TestFasterFanCoolsSteadyState(t *testing.T) {
 	t1500, t3000, t6000 := slow(1500), slow(3000), slow(6000)
 	if !(t6000 < t3000 && t3000 < t1500) {
 		t.Errorf("fan speed not monotone: 1500→%.2f 3000→%.2f 6000→%.2f", t1500, t3000, t6000)
-	}
-}
-
-func TestAutoFanRespondsToHeat(t *testing.T) {
-	p := DefaultOpteronParams()
-	p.NoiseAmpC = 0
-	p.FanAuto = true
-	c, err := NewCPU(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(c.coreUtil); i++ {
-		_ = c.SetCoreUtilization(i, 1)
-	}
-	for i := 0; i < 400; i++ {
-		_ = c.Step(250 * time.Millisecond)
-	}
-	if c.p.FanRPM <= p.FanRefRPM*0.5 {
-		t.Errorf("auto fan did not spin up: %v RPM", c.p.FanRPM)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func sampleTrace(t *testing.T) *Trace {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := NewTracer(Config{Clock: clk, NodeID: 3, Rank: 1})
+	tr, err := NewTracer(Config{Clock: clk, NodeID: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,9 @@ func sampleTrace(t *testing.T) *Trace {
 	_ = lane.Exit(bar)
 	tr.Marker("sync")
 	_ = lane.Exit(foo)
-	return tr.Finish()
+	trc := tr.Finish()
+	trc.Rank = 1
+	return trc
 }
 
 func TestRoundTrip(t *testing.T) {

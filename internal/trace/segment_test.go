@@ -15,7 +15,7 @@ import (
 func segFixture(t *testing.T, batch int) (*Trace, []byte) {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := NewTracer(Config{Clock: clk, NodeID: 3, Rank: 1})
+	tr, err := NewTracer(Config{Clock: clk, NodeID: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +36,7 @@ func segFixture(t *testing.T, batch int) (*Trace, []byte) {
 		}
 	}
 	full := tr.Finish()
+	full.Rank = 1
 	var buf bytes.Buffer
 	if err := full.WriteSegmented(&buf, batch); err != nil {
 		t.Fatal(err)
@@ -236,12 +237,12 @@ func TestSegmentedTruncatedHeaderStillBadFormat(t *testing.T) {
 
 func TestIncrementalWriterAcrossDrains(t *testing.T) {
 	clk := vclock.NewVirtualClock()
-	tr, err := NewTracer(Config{Clock: clk, NodeID: 1, Rank: 0})
+	tr, err := NewTracer(Config{Clock: clk, NodeID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	w, err := NewWriter(&out, tr.NodeID(), tr.Rank())
+	w, err := NewWriter(&out, tr.NodeID(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ import (
 type Config struct {
 	// Clock timestamps events; required.
 	Clock vclock.Clock
-	// NodeID and Rank identify this trace's origin in the cluster.
+	// NodeID identifies this trace's origin in the cluster. A tracer's
+	// traces are rank 0.
 	NodeID uint32
-	Rank   uint32
 	// LaneBufferCap bounds each lane's event buffer. When full, further
 	// events on that lane are dropped and counted — the paper's §3.3
 	// warning about functions with very short life spans maps to buffer
@@ -99,9 +99,6 @@ func (t *Tracer) SymTab() *SymTab { return t.symtab }
 
 // NodeID returns the configured node id.
 func (t *Tracer) NodeID() uint32 { return t.cfg.NodeID }
-
-// Rank returns the configured rank.
-func (t *Tracer) Rank() uint32 { return t.cfg.Rank }
 
 // NewLane allocates an execution lane. The tracer never frees a lane, so
 // callers keep the count bounded: a hand-instrumented program creates one
@@ -342,5 +339,5 @@ type Trace struct {
 // Finish produces the final Trace for this rank.
 func (t *Tracer) Finish() *Trace {
 	ev, sym := t.Snapshot()
-	return &Trace{NodeID: t.cfg.NodeID, Rank: t.cfg.Rank, Events: ev, Sym: sym}
+	return &Trace{NodeID: t.cfg.NodeID, Events: ev, Sym: sym}
 }

@@ -12,7 +12,7 @@ import (
 func newTestTracer(t *testing.T, bufCap int) (*Tracer, *vclock.VirtualClock) {
 	t.Helper()
 	clk := vclock.NewVirtualClock()
-	tr, err := NewTracer(Config{Clock: clk, NodeID: 1, Rank: 2, LaneBufferCap: bufCap})
+	tr, err := NewTracer(Config{Clock: clk, NodeID: 1, LaneBufferCap: bufCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,13 +438,13 @@ func TestFinish(t *testing.T) {
 	lane := tr.NewLane()
 	_ = lane.Instrument("f", func() {})
 	trc := tr.Finish()
-	if trc.NodeID != 1 || trc.Rank != 2 {
+	if trc.NodeID != 1 || trc.Rank != 0 {
 		t.Errorf("identity = %d/%d", trc.NodeID, trc.Rank)
 	}
 	if len(trc.Events) != 2 || trc.Sym.Len() != 1 {
 		t.Errorf("finish contents: %d events, %d syms", len(trc.Events), trc.Sym.Len())
 	}
-	if tr.NodeID() != 1 || tr.Rank() != 2 {
+	if tr.NodeID() != 1 {
 		t.Error("accessors wrong")
 	}
 }
