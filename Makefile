@@ -107,12 +107,13 @@ bench-smoke:
 # is a fixed point), the
 # checkpoint-archive decoder (never panics; re-encoding is a fixed
 # point), the durable store's crash/tamper recovery, and the
-# critical-path analyzer (never panics; stream==batch; agrees with the
-# Builder's stack discipline on accepted streams; one shared core == two
-# standalone folds; its flat timeline tracks == the named reference at
-# caps 2, 3, 4 and 512).
+# critical-path analyzer (never panics; stream==batch; its flat timeline
+# tracks == the named reference at caps 2, 3, 4 and 512), and the node
+# fold (one shared core == two standalone folds, stopping where the
+# Builder does; agrees with the Builder's stack discipline on accepted
+# streams).
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/parser/ ./internal/collect/ ./internal/store/ ./internal/critpath/ ./internal/analysis/costmodel/
+	$(GO) test -run 'Fuzz' ./internal/trace/ ./internal/parser/ ./internal/collect/ ./internal/store/ ./internal/critpath/ ./internal/nodefold/ ./internal/analysis/costmodel/
 
 # End-to-end fleet-collector smoke: start tempest-collectd on ephemeral
 # ports, ship the canned trace, and diff /api/hotspots against its

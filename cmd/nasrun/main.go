@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,14 +28,9 @@ func main() {
 	}
 }
 
-type kernelRun struct {
-	name string
-	body func(rc *cluster.Rank) (nas.Verification, time.Duration, error)
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nasrun", flag.ContinueOnError)
-	kernels := fs.String("kernels", "ft,bt,sp,lu,ep,cg,cg2d,mg,is", "comma-separated kernels")
+	kernels := fs.String("kernels", strings.Join(nas.Kernels, ","), "comma-separated kernels")
 	classStr := fs.String("class", "S", "problem class: S|W|A")
 	nodes := fs.Int("nodes", 4, "cluster nodes")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -46,85 +42,19 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	table := map[string]kernelRun{
-		"ft": {"FT", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunFT(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"bt": {"BT", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunBT(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"ep": {"EP", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunEP(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"cg": {"CG", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunCG(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"cg2d": {"CG2D", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			p, err := nas.CGClassParams(class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			r, err := nas.RunCG2DParams(rc, p)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"mg": {"MG", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunMG(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"is": {"IS", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunIS(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"sp": {"SP", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunSP(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
-		"lu": {"LU", func(rc *cluster.Rank) (nas.Verification, time.Duration, error) {
-			r, err := nas.RunLU(rc, class)
-			if err != nil {
-				return nas.Verification{}, 0, err
-			}
-			return r.Verification, r.Makespan, nil
-		}},
+	keys := strings.Split(*kernels, ",")
+	for i, key := range keys {
+		keys[i] = strings.TrimSpace(strings.ToLower(key))
+		if !slices.Contains(nas.Kernels, keys[i]) {
+			return fmt.Errorf("unknown kernel %q", keys[i])
+		}
 	}
 
 	fmt.Fprintf(out, "NAS Parallel Benchmarks (Go port) — class %s, NP=%d\n", class, *nodes)
 	fmt.Fprintf(out, "%-4s %-8s %-12s %s\n", "code", "status", "makespan", "detail")
 	failures := 0
-	for _, key := range strings.Split(*kernels, ",") {
-		key = strings.TrimSpace(strings.ToLower(key))
-		k, ok := table[key]
-		if !ok {
-			return fmt.Errorf("unknown kernel %q", key)
-		}
+	for _, key := range keys {
+		name := strings.ToUpper(key)
 		c, err := cluster.New(cluster.Config{
 			Nodes: *nodes, RanksPerNode: 1, Seed: *seed,
 			Cost: nas.FTCost(), Heterogeneous: true,
@@ -135,20 +65,20 @@ func run(args []string, out io.Writer) error {
 		var verif nas.Verification
 		var makespan time.Duration
 		if _, err := c.Run(func(rc *cluster.Rank) error {
-			v, m, err := k.body(rc)
+			v, m, err := nas.Run(rc, key, class)
 			if rc.Rank() == 0 {
 				verif, makespan = v, m
 			}
 			return err
 		}); err != nil {
-			return fmt.Errorf("%s: %w", k.name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		status := "PASS"
 		if !verif.Passed {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Fprintf(out, "%-4s %-8s %-12s %s\n", k.name, status, makespan.Round(time.Millisecond), verif.Detail)
+		fmt.Fprintf(out, "%-4s %-8s %-12s %s\n", name, status, makespan.Round(time.Millisecond), verif.Detail)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d kernels failed verification", failures)

@@ -188,7 +188,10 @@ func runCritPathStream(files []string, crit, timeline bool, width int, ropts rep
 	cs := report.NewCritPathStream(out, ropts)
 	var sc *trace.Scanner
 	for _, path := range files {
-		a, err := streamCritFile(&sc, path, critpath.Options{Timeline: timeline})
+		a := critpath.New(critpath.Options{Timeline: timeline})
+		err := scanFile(&sc, path, func(s *trace.Scanner) func([]trace.Event) error {
+			return func(batch []trace.Event) error { return a.Add(s.NodeID(), s.Sym(), batch) }
+		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -209,48 +212,6 @@ func runCritPathStream(files []string, crit, timeline bool, width int, ropts rep
 		}
 	}
 	return nil
-}
-
-// streamCritFile scans one trace into a critical-path analyzer, reusing
-// (or creating) the caller's scanner.
-func streamCritFile(scp **trace.Scanner, path string, opts critpath.Options) (*critpath.Analyzer, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	var sc *trace.Scanner
-	if *scp != nil {
-		sc = *scp
-		if err := sc.Reset(r); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		sc, err = trace.NewScanner(r)
-		if err != nil {
-			return nil, err
-		}
-		*scp = sc
-	}
-	a := critpath.New(opts)
-	for {
-		batch, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := a.Add(sc.NodeID(), sc.Sym(), batch); err != nil {
-			return nil, err
-		}
-	}
-	return a, nil
 }
 
 // runStream parses each file through a trace.Scanner feeding an online
@@ -302,42 +263,51 @@ func runStream(files []string, u parser.Unit, format string, ropts report.Option
 // streamFile scans one trace into a profile in O(segment) memory,
 // reusing (or creating) the caller's scanner.
 func streamFile(scp **trace.Scanner, path string, u parser.Unit) (*parser.NodeProfile, error) {
+	var b *parser.Builder
+	err := scanFile(scp, path, func(sc *trace.Scanner) func([]trace.Event) error {
+		b = parser.NewBuilder(sc.NodeID(), sc.Sym(), parser.Options{Unit: u})
+		return b.Add
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.SetTruncated((*scp).Truncated())
+	return b.Finish()
+}
+
+// scanFile opens one trace (path "-" is stdin) on the caller's scanner,
+// Reset onto it or created on first use, and hands every batch to the
+// function begin returns once the header is read.
+func scanFile(scp **trace.Scanner, path string, begin func(*trace.Scanner) func([]trace.Event) error) error {
 	var r io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer f.Close()
 		r = f
 	}
-	var sc *trace.Scanner
-	if *scp != nil {
-		sc = *scp
-		if err := sc.Reset(r); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		sc, err = trace.NewScanner(r)
+	if *scp == nil {
+		sc, err := trace.NewScanner(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		*scp = sc
+	} else if err := (*scp).Reset(r); err != nil {
+		return err
 	}
-	b := parser.NewBuilder(sc.NodeID(), sc.Sym(), parser.Options{Unit: u})
+	add := begin(*scp)
 	for {
-		batch, err := sc.Next()
+		batch, err := (*scp).Next()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := b.Add(batch); err != nil {
-			return nil, err
+		if err := add(batch); err != nil {
+			return err
 		}
 	}
-	b.SetTruncated(sc.Truncated())
-	return b.Finish()
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tempest"
@@ -130,35 +131,10 @@ func workload(bench, classStr string) (func(rc *tempest.Rank) error, *cluster.Co
 	if err != nil {
 		return nil, nil, err
 	}
-	switch bench {
-	case "ft":
-		return func(rc *tempest.Rank) error { _, err := nas.RunFT(rc, class); return err }, &cost, nil
-	case "bt":
-		return func(rc *tempest.Rank) error { _, err := nas.RunBT(rc, class); return err }, &cost, nil
-	case "ep":
-		return func(rc *tempest.Rank) error { _, err := nas.RunEP(rc, class); return err }, &cost, nil
-	case "cg":
-		return func(rc *tempest.Rank) error { _, err := nas.RunCG(rc, class); return err }, &cost, nil
-	case "cg2d":
-		return func(rc *tempest.Rank) error {
-			p, err := nas.CGClassParams(class)
-			if err != nil {
-				return err
-			}
-			_, err = nas.RunCG2DParams(rc, p)
-			return err
-		}, &cost, nil
-	case "mg":
-		return func(rc *tempest.Rank) error { _, err := nas.RunMG(rc, class); return err }, &cost, nil
-	case "is":
-		return func(rc *tempest.Rank) error { _, err := nas.RunIS(rc, class); return err }, &cost, nil
-	case "sp":
-		return func(rc *tempest.Rank) error { _, err := nas.RunSP(rc, class); return err }, &cost, nil
-	case "lu":
-		return func(rc *tempest.Rank) error { _, err := nas.RunLU(rc, class); return err }, &cost, nil
-	default:
+	if !slices.Contains(nas.Kernels, bench) {
 		return nil, nil, fmt.Errorf("unknown benchmark %q", bench)
 	}
+	return func(rc *tempest.Rank) error { _, _, err := nas.Run(rc, bench, class); return err }, &cost, nil
 }
 
 // runComparison executes the workload twice — baseline and with the

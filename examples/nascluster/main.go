@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"tempest"
 	"tempest/internal/cluster"
@@ -28,7 +29,8 @@ func main() {
 	}
 
 	cost := nas.FTCost()
-	runBench := func(name string, body func(rc *tempest.Rank) error) *tempest.Profile {
+	runBench := func(kernel string) *tempest.Profile {
+		name := strings.ToUpper(kernel)
 		s, err := tempest.NewSession(tempest.Config{
 			Nodes:         4,
 			Seed:          7,
@@ -38,7 +40,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		p, err := s.Run(body)
+		p, err := s.Run(func(rc *tempest.Rank) error {
+			v, _, err := nas.Run(rc, kernel, class)
+			if err == nil && !v.Passed {
+				err = fmt.Errorf("%s verification failed: %s", name, v.Detail)
+			}
+			return err
+		})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
@@ -46,16 +54,7 @@ func main() {
 	}
 
 	// --- FT: Figure 3 + Table 2 ---------------------------------------
-	ft := runBench("FT", func(rc *tempest.Rank) error {
-		r, err := nas.RunFT(rc, class)
-		if err != nil {
-			return err
-		}
-		if !r.Verification.Passed {
-			return fmt.Errorf("FT verification failed: %s", r.Verification.Detail)
-		}
-		return nil
-	})
+	ft := runBench("ft")
 	fmt.Printf("=== Figure 3: FT class %s, NP=4 — per-node CPU temperature ===\n\n", class)
 	if err := ft.Plot(os.Stdout, 0); err != nil {
 		log.Fatal(err)
@@ -69,16 +68,7 @@ func main() {
 	printNodeSummary(ft)
 
 	// --- BT: Figure 4 + Table 3 ---------------------------------------
-	bt := runBench("BT", func(rc *tempest.Rank) error {
-		r, err := nas.RunBT(rc, class)
-		if err != nil {
-			return err
-		}
-		if !r.Verification.Passed {
-			return fmt.Errorf("BT verification failed: %s", r.Verification.Detail)
-		}
-		return nil
-	})
+	bt := runBench("bt")
 	fmt.Printf("\n=== Figure 4: BT class %s, NP=4 — per-node CPU temperature ===\n\n", class)
 	if err := bt.Plot(os.Stdout, 0); err != nil {
 		log.Fatal(err)

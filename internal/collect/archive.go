@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tempest/internal/hotspot"
+	"tempest/internal/nodefold"
 	"tempest/internal/parser"
 	"tempest/internal/store"
 	"tempest/internal/trace"
@@ -430,68 +431,40 @@ func foldFunctionHeat(a, b []hotspot.FunctionHeat) []hotspot.FunctionHeat {
 }
 
 // NewCompactor returns the store.Compactor the collector installs:
-// aged-out raw batches are bucketed by commit wall clock into
-// granule-aligned windows the way the live collector marks its builders —
-// one throwaway mid-stream Builder per node for the whole pass, a mark
-// where the node's batches cross into another bucket, and per bucket the
-// ranged snapshot between two marks, ranked by internal/hotspot per
-// sensor — and the per-window rankings appended to the previous archive.
-// An invocation open across a bucket boundary is charged to each bucket
-// for its clipped length. granule <= 0 folds the whole pass into a single
-// window spanning its batches. Every window detects the tempd period
-// from its own samples, as the parser does; the second argument is
-// ignored. Deterministic; retains nothing; captures only its arguments,
-// so every shard's store may run it at once.
+// aged-out raw batches are committed, granule by granule of their commit
+// wall clock, to one throwaway mid-stream nodefold.Node per node for the
+// whole pass — the marks the live collector makes, clock steps back
+// included — and each granule the node committed in becomes one archive
+// window: the ranged snapshot between its two marks, ranked by
+// internal/hotspot per sensor, appended to the previous archive. An
+// invocation open across a granule boundary is charged to each window
+// for its clipped length. Every window detects the tempd period from its
+// own samples, as the parser does; the second argument is ignored.
+// Deterministic; retains nothing; captures only its arguments, so every
+// shard's store may run it at once.
 func NewCompactor(unit parser.Unit, _, granule time.Duration) store.Compactor {
-	gran := granule.Nanoseconds()
 	return func(prevArchive []byte, batches []store.Batch) ([]byte, error) {
 		arch, err := decodeArchive(prevArchive)
 		if err != nil {
 			return nil, err
 		}
-		// cut is where a node's stream leaves a bucket: the index of the
-		// bucket, the builder's position (nil: the head) and the node's
-		// events in it.
-		type cut struct {
-			bucket int
-			m      *parser.Mark
-			events uint64
-		}
 		type nodeFold struct {
-			ent *archiveNode
-			sym *trace.SymTab
+			ent  *archiveNode
+			sym  *trace.SymTab
+			fold *nodefold.Node
 			// dead marks a poisoned builder; decoding continues for the
 			// symbol table.
-			b    *parser.Builder
 			dead bool
-			cuts []cut
-			open cut // the bucket of the node's newest batch
 		}
 		folds := map[uint32]*nodeFold{}
 		var order []uint32
 		var scratch []trace.Event
-		var buckets []archiveWindow // in commit order
-
 		for _, wb := range batches {
 			if wb.Flags&store.FlagPolicy != 0 {
 				// Policy directives age out with their retention window:
 				// the engine re-converges from live traffic, and a
 				// checkpoint has nowhere to resume a revision counter from.
 				continue
-			}
-			// Window boundary: commit clocks are nondecreasing, so crossing
-			// into a new granule closes the previous bucket.
-			bs, be := wb.WallNano, wb.WallNano+1
-			if gran > 0 {
-				bs = wb.WallNano - wb.WallNano%gran
-				be = bs + gran
-			}
-			if last := len(buckets) - 1; last < 0 || (gran > 0 && bs != buckets[last].fromWall) {
-				buckets = append(buckets, archiveWindow{fromWall: bs, toWall: be})
-			} else if gran <= 0 {
-				// Single-window pass: the bucket grows to cover every batch.
-				buckets[0].fromWall = min(buckets[0].fromWall, bs)
-				buckets[0].toWall = max(buckets[0].toWall, be)
 			}
 			nf, ok := folds[wb.Node]
 			if !ok {
@@ -525,41 +498,28 @@ func NewCompactor(unit parser.Unit, _, granule time.Duration) store.Compactor {
 			if nf.dead {
 				continue
 			}
-			switch cur := len(buckets) - 1; {
-			case nf.b == nil:
-				nf.b = newBuilder(trace.NewFold(nf.sym), wb.Node, unit, true)
-				nf.open.bucket = cur
-			case nf.open.bucket != cur:
-				nf.open.m = nf.b.Mark()
-				nf.cuts = append(nf.cuts, nf.open)
-				nf.open = cut{bucket: cur}
+			if nf.fold == nil {
+				nf.fold = nodefold.New(wb.Node, nf.sym, unit, true, false)
 			}
-			if err := nf.b.Add(ev); err != nil {
-				// A pass whose builder poisoned contributes cursors but no
-				// heat — the same events poisoned the live builder too.
-				nf.dead = true
-			} else {
-				nf.open.events += uint64(len(ev))
-			}
-			nf.b.Fold()
+			// A pass whose builder poisoned contributes cursors but no
+			// heat — the same events poisoned the live builder too.
+			nf.dead = nf.fold.Commit(ev, wb.WallNano, granule) != nil
 		}
 
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		for _, id := range order {
 			nf := folds[id]
 			nf.ent.syms = nf.sym.Names()
-			if nf.b == nil || nf.dead {
+			if nf.fold == nil || nf.dead {
 				continue
 			}
-			var prev *parser.Mark
-			for _, c := range append(nf.cuts, nf.open) {
-				np, err := nf.b.SnapshotRange(prev, c.m)
+			nf.fold.Granules(func(end int64, lo, hi *parser.Mark, events uint64) bool {
+				np, err := nf.fold.Builder.SnapshotRange(lo, hi)
 				if err != nil {
-					break
+					return false
 				}
-				prev = c.m
-				nf.ent.events += c.events
-				wn := archiveWindowNode{node: id, events: c.events}
+				nf.ent.events += events
+				wn := archiveWindowNode{node: id, events: events}
 				p := &parser.Profile{Unit: unit, Nodes: []parser.NodeProfile{*np}}
 				wn.heat = make([][]hotspot.FunctionHeat, len(np.Samples))
 				for sid := range np.Samples {
@@ -570,12 +530,10 @@ func NewCompactor(unit parser.Unit, _, granule time.Duration) store.Compactor {
 					wn.heat[sid] = hf
 				}
 				if wn.events > 0 || len(wn.heat) > 0 {
-					buckets[c.bucket].nodes = append(buckets[c.bucket].nodes, wn)
+					arch.addWindow(archiveWindow{fromWall: end - granule.Nanoseconds(), toWall: end, nodes: []archiveWindowNode{wn}})
 				}
-			}
-		}
-		for _, w := range buckets {
-			arch.addWindow(w)
+				return true
+			})
 		}
 		return encodeArchive(arch), nil
 	}

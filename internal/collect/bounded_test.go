@@ -167,8 +167,8 @@ func TestCollectorPlateau(t *testing.T) {
 		if k%100 == 0 {
 			clk.advance(time.Hour)
 		}
-		if got, want := c.metrics.granuleMarks.Value(), int64((k-1)/100); got != want || len(c.shards[0].nodes[1].marks) != int(want) {
-			t.Fatalf("after chunk %d: %d marks on the gauge, %d on the node, want %d", k, got, len(c.shards[0].nodes[1].marks), want)
+		if got, want := c.metrics.granuleMarks.Value(), int64((k-1)/100); got != want || c.shards[0].nodes[1].fold.Marks() != int(want) {
+			t.Fatalf("after chunk %d: %d marks on the gauge, %d on the node, want %d", k, got, c.shards[0].nodes[1].fold.Marks(), want)
 		}
 	}
 	// A sample costs 16 bytes in the series and 8 in the list of every
@@ -181,7 +181,7 @@ func TestCollectorPlateau(t *testing.T) {
 	if st.LateEvents != 0 || st.Events != 400*perChunk {
 		t.Errorf("node status %+v, want %d events, none late", st, 400*perChunk)
 	}
-	if got, want := c.metrics.residentSpans.Value(), int64(c.shards[0].nodes[1].builder.Resident()); got != want {
+	if got, want := c.metrics.residentSpans.Value(), int64(c.shards[0].nodes[1].fold.Builder.Resident()); got != want {
 		t.Errorf("resident-spans gauge %d, the builder holds %d", got, want)
 	}
 }

@@ -13,19 +13,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tempest/internal/critpath"
 	"tempest/internal/hotspot"
 	"tempest/internal/introspect"
+	"tempest/internal/nodefold"
 	"tempest/internal/parser"
 	"tempest/internal/store"
 	"tempest/internal/trace"
 )
-
-// critTrackCap bounds each node's per-lane timeline to a fixed segment
-// budget: a collector serves long-lived fleets, so per-node critical-path
-// state must stay O(lanes + functions), never O(events). Overflowing
-// tracks coarsen (adjacent segments merge) instead of growing.
-const critTrackCap = 512
 
 // Options configures a Collector. The zero value selects the defaults
 // noted per field.
@@ -112,33 +106,18 @@ type nodeState struct {
 	id   uint32
 	rank uint32
 	sym  *trace.SymTab
-	// core is the node's one lane table: every accepted event is matched
-	// against its stacks once (fold) and the fact handed to both
-	// consumers below.
-	core     *trace.Fold
-	builder  *parser.Builder
+	// fold is the node's one pass over its accepted events: the builder,
+	// the critical-path analyzer and the granule marks (see nodefold).
+	fold     *nodefold.Node
 	nextSeq  uint64
 	segments uint64
 	lastSeen time.Time
 	err      error // poisoned: gap in the stream or Builder failure
 
-	// crit is the node's streaming critical-path analyzer: it consumes the
-	// same facts as builder and answers /api/critpath and /api/timeline.
-	// Tolerant by design — it keeps counting through streams the builder
-	// would reject — but it is only fed what the builder took (on a batch
-	// that poisons the builder, the events before the offending one), so
-	// both views describe the same event history.
-	crit *critpath.Analyzer
-
 	// symsStored is how much of sym the durable chunk stream already
 	// carries; the bulk path encodes fresh symbols from this cursor so
 	// every stored batch stays densely decodable on replay.
 	symsStored int
-	// head is the end of the granule of the node's newest commit, 0 before
-	// the first; marks are its positions at the end of every granule it
-	// committed in before that one, oldest first (see window.go).
-	head  int64
-	marks []granuleMark
 
 	// archEvents, arch and archHeat are the node's compacted history,
 	// replayed from the store's checkpoint archive at startup: the events

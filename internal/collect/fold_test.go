@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tempest/internal/critpath"
+	"tempest/internal/nodefold"
 	"tempest/internal/parser"
 	"tempest/internal/report"
 	"tempest/internal/store"
@@ -46,7 +47,7 @@ func standalone(t *testing.T, c *Collector, node uint32, sym *trace.SymTab, evs 
 	t.Helper()
 	b := parser.NewBuilder(node, sym, parser.Options{Unit: c.opts.Unit, MidStream: midStream})
 	berr := b.Add(evs)
-	a := critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap})
+	a := critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: nodefold.CritTrackCap})
 	if err := a.Add(node, sym, evs[:b.Events()]); err != nil {
 		t.Fatal(err)
 	}

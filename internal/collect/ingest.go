@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"tempest/instrument"
-	"tempest/internal/critpath"
-	"tempest/internal/parser"
+	"tempest/internal/nodefold"
 	"tempest/internal/store"
 	"tempest/internal/trace"
 )
@@ -103,7 +102,7 @@ func (sh *shard) replayArchive(blob []byte) error {
 		ns.symsStored = sym.Len()
 		ns.archEvents = ent.events
 		if ent.truncated {
-			ns.builder.SetTruncated(true)
+			ns.fold.Builder.SetTruncated(true)
 		}
 	}
 	for _, w := range arch.windows {
@@ -155,7 +154,7 @@ func (sh *shard) replayBatch(b store.Batch) error {
 		return nil // a duplicate that survived a historic race, or a gap
 	}
 	if b.Flags&store.FlagTruncated != 0 {
-		ns.builder.SetTruncated(true)
+		ns.fold.Builder.SetTruncated(true)
 	}
 	if ns.err != nil {
 		return nil
@@ -189,30 +188,14 @@ func (sh *shard) node(id, rank uint32) *nodeState {
 	return ns
 }
 
-// newNode registers a fresh node state: one fold core over sym with the
+// newNode registers a fresh node state: one fold over sym with the
 // profile builder and the critical-path analyzer as its consumers.
 // midStream is for a node whose stream begins in compacted history.
 func (sh *shard) newNode(id, rank uint32, sym *trace.SymTab, midStream bool) *nodeState {
-	core := trace.NewFold(sym)
-	ns := &nodeState{
-		id:      id,
-		rank:    rank,
-		sym:     sym,
-		core:    core,
-		builder: newBuilder(core, id, sh.c.opts.Unit, midStream),
-		crit:    critpath.New(critpath.Options{Timeline: true, MaxTrackSegments: critTrackCap}),
-	}
+	ns := &nodeState{id: id, rank: rank, sym: sym, fold: nodefold.New(id, sym, sh.c.opts.Unit, midStream, true)}
 	sh.nodes[id] = ns
 	sh.c.metrics.nodes.Add(1)
 	return ns
-}
-
-// newBuilder is the one place the collector builds a profile builder.
-// midStream marks a builder whose stream starts after the node's first
-// event — behind compacted history, or at the edge of a replayed window —
-// so exits of invocations opened earlier are expected, not errors.
-func newBuilder(core *trace.Fold, node uint32, unit parser.Unit, midStream bool) *parser.Builder {
-	return parser.NewBuilderOn(core, node, parser.Options{Unit: unit, MidStream: midStream})
 }
 
 // decode decodes one chunk against a node's symbol table into the shard's
@@ -227,29 +210,17 @@ func (sh *shard) decode(payload []byte, sym *trace.SymTab) ([]trace.Event, error
 	return batch, err
 }
 
-// fold runs one accepted batch, committed at wall, through the node's
-// single stack-matching pass: the core steps each event once and both
-// consumers take the fact. An error is the builder's and poisons the node;
-// the analyzer has then seen exactly the events the builder consumed. The
-// first batch of a granule is preceded by a mark, and the batch over, the
-// builder folds what lies two batches back — ship, bulk and replay all
+// fold commits one accepted batch, stamped wall, to the node's fold. An
+// error is the builder's and poisons the node. Ship, bulk and replay all
 // come through here with the clock the batch was stamped with, so a
 // restart marks and folds where the first run did.
 func (sh *shard) fold(ns *nodeState, batch []trace.Event, wall int64) error {
-	sh.enterGranule(ns, wall)
-	late, resident := ns.builder.Late(), ns.builder.Resident()
-	var err error
-	for i := range batch {
-		e := &batch[i]
-		m := ns.core.Step(e)
-		if err = ns.builder.Apply(e, m); err != nil {
-			break
-		}
-		ns.crit.Apply(ns.id, ns.core, e, m)
-	}
-	ns.builder.Fold()
-	sh.c.metrics.lateEvents.Add(ns.builder.Late() - late)
-	sh.c.metrics.residentSpans.Add(int64(ns.builder.Resident() - resident))
+	b := ns.fold.Builder
+	late, resident, marks := b.Late(), b.Resident(), ns.fold.Marks()
+	err := ns.fold.Commit(batch, wall, sh.c.opts.ArchiveGranule)
+	sh.c.metrics.lateEvents.Add(b.Late() - late)
+	sh.c.metrics.residentSpans.Add(int64(b.Resident() - resident))
+	sh.c.metrics.granuleMarks.Add(int64(ns.fold.Marks() - marks))
 	return err
 }
 
@@ -429,7 +400,7 @@ func (sh *shard) bulk(node, rank uint32, batch []trace.Event, sym *trace.SymTab)
 func (sh *shard) finishBulk(node, rank uint32, truncated bool) {
 	sh.ingest(node, rank, func(ns *nodeState, _ *ack) {
 		if truncated {
-			ns.builder.SetTruncated(true)
+			ns.fold.Builder.SetTruncated(true)
 			sh.persistBulk(ns, store.FlagTruncated, nil)
 		}
 	})

@@ -135,7 +135,7 @@ func (np *nodePolicy) accumulateCoarse(stats []instrument.CoarseStat) {
 // time alone (factor 1), so the loop still converges in simulation.
 func (sh *shard) tempFactor(ns *nodeState) float64 {
 	factor := 0.0
-	for _, s := range ns.builder.SensorStats() {
+	for _, s := range ns.fold.Builder.SensorStats() {
 		if s.N == 0 {
 			continue
 		}

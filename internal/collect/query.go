@@ -55,13 +55,13 @@ func (c *Collector) Nodes() []NodeStatus {
 		st := NodeStatus{
 			NodeID:         ns.id,
 			Rank:           ns.rank,
-			Events:         ns.builder.Events(),
+			Events:         ns.fold.Builder.Events(),
 			Segments:       ns.segments,
-			DurationS:      ns.builder.Duration().Seconds(),
-			Truncated:      ns.builder.Truncated(),
+			DurationS:      ns.fold.Builder.Duration().Seconds(),
+			Truncated:      ns.fold.Builder.Truncated(),
 			LastSeen:       ns.lastSeen,
 			ArchivedEvents: ns.archEvents,
-			LateEvents:     ns.builder.Late(),
+			LateEvents:     ns.fold.Builder.Late(),
 		}
 		if ns.err != nil {
 			st.Err = ns.err.Error()
@@ -80,7 +80,7 @@ func (c *Collector) Profile() *parser.Profile {
 	c.eachNode(func(ns *nodeState) {
 		// A poisoned builder still has a last-good story to tell via
 		// status; skip it in fleet profiles.
-		if np, err := ns.builder.Snapshot(); err == nil {
+		if np, err := ns.fold.Builder.Snapshot(); err == nil {
 			nps = append(nps, np)
 		}
 	})
@@ -101,7 +101,7 @@ func profileOf(unit parser.Unit, nps []*parser.NodeProfile) *parser.Profile {
 // has none and reads as unknown; its story is in Nodes.
 func (c *Collector) NodeProfile(id uint32) (*parser.NodeProfile, error) {
 	var np *parser.NodeProfile
-	err := c.known(id, func(ns *nodeState) { np, _ = ns.builder.Snapshot() })
+	err := c.known(id, func(ns *nodeState) { np, _ = ns.fold.Builder.Snapshot() })
 	if err == nil && np == nil {
 		err = errUnknownNode(id)
 	}
@@ -115,7 +115,7 @@ func (c *Collector) NodeProfile(id uint32) (*parser.NodeProfile, error) {
 func (c *Collector) CritPath(id uint32) (sum *critpath.Summary, tracks []critpath.Track, dur time.Duration, err error) {
 	err = c.known(id, func(ns *nodeState) {
 		// Summary() is a fresh value and Tracks() copies its segments.
-		sum, tracks, dur = ns.crit.Summary(), ns.crit.Tracks(), ns.crit.Duration()
+		sum, tracks, dur = ns.fold.Crit.Summary(), ns.fold.Crit.Tracks(), ns.fold.Crit.Duration()
 	})
 	return sum, tracks, dur, err
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tempest/internal/nodefold"
 	"tempest/internal/store"
 	"tempest/internal/trace"
 )
@@ -171,7 +172,7 @@ func TestRestartRecoversEveryShard(t *testing.T) {
 	const torn, blocked = 1, 2
 
 	// Nodes 1..8 land on every shard; odd nodes ship, even ones upload.
-	// The first node on a healthy shard makes 2×critTrackCap+2
+	// The first node on a healthy shard makes 2×nodefold.CritTrackCap+2
 	// transitions on its one lane, so its track halves more than twice.
 	onShard := map[uint32]int{}
 	covered := map[int]bool{}
@@ -182,7 +183,7 @@ func TestRestartRecoversEveryShard(t *testing.T) {
 		covered[onShard[node]] = true
 		calls := 30 + 5*int(node)
 		if long == 0 && onShard[node] != blocked {
-			long, calls = node, critTrackCap+1
+			long, calls = node, nodefold.CritTrackCap+1
 		}
 		tr := buildTrace(t, node, []string{"compute", "exchange", "io"}, calls)
 		traces = append(traces, tr)

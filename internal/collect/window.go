@@ -3,13 +3,12 @@ package collect
 import (
 	"errors"
 	"math"
-	"sort"
 	"time"
 
 	"tempest/internal/hotspot"
+	"tempest/internal/nodefold"
 	"tempest/internal/parser"
 	"tempest/internal/store"
-	"tempest/internal/trace"
 )
 
 // The ranged read path. Rankings over a time range are a ranged snapshot
@@ -34,28 +33,11 @@ import (
 // history to rebuild a series from.
 var ErrHistoryUnavailable = errors.New("collect: durable history not enabled")
 
-// granuleMark is a node's position at the end of a granule: everything it
-// committed before end.
-type granuleMark struct {
-	end int64 // wall clock, exclusive
-	m   *parser.Mark
-}
-
 // archiveGranule is one node's archived heat for one granule [from, to),
 // per sensor id.
 type archiveGranule struct {
 	from, to int64
 	heat     [][]hotspot.FunctionHeat
-}
-
-// granuleOf returns the start of the granule a wall clock lies in.
-func (c *Collector) granuleOf(wall int64) int64 {
-	gran := c.opts.ArchiveGranule.Nanoseconds()
-	start := wall - wall%gran
-	if start > wall { // % truncates towards zero: before 1970 it rounded up
-		start -= gran
-	}
-	return start
 }
 
 // snap moves [from, to) outward to granule boundaries; an empty range
@@ -64,55 +46,12 @@ func (c *Collector) snap(from, to int64) (int64, int64) {
 	if from >= to {
 		return from, from
 	}
-	gran := c.opts.ArchiveGranule.Nanoseconds()
-	from, to = c.granuleOf(from), c.granuleOf(to-1)
-	if to > math.MaxInt64-gran {
+	gran := c.opts.ArchiveGranule
+	from, to = nodefold.GranuleOf(from, gran), nodefold.GranuleOf(to-1, gran)
+	if to > math.MaxInt64-gran.Nanoseconds() {
 		return from, math.MaxInt64
 	}
-	return from, to + gran
-}
-
-// enterGranule notes that the node is about to fold a batch committed at
-// wall. The first batch of a new granule is preceded by a mark: the
-// node's position at the end of the granule it leaves. Commit clocks do
-// not run backwards; one that does stays in the head granule.
-func (sh *shard) enterGranule(ns *nodeState, wall int64) {
-	end := sh.c.granuleOf(wall) + sh.c.opts.ArchiveGranule.Nanoseconds()
-	if end <= ns.head {
-		return
-	}
-	if ns.head != 0 {
-		ns.marks = append(ns.marks, granuleMark{end: ns.head, m: ns.builder.Mark()})
-		sh.c.metrics.granuleMarks.Add(1)
-	}
-	ns.head = end
-}
-
-// between picks the two positions in the node's stream that bound what it
-// committed in [from, to), both on granule boundaries: nil lo is the
-// stream's origin, nil hi its head. ok is false for a node that committed
-// nothing in the range.
-func (ns *nodeState) between(from, to int64) (lo, hi *parser.Mark, ok bool) {
-	// Position 0 is the origin, i the i-th mark, and one past the marks the
-	// head, which belongs to the granule of the newest commit.
-	at := func(bound int64) int {
-		n := sort.Search(len(ns.marks), func(i int) bool { return ns.marks[i].end > bound })
-		if n == len(ns.marks) && ns.head != 0 && ns.head <= bound {
-			n++
-		}
-		return n
-	}
-	l, h := at(from), at(to)
-	if l == h {
-		return nil, nil, false
-	}
-	if l > 0 {
-		lo = ns.marks[l-1].m
-	}
-	if h <= len(ns.marks) {
-		hi = ns.marks[h-1].m
-	}
-	return lo, hi, true
+	return from, to + gran.Nanoseconds()
 }
 
 // archivedHeat folds the node's archived granules that overlap [from, to)
@@ -140,12 +79,12 @@ func (c *Collector) WindowHotspots(sensor, k int, from, to int64) (*HotspotsResp
 		closed := sh.do(func() {
 			for _, ns := range sh.nodes {
 				heat = append(heat, ns.archivedHeat(from, to, sensor)...)
-				lo, hi, ok := ns.between(from, to)
+				lo, hi, ok := ns.fold.Between(from, to)
 				if !ok {
 					continue
 				}
 				// A poisoned builder is skipped, as in Profile.
-				if np, err := ns.builder.SnapshotRange(lo, hi); err == nil {
+				if np, err := ns.fold.Builder.SnapshotRange(lo, hi); err == nil {
 					nps = append(nps, np)
 				}
 			}
@@ -205,7 +144,7 @@ func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser
 	// Post-compaction raw chunks were encoded against the archive's
 	// cumulative table; seed it so ids stay dense.
 	sym := arch.find(id).symTab()
-	var b *parser.Builder
+	var nf *nodefold.Node
 	// A chunk that will not decode breaks the node's symbol continuity and
 	// a batch that will not fold poisons its builder: either way the later
 	// batches are unattributable, so the node drops out of this window
@@ -232,14 +171,14 @@ func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser
 			}
 			ev, err := sh.decode(sb.Payload, sym)
 			if err == nil {
-				if b == nil {
-					b = newBuilder(trace.NewFold(sym), id, sh.c.opts.Unit, true)
+				if nf == nil {
+					nf = nodefold.New(id, sym, sh.c.opts.Unit, true, false)
 				}
 				if sb.Flags&store.FlagTruncated != 0 {
-					b.SetTruncated(true)
+					nf.Builder.SetTruncated(true)
 				}
-				err = b.Add(ev)
-				b.Fold()
+				err = nf.Add(ev)
+				nf.Builder.Fold()
 			}
 			dead = err != nil
 			return nil
@@ -248,8 +187,8 @@ func (sh *shard) decodeWindow(id uint32, from, to int64) (*fleetArchive, *parser
 		return nil, nil, err
 	}
 	var np *parser.NodeProfile
-	if b != nil && !dead {
-		np, _ = b.Finish() // a profile or nothing
+	if nf != nil && !dead {
+		np, _ = nf.Builder.Finish() // a profile or nothing
 	}
 	sh.c.metrics.windowDecodeSeconds.ObserveSince(start)
 	return arch, np, nil

@@ -515,6 +515,41 @@ func TestCompactorSplitsOpenSpanAcrossBuckets(t *testing.T) {
 	}
 }
 
+// TestCompactorKeepsClockStepBackInHeadGranule: a commit clock that steps
+// back stays in the head granule, as it does on a live node, so the
+// archive holds no window over the granule it stepped back into — one the
+// live collector never ranked — and the head granule holds both batches.
+func TestCompactorKeepsClockStepBackInHeadGranule(t *testing.T) {
+	sym := trace.NewSymTab()
+	f := sym.Register("f")
+	t0 := newStoreClock().now().Truncate(time.Hour)
+	var batches []store.Batch
+	cursor := 0
+	for k, at := range []time.Duration{2 * time.Minute, time.Minute} {
+		ts := time.Duration(k) * time.Second
+		evs := []trace.Event{{Kind: trace.KindEnter, FuncID: f, TS: ts}, {Kind: trace.KindSample, ValueC: 40, TS: ts + time.Millisecond}, {Kind: trace.KindExit, FuncID: f, TS: ts + 2*time.Millisecond}}
+		payload, n, err := encodeChunk(evs, sym, cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor = n
+		batches = append(batches, store.Batch{Node: 1, Seq: uint64(k), WallNano: t0.Add(at).UnixNano(), Payload: payload})
+	}
+	blob, err := NewCompactor(parser.Celsius, 0, time.Minute)(nil, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := decodeArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := t0.Add(2*time.Minute).UnixNano(), t0.Add(3*time.Minute).UnixNano()
+	if len(arch.windows) != 1 || arch.windows[0].fromWall != from || arch.windows[0].toWall != to ||
+		len(arch.windows[0].nodes) != 1 || arch.windows[0].nodes[0].events != 6 {
+		t.Fatalf("archive windows %+v, want one over [%d, %d) with node 1's 6 events", arch.windows, from, to)
+	}
+}
+
 // TestWindowSeriesDecodesNodeAndSeesNewCommits pins what a ranged series
 // is: every request decodes the node it was asked for and nothing else,
 // and a commit landing inside the range shows up in the next query.

@@ -77,15 +77,6 @@ func (m *cgMatrix) apply(x, y []float64) {
 	}
 }
 
-// RunCG executes the CG benchmark on one rank of a cluster run.
-func RunCG(rc *cluster.Rank, class Class) (*CGResult, error) {
-	p, err := CGClassParams(class)
-	if err != nil {
-		return nil, err
-	}
-	return RunCGParams(rc, p)
-}
-
 // RunCGParams executes CG with explicit parameters.
 func RunCGParams(rc *cluster.Rank, p CGParams) (*CGResult, error) {
 	P := rc.Size()

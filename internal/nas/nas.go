@@ -97,3 +97,64 @@ func instrumentChecked(rc *cluster.Rank, name string, util float64, d time.Durat
 	}
 	return rc.Exit()
 }
+
+// Kernels names the kernels Run knows, in the order nasrun runs them.
+var Kernels = []string{"ft", "bt", "sp", "lu", "ep", "cg", "cg2d", "mg", "is"}
+
+// Run runs one kernel, named as in Kernels, at class on one rank of a
+// cluster run, and returns its verification outcome and the rank's
+// makespan.
+func Run(rc *cluster.Rank, kernel string, class Class) (v Verification, makespan time.Duration, err error) {
+	switch kernel {
+	case "ft":
+		var r *FTResult
+		if r, err = RunFT(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "bt":
+		var r *BTResult
+		if r, err = RunBT(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "sp":
+		var r *SPResult
+		if r, err = RunSP(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "lu":
+		var r *LUResult
+		if r, err = RunLU(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "ep":
+		var r *EPResult
+		if r, err = RunEP(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "cg", "cg2d":
+		run := RunCGParams
+		if kernel == "cg2d" {
+			run = RunCG2DParams // the 2-D decomposition of the same problem
+		}
+		var p CGParams
+		var r *CGResult
+		if p, err = CGClassParams(class); err == nil {
+			if r, err = run(rc, p); err == nil {
+				v, makespan = r.Verification, r.Makespan
+			}
+		}
+	case "mg":
+		var r *MGResult
+		if r, err = RunMG(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	case "is":
+		var r *ISResult
+		if r, err = RunIS(rc, class); err == nil {
+			v, makespan = r.Verification, r.Makespan
+		}
+	default:
+		err = fmt.Errorf("nas: unknown kernel %q", kernel)
+	}
+	return v, makespan, err
+}

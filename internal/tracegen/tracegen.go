@@ -15,6 +15,7 @@
 //
 // Same Config, same stream. It mirrors _bench/gen.go's shape on purpose
 // and is deliberately not imported by it: the benchmark is frozen.
+// FuzzEvents turns fuzz bytes into a stream for the fold's fuzz targets.
 package tracegen
 
 import (
@@ -169,4 +170,56 @@ func (g *Gen) Fill(buf []trace.Event, n int) []trace.Event {
 		g.schedule(l, e.TS)
 	}
 	return buf
+}
+
+// FuzzEvents decodes fuzz bytes into an event stream over a fixed symbol
+// table, for the fuzz targets of the fold's consumers: 4 bytes per event
+// choose kind, lane, function and a timestamp delta (high bit =
+// deliberate regression). Function ids above the registered range
+// exercise the unknown-symbol path.
+func FuzzEvents(data []byte) ([]trace.Event, *trace.SymTab) {
+	sym := trace.NewSymTab()
+	names := []string{"alpha", "beta", "gamma", "delta", "main",
+		"MPI_Barrier", "MPI_Allreduce", "MPI_Send"}
+	fids := make([]uint32, len(names))
+	for i, n := range names {
+		fids[i] = sym.Register(n)
+	}
+	var evs []trace.Event
+	var ts time.Duration
+	for i := 0; i+3 < len(data); i += 4 {
+		var fid uint32
+		if sel := int(data[i+2]) % (len(fids) + 2); sel < len(fids) {
+			fid = fids[sel]
+		} else {
+			fid = uint32(100 + sel) // unresolvable on purpose
+		}
+		e := trace.Event{
+			Lane:   uint32(data[i+1]) % 5,
+			FuncID: fid,
+		}
+		switch data[i] % 8 {
+		case 0, 1, 2:
+			e.Kind = trace.KindEnter
+		case 3, 4, 5:
+			e.Kind = trace.KindExit
+		case 6:
+			e.Kind = trace.KindMarker
+		default:
+			e.Kind = trace.KindDrop
+			e.Aux = uint64(data[i+2])
+		}
+		d := time.Duration(data[i+3]&0x3f) * time.Millisecond
+		if data[i+3]&0x80 != 0 {
+			ts -= d // cross-lane regression: must clamp, not corrupt
+			if ts < 0 {
+				ts = 0
+			}
+		} else {
+			ts += d
+		}
+		e.TS = ts
+		evs = append(evs, e)
+	}
+	return evs, sym
 }

@@ -13,6 +13,7 @@ import (
 	"tempest/instrument"
 	"tempest/internal/critpath"
 	"tempest/internal/introspect"
+	"tempest/internal/nodefold"
 	"tempest/internal/parser"
 	"tempest/internal/sensors"
 	"tempest/internal/stats"
@@ -78,7 +79,8 @@ type LiveConfig struct {
 	// the profile builder: every drained batch is also folded into an
 	// internal/critpath.Analyzer, and CritPathSummary exposes live
 	// straggler/serialization snapshots (tempest-live -watch's straggler
-	// lines). Costs O(lanes + functions) extra state, no event history.
+	// lines). Costs O(lanes + functions) extra state and a per-lane
+	// timeline of at most 512 segments of 24 B, no event history.
 	CritPath bool
 }
 
@@ -104,12 +106,11 @@ type LiveSession struct {
 	daemon *tempd.Daemon
 
 	bmu sync.Mutex
-	// core matches the session's stacks once per event; builder and the
-	// optional critical-path analyzer crit consume its facts under the
-	// same lock, so both views agree event for event.
-	core    *trace.Fold
-	builder *parser.Builder
-	crit    *critpath.Analyzer
+	// fold matches the session's stacks once per event; its builder and
+	// optional critical-path analyzer consume the facts under this lock,
+	// the analyzer only those the builder took, so both views agree event
+	// for event.
+	fold *nodefold.Node
 
 	ir           *introspect.Registry
 	acct         *introspect.Accountant
@@ -203,11 +204,7 @@ func NewLiveSession(cfg LiveConfig) (*LiveSession, error) {
 	s.acct.Register(ir, "tempest_live_overhead_fraction", "Instrumentation self-time over workload wall clock (paper §3.4 bounds it below 7%).")
 	// The core shares the tracer's live (lock-protected) symbol table, so
 	// drained events always resolve.
-	s.core = trace.NewFold(tracer.SymTab())
-	s.builder = parser.NewBuilderOn(s.core, cfg.NodeID, parser.Options{Unit: cfg.Unit})
-	if cfg.CritPath {
-		s.crit = critpath.New(critpath.Options{})
-	}
+	s.fold = nodefold.New(cfg.NodeID, tracer.SymTab(), cfg.Unit, false, cfg.CritPath)
 	drainEvery := cfg.DrainInterval
 	if drainEvery == 0 {
 		drainEvery = 500 * time.Millisecond
@@ -373,16 +370,8 @@ func (s *LiveSession) drain() {
 	s.ctlMu.Unlock()
 	s.bmu.Lock()
 	ev, sym := s.tracer.Drain()
-	for i := range ev {
-		e := &ev[i]
-		m := s.core.Step(e)
-		// A structural error poisons the builder (Close reports it); the
-		// analyzer tolerates odd streams and keeps counting.
-		_ = s.builder.Apply(e, m)
-		if s.crit != nil {
-			s.crit.Apply(s.cfg.NodeID, s.core, e, m)
-		}
-	}
+	// A structural error poisons the builder, and Close reports it.
+	_ = s.fold.Add(ev)
 	if s.cfg.DrainSink != nil {
 		s.cfg.DrainSink(ev, sym)
 	}
@@ -415,7 +404,7 @@ func (s *LiveSession) Snapshot() (*NodeProfile, error) {
 	s.drain()
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	return s.builder.Snapshot()
+	return s.fold.Builder.Snapshot()
 }
 
 // OpenFunctions lists the functions currently open on any lane — the
@@ -424,7 +413,7 @@ func (s *LiveSession) OpenFunctions() []string {
 	s.drain()
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	return s.builder.OpenFunctions()
+	return s.fold.Builder.OpenFunctions()
 }
 
 // CritPathSummary returns a live snapshot of the streaming critical-path
@@ -432,13 +421,13 @@ func (s *LiveSession) OpenFunctions() []string {
 // session was not configured with LiveConfig.CritPath. Non-destructive:
 // the analyzer keeps accumulating, like Snapshot.
 func (s *LiveSession) CritPathSummary() *critpath.Summary {
-	if s.crit == nil {
+	if s.fold.Crit == nil {
 		return nil
 	}
 	s.drain()
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	return s.crit.Summary()
+	return s.fold.Crit.Summary()
 }
 
 // SensorStats returns streaming summaries of each sensor's whole
@@ -448,7 +437,7 @@ func (s *LiveSession) SensorStats() []stats.Summary {
 	s.drain()
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	return s.builder.SensorStats()
+	return s.fold.Builder.SensorStats()
 }
 
 // Close stops tempd (the destructor's signal in the paper), drains the
@@ -478,7 +467,7 @@ func (s *LiveSession) Close() (*Profile, error) {
 	overhead := s.acct.Fraction()
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
-	np, err := s.builder.Finish()
+	np, err := s.fold.Builder.Finish()
 	if err != nil {
 		return nil, err
 	}

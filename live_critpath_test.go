@@ -2,6 +2,7 @@ package tempest
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,5 +77,33 @@ func TestLiveSessionCritPathDisabled(t *testing.T) {
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLiveSessionCritPathStopsAtBuilderError: an exit on an empty stack
+// is recorded and poisons the session's builder. The analyzer takes
+// exactly the events the builder took, so it counts no anomaly, and
+// Close reports the builder's error.
+func TestLiveSessionCritPathStopsAtBuilderError(t *testing.T) {
+	s, err := NewLiveSession(LiveConfig{
+		HwmonRoot:             filepath.Join(t.TempDir(), "none"),
+		AllowSimulatedSensors: true,
+		SampleRateHz:          50,
+		LaneBufferCap:         DefaultLaneBufferCap,
+		CritPath:              true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := s.Lane()
+	_ = lane.Instrument("before", func() {})
+	_ = lane.Exit(s.tracer.SymTab().Register("orphan"))
+	_ = lane.Instrument("after", func() {})
+	sum := s.CritPathSummary()
+	if took := s.fold.Builder.Events(); sum.Events != took || sum.StackAnomalies != 0 {
+		t.Errorf("analyzer saw %d events and %d stack anomalies, builder took %d: want the same events, no anomaly", sum.Events, sum.StackAnomalies, took)
+	}
+	if _, err := s.Close(); err == nil || !strings.Contains(err.Error(), "empty stack") {
+		t.Errorf("Close = %v, want the builder's empty-stack error", err)
 	}
 }

@@ -50,24 +50,15 @@ func kernelSignature(b *testing.B, body func(rc *cluster.Rank) error) (avg, maxV
 // BenchmarkSuite_ThermalSignatures reproduces the cross-kernel contrast:
 // communication-heavy codes run cooler than compute-bound ones.
 func BenchmarkSuite_ThermalSignatures(b *testing.B) {
-	kernels := []struct {
-		name string
-		body func(rc *cluster.Rank) error
-	}{
-		{"ft", func(rc *cluster.Rank) error { _, err := nas.RunFT(rc, nas.ClassS); return err }},
-		{"bt", func(rc *cluster.Rank) error { _, err := nas.RunBT(rc, nas.ClassS); return err }},
-		{"sp", func(rc *cluster.Rank) error { _, err := nas.RunSP(rc, nas.ClassS); return err }},
-		{"lu", func(rc *cluster.Rank) error { _, err := nas.RunLU(rc, nas.ClassS); return err }},
-		{"ep", func(rc *cluster.Rank) error { _, err := nas.RunEP(rc, nas.ClassS); return err }},
-		{"cg", func(rc *cluster.Rank) error { _, err := nas.RunCG(rc, nas.ClassS); return err }},
-		{"mg", func(rc *cluster.Rank) error { _, err := nas.RunMG(rc, nas.ClassS); return err }},
-		{"is", func(rc *cluster.Rank) error { _, err := nas.RunIS(rc, nas.ClassS); return err }},
-	}
+	kernels := []string{"ft", "bt", "sp", "lu", "ep", "cg", "mg", "is"}
 	sig := map[string][3]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, k := range kernels {
-			avg, maxV, comm := kernelSignature(b, k.body)
-			sig[k.name] = [3]float64{avg, maxV, comm}
+			avg, maxV, comm := kernelSignature(b, func(rc *cluster.Rank) error {
+				_, _, err := nas.Run(rc, k, nas.ClassS)
+				return err
+			})
+			sig[k] = [3]float64{avg, maxV, comm}
 		}
 		// Cross-kernel shape claims:
 		// BT (compute-bound block solves) must peak hotter than FT
